@@ -15,7 +15,9 @@ Modules
 ``cli``       command-line front end
 """
 
-from . import cli, crw, fincat, pathnerve, pushpull, ratlin, simplex, spans
+# ``cli`` is left out so that ``python -m spankit.cli`` does not find it
+# already imported; ``from spankit import cli`` still works.
+from . import crw, fincat, pathnerve, pushpull, ratlin, simplex, spans
 from . import verify
 
 __all__ = ["cli", "crw", "fincat", "pathnerve", "pushpull", "ratlin",

@@ -435,6 +435,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "bound", 0) < 0:
+            raise InputError("--bound must be non-negative, got %d"
+                             % args.bound)
         return args.func(args)
     except InputError as exc:
         json.dump({"error": str(exc)}, sys.stderr, indent=2, sort_keys=True)

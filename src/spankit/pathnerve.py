@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fincat import FinCategory
 from .simplex import MonotoneMap, PointedMap, all_monotone_maps, underlying_monoid
@@ -78,20 +79,28 @@ class BiSimplex:
     chains: tuple  # chains[a][b] is the b-th subset from i_a to i_{a+1}
 
 
+def _weak_chains(homs, length):
+    """All weak chains c_0 <= ... <= c_{length-1} of subsets from homs,
+    listed in the lexicographic order of product(homs, repeat=length)."""
+    sets = [set(h) for h in homs]
+    above = [[k for k, t in enumerate(sets) if s <= t] for s in sets]
+    chains = [(k,) for k in range(len(homs))]
+    for _ in range(length - 1):
+        chains = [c + (k,) for c in chains for k in above[c[-1]]]
+    return [tuple(homs[k] for k in c) for c in chains]
+
+
 def nerve(l, u, v):
     """All (u,v)-simplices of the binerve of Path(l)."""
     path = Path2Cat(l)
+    chains = {}  # (i, j) -> weak chains of hom(i, j)
     simplices = []
     for objs in itertools.combinations_with_replacement(range(l + 1), u + 1):
         per_pair = []
-        for a in range(u):
-            i, j = objs[a], objs[a + 1]
-            homs = path.hom(i, j)
-            chains = []
-            for chain in itertools.product(homs, repeat=v + 1):
-                if all(set(chain[b]) <= set(chain[b + 1]) for b in range(v)):
-                    chains.append(chain)
-            per_pair.append(chains)
+        for ij in zip(objs, objs[1:]):
+            if ij not in chains:
+                chains[ij] = _weak_chains(path.hom(*ij), v + 1)
+            per_pair.append(chains[ij])
         for pick in itertools.product(*per_pair):
             simplices.append(BiSimplex(u, v, objs, tuple(pick)))
     return simplices
@@ -209,11 +218,29 @@ class GridElement:
     objs: tuple   # sorted tuple of (node, obj)
     edges: tuple  # sorted tuple of ((node, axis), morphism)
 
+    # Grids are memo keys and lookup tables in inner loops, so the hash
+    # and the maps are computed once.  cached_property stores into the
+    # instance __dict__, which __eq__, __repr__ and the hash never read.
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash((self.dims, self.objs, self.edges))
+
+    @cached_property
+    def _obj_map(self):
+        return dict(self.objs)
+
+    @cached_property
+    def _edge_map(self):
+        return dict(self.edges)
+
     def obj(self, node):
-        return dict(self.objs)[node]
+        return self._obj_map[node]
 
     def edge(self, node, axis):
-        return dict(self.edges)[(node, axis)]
+        return self._edge_map[(node, axis)]
 
 
 def _grid_nodes(dims):
@@ -307,12 +334,17 @@ class SquareOfNerve:
 
     def __init__(self, cat):
         self.cat = cat
+        self._acts = {}  # (alpha, beta, element) -> result; act is pure
 
     def values(self, u, v):
         return square_n(self.cat, (u, v))
 
     def act(self, alpha, beta, element):
-        return grid_act(self.cat, element, (alpha, beta))
+        key = (alpha, beta, element)
+        out = self._acts.get(key)
+        if out is None:
+            out = self._acts[key] = grid_act(self.cat, element, (alpha, beta))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,41 +387,7 @@ def labelled_limit(X, l):
     for (i, alpha, beta, j) in arrows:
         out_arrows[i].append((alpha, beta, j))
 
-    values = [X.values(s.u, s.v) for s in simplices]
-    results = []
-
-    def extend(pos, assignment, forced):
-        if pos == len(simplices):
-            results.append({simplices[i]: assignment[i]
-                            for i in range(len(simplices))})
-            return
-        candidates = ([forced[pos]] if pos in forced else values[pos])
-        for x in candidates:
-            new_forced = {}
-            ok = True
-            for (alpha, beta, j) in out_arrows[pos]:
-                y = X.act(alpha, beta, x)
-                if j < pos:
-                    if assignment[j] != y:
-                        ok = False
-                        break
-                elif j in forced or j in new_forced:
-                    prev = new_forced.get(j, forced.get(j))
-                    if prev != y:
-                        ok = False
-                        break
-                else:
-                    new_forced[j] = y
-            if ok:
-                assignment[pos] = x
-                forced.update(new_forced)
-                extend(pos + 1, assignment, forced)
-                for k in new_forced:
-                    del forced[k]
-        assignment[pos] = None
-
-    extend(0, [None] * len(simplices), {})
-    return results
+    return _compatible_families(X, simplices, out_arrows)
 
 
 def labelled_limit_full(X, l, ubound=None, vbound=None):
@@ -412,6 +410,13 @@ def labelled_limit_full(X, l, ubound=None, vbound=None):
                         t = act(s, alpha, beta)
                         if t in index and t != s:
                             out_arrows[index[s]].append((alpha, beta, index[t]))
+    return _compatible_families(X, simplices, out_arrows)
+
+
+def _compatible_families(X, simplices, out_arrows):
+    """Every assignment of an element of X_{u,v} to each simplex that
+    agrees with X.act along out_arrows[i] = [(alpha, beta, j), ...].
+    Values forced by an earlier simplex are the only candidates tried."""
     values = [X.values(s.u, s.v) for s in simplices]
     results = []
 
@@ -558,9 +563,9 @@ class FinSymMonCat:
 
     def tensor_grid(self, g1, g2):
         """Pointwise tensor of two grid diagrams of the same shape."""
-        objs = tuple(sorted((node, self.obj_tensor[(o1, dict(g2.objs)[node])])
+        objs = tuple(sorted((node, self.obj_tensor[(o1, g2._obj_map[node])])
                             for node, o1 in g1.objs))
-        edges = tuple(sorted((key, self.mor_tensor[(m1, dict(g2.edges)[key])])
+        edges = tuple(sorted((key, self.mor_tensor[(m1, g2._edge_map[key])])
                              for key, m1 in g1.edges))
         return GridElement(g1.dims, objs, edges)
 
@@ -589,11 +594,21 @@ class TensorGridObject:
         self.Q = Q
         self.tk = tk
         self.n = n
+        self._acts = {}  # (alpha, beta, element) -> result; act is pure
+        self._grids = {}  # (beta, grid) -> grid reindexed along beta
 
     def values(self, u, v):
         grids = square_n(self.Q.cat, (v, self.n))
         return [tuple(t) for t in
                 itertools.product(grids, repeat=self.tk * u)]
+
+    def _grid_act(self, beta, grid):
+        key = (beta, grid)
+        out = self._grids.get(key)
+        if out is None:
+            out = self._grids[key] = grid_act(
+                self.Q.cat, grid, (beta, MonotoneMap.identity(self.n)))
+        return out
 
     def gamma_act(self, psi, element, v):
         """Γ-direction action on tuple width (tensor over preimages)."""
@@ -610,13 +625,16 @@ class TensorGridObject:
         return tuple(out)
 
     def act(self, alpha, beta, element):
-        u, v = alpha.target_size, beta.target_size
-        if len(element) != self.tk * u:
-            raise ValueError("width mismatch")
-        idn = MonotoneMap.identity(self.n)
-        element = tuple(grid_act(self.Q.cat, g, (beta, idn)) for g in element)
-        psi = PointedMap.identity(self.tk).smash(underlying_monoid(alpha))
-        return self.gamma_act(psi, element, beta.source_size)
+        key = (alpha, beta, element)
+        out = self._acts.get(key)
+        if out is None:
+            if len(element) != self.tk * alpha.target_size:
+                raise ValueError("width mismatch")
+            grids = tuple(self._grid_act(beta, g) for g in element)
+            psi = PointedMap.identity(self.tk).smash(underlying_monoid(alpha))
+            out = self._acts[key] = self.gamma_act(psi, grids,
+                                                   beta.source_size)
+        return out
 
 
 def qpow(Q, s, n):

@@ -243,7 +243,7 @@ def _square_fiber_product(X):
 def check_truncated_vs_full_limit(rng, bound):
     Q = pathnerve.FinSymMonCat.from_commutative_monoid(
         [[0, 1], [1, 0]], 0)
-    for l in range(0, 3):
+    for l in range(0, min(bound, 2) + 1):
         X = pathnerve.TensorGridObject(Q, 1, 1)
         a = len(pathnerve.labelled_limit(X, l))
         b = len(pathnerve.labelled_limit_full(X, l))

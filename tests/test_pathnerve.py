@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -89,7 +90,90 @@ class TestNerveCells:
             assert one == two
 
 
+def nerve_by_filtering(l, u, v):
+    """Oracle for nerve(): every tuple of hom elements, kept when each
+    consecutive chain is weakly increasing, in product order."""
+    path = pn.build_path(l)
+    out = []
+    for objs in itertools.combinations_with_replacement(range(l + 1), u + 1):
+        per_pair = []
+        for a in range(u):
+            homs = path.hom(objs[a], objs[a + 1])
+            per_pair.append([
+                c for c in itertools.product(homs, repeat=v + 1)
+                if all(set(c[b]) <= set(c[b + 1]) for b in range(v))])
+        out.extend(pn.BiSimplex(u, v, objs, pick)
+                   for pick in itertools.product(*per_pair))
+    return out
+
+
+class TestNerveGeneration:
+    @pytest.mark.parametrize("l", range(5))
+    def test_matches_product_filter_in_order(self, l):
+        for u in range(5):
+            for v in range(5 - u):
+                assert pn.nerve(l, u, v) == nerve_by_filtering(l, u, v)
+
+
+def face_maps(u, v):
+    """Every pair of injective monotone maps into ([u], [v])."""
+    for up in range(u + 1):
+        for vp in range(v + 1):
+            for a in itertools.combinations(range(u + 1), up + 1):
+                for b in itertools.combinations(range(v + 1), vp + 1):
+                    yield MonotoneMap(up, u, a), MonotoneMap(vp, v, b)
+
+
+class TestMemoizedAction:
+    def test_square_of_nerve(self):
+        X = pn.SquareOfNerve(fincat.FinCategory.from_monoid(
+            [[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0))
+        for u in range(3):
+            for v in range(3 - u):
+                for alpha, beta in face_maps(u, v):
+                    for x in X.values(u, v):
+                        want = pn.grid_act(X.cat, x, (alpha, beta))
+                        assert X.act(alpha, beta, x) == want
+                        assert X.act(alpha, beta, x) == want
+
+    def test_tensor_grid_object(self):
+        Q = pn.FinSymMonCat.from_commutative_monoid([[0, 1], [1, 0]], 0)
+        X = pn.TensorGridObject(Q, 1, 1)
+        idn = MonotoneMap.identity(1)
+        for u in range(3):
+            for v in range(3 - u):
+                for alpha, beta in face_maps(u, v):
+                    psi = simplex.PointedMap.identity(1).smash(
+                        simplex.underlying_monoid(alpha))
+                    for x in X.values(u, v):
+                        grids = tuple(pn.grid_act(Q.cat, g, (beta, idn))
+                                      for g in x)
+                        want = X.gamma_act(psi, grids, beta.source_size)
+                        assert X.act(alpha, beta, x) == want
+                        assert X.act(alpha, beta, x) == want
+
+    def test_width_mismatch_rejected(self):
+        Q = pn.FinSymMonCat.from_commutative_monoid([[0, 1], [1, 0]], 0)
+        X = pn.TensorGridObject(Q, 1, 1)
+        x = X.values(1, 0)[0]
+        with pytest.raises(ValueError):
+            X.act(MonotoneMap.identity(2), MonotoneMap.identity(0), x)
+
+
 class TestGrids:
+    def test_lookups_leave_identity_unchanged(self):
+        cat = fincat.FinCategory.chain(2)
+        for g in pn.square_n(cat, (1, 1)):
+            twin = pn.GridElement(g.dims, g.objs, g.edges)
+            before = (hash(g), repr(g))
+            for node, obj in g.objs:
+                assert g.obj(node) == obj
+            for (node, axis), f in g.edges:
+                assert g.edge(node, axis) == f
+            assert (hash(g), repr(g)) == before
+            assert g == twin and hash(g) == hash(twin)
+            assert hash(g) == hash((g.dims, g.objs, g.edges))
+
     def test_square_counts_for_walking_arrow(self):
         cat = fincat.FinCategory.chain(1)
         X = pn.SquareOfNerve(cat)

@@ -2,6 +2,7 @@ import json
 import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +13,10 @@ SPANKIT = shutil.which("spankit")
 
 
 def run_cli(*argv):
-    return subprocess.run([SPANKIT, *argv], capture_output=True, text=True)
+    # without an installed console script, run the package from the
+    # import path the tests use
+    cmd = [SPANKIT] if SPANKIT else [sys.executable, "-m", "spankit"]
+    return subprocess.run([*cmd, *argv], capture_output=True, text=True)
 
 
 class TestVerifySuites:
@@ -55,6 +59,17 @@ class TestExitCodes:
     def test_bad_level_is_two(self):
         out = run_cli("enumerate", "sigma", "9", "--bound", "3")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "posets"],
+        ["enumerate", "nerve", "0"],
+        ["crw", "intro", "--n", "2"],
+    ])
+    def test_negative_bound_is_two(self, argv):
+        out = run_cli(*argv, "--bound", "-1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "bound" in json.loads(out.stderr)["error"]
 
 
 class TestDeterminism:
