@@ -63,6 +63,9 @@ def _rat(s):
 
 def _poly_from_json(n_gens, obj):
     """{"e1,e2,...": "p/q"} -> exponent-tuple polynomial."""
+    if not isinstance(obj, dict):
+        raise InputError("polynomial must be an object, got %s"
+                         % type(obj).__name__)
     out = {}
     for key, val in obj.items():
         try:
@@ -307,9 +310,15 @@ def _algebra_from_json(doc):
     except (KeyError, TypeError) as exc:
         raise InputError("presentation missing generators: %s" % exc)
     n = len(gens)
-    relations = [_poly_from_json(n, r) for r in doc.get("relations", [])]
+    relations = doc.get("relations", [])
+    if not isinstance(relations, list):
+        raise InputError("relations must be a list")
+    differential = doc.get("differential", {})
+    if not isinstance(differential, dict):
+        raise InputError("differential must be an object")
+    relations = [_poly_from_json(n, r) for r in relations]
     differential = {name: _poly_from_json(n, p)
-                    for name, p in doc.get("differential", {}).items()}
+                    for name, p in differential.items()}
     try:
         if relations:
             return crw.quotient_algebra(gens, relations, differential)

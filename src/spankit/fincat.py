@@ -1,8 +1,10 @@
 """Finite categories and finite-set-valued diagrams.
 
-Limits (by backtracking over compatible families), twisted arrow
-categories, ends and coends, right Kan extensions via the comma-category
-limit formula and via the end-of-cotensor formula, and cotensors.
+Limits as compatible families, found by ``compatible_families``: the one
+forced-value backtracker, which ``spans`` and ``pathnerve`` also use for
+their slice and labelled limits.  Twisted arrow categories, ends and
+coends, right Kan extensions via the comma-category limit formula and via
+the end-of-cotensor formula, and cotensors.
 
 Conventions: the limit of the empty diagram is a singleton; all finite
 sets are lists with a fixed element order so results are deterministic.
@@ -209,51 +211,57 @@ class LimitResult:
         return lambda fam: fam[a]
 
 
-def limit(diagram):
-    """Limit of a finite-set diagram: compatible families, by backtracking."""
-    A = diagram.shape
-    n = A.n_objects
-    # constraints[(a, b)] = list of morphism maps a -> b
-    constraints = {}
-    for f, (s, d) in enumerate(A.morphisms):
-        constraints.setdefault((s, d), []).append(diagram.on_morphisms[f])
-    order = list(range(n))
+def compatible_families(domains, arrows):
+    """Every tuple ``fam`` with ``fam[i]`` in ``domains[i]`` and
+    ``f(fam[i]) == fam[j]`` for each ``(j, f)`` in ``arrows[i]``.
+
+    Backtracks over the positions in order, trying candidates in domain
+    order, so the families come out in lexicographic order.  An arrow
+    from an assigned position into a later one forces that value, and a
+    forced value is the only candidate tried there; it is trusted to lie
+    in its domain.  Arrows may point backwards, at their own position or
+    several times at one position.
+    """
+    n = len(domains)
+    fam = [None] * n
+    forced = {}
     families = []
 
-    def extend(pos, partial):
+    def extend(pos):
         if pos == n:
-            families.append(tuple(partial))
+            families.append(tuple(fam))
             return
-        a = order[pos]
-        for x in diagram.on_objects[a]:
-            ok = True
-            for b in order[:pos]:
-                y = partial[b]
-                for m in constraints.get((a, b), []):
-                    if m[x] != y:
-                        ok = False
+        for x in ([forced[pos]] if pos in forced else domains[pos]):
+            fam[pos] = x
+            new = []
+            for (j, f) in arrows[pos]:
+                y = f(x)
+                if j <= pos:
+                    if fam[j] != y:
                         break
-                if not ok:
-                    break
-                for m in constraints.get((b, a), []):
-                    if m[y] != x:
-                        ok = False
+                elif j in forced:
+                    if forced[j] != y:
                         break
-                if not ok:
-                    break
-            if ok:
-                # endo-arrows a -> a constrain the component at a alone
-                for m in constraints.get((a, a), []):
-                    if m[x] != x:
-                        ok = False
-                        break
-            if ok:
-                partial[a] = x
-                extend(pos + 1, partial)
-        partial[a] = None
+                else:
+                    forced[j] = y
+                    new.append(j)
+            else:
+                extend(pos + 1)
+            for j in new:
+                del forced[j]
 
-    extend(0, [None] * n)
-    return LimitResult(A, families)
+    extend(0)
+    return families
+
+
+def limit(diagram):
+    """Limit of a finite-set diagram: its compatible families, one arrow
+    per morphism of the shape."""
+    A = diagram.shape
+    arrows = [[] for _ in range(A.n_objects)]
+    for f, (s, d) in enumerate(A.morphisms):
+        arrows[s].append((d, diagram.on_morphisms[f].__getitem__))
+    return LimitResult(A, compatible_families(diagram.on_objects, arrows))
 
 
 def limit_bruteforce(diagram):

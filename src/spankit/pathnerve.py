@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
-from .fincat import FinCategory
+from .fincat import FinCategory, compatible_families
 from .simplex import MonotoneMap, PointedMap, all_monotone_maps, underlying_monoid
 
 
@@ -373,8 +373,8 @@ def labelled_limit(X, l):
     # higher dimension first so faces are forced early
     simplices.sort(key=lambda s: (-(s.u + s.v), s.objs, s.chains))
     index = {s: i for i, s in enumerate(simplices)}
-    # face arrows: (source index, alpha, beta, target index)
-    arrows = []
+    # face arrows out of each simplex: (target index, X.act on a face map)
+    out_arrows = [[] for _ in simplices]
     for s in simplices:
         for up in range(s.u + 1):
             for vp in range(s.v + 1):
@@ -382,12 +382,9 @@ def labelled_limit(X, l):
                     for beta in _injective_maps(vp, s.v):
                         t = act(s, alpha, beta)
                         if t in index and t != s:
-                            arrows.append((index[s], alpha, beta, index[t]))
-    out_arrows = [[] for _ in simplices]
-    for (i, alpha, beta, j) in arrows:
-        out_arrows[i].append((alpha, beta, j))
-
-    return _compatible_families(X, simplices, out_arrows)
+                            out_arrows[index[s]].append(
+                                (index[t], partial(X.act, alpha, beta)))
+    return _families_by_simplex(X, simplices, out_arrows)
 
 
 def labelled_limit_full(X, l, ubound=None, vbound=None):
@@ -409,49 +406,16 @@ def labelled_limit_full(X, l, ubound=None, vbound=None):
                     for beta in all_monotone_maps(vp, s.v):
                         t = act(s, alpha, beta)
                         if t in index and t != s:
-                            out_arrows[index[s]].append((alpha, beta, index[t]))
-    return _compatible_families(X, simplices, out_arrows)
+                            out_arrows[index[s]].append(
+                                (index[t], partial(X.act, alpha, beta)))
+    return _families_by_simplex(X, simplices, out_arrows)
 
 
-def _compatible_families(X, simplices, out_arrows):
-    """Every assignment of an element of X_{u,v} to each simplex that
-    agrees with X.act along out_arrows[i] = [(alpha, beta, j), ...].
-    Values forced by an earlier simplex are the only candidates tried."""
+def _families_by_simplex(X, simplices, out_arrows):
+    """The compatible families as dicts keyed by simplex."""
     values = [X.values(s.u, s.v) for s in simplices]
-    results = []
-
-    def extend(pos, assignment, forced):
-        if pos == len(simplices):
-            results.append({simplices[i]: assignment[i]
-                            for i in range(len(simplices))})
-            return
-        candidates = ([forced[pos]] if pos in forced else values[pos])
-        for x in candidates:
-            new_forced = {}
-            ok = True
-            for (alpha, beta, j) in out_arrows[pos]:
-                y = X.act(alpha, beta, x)
-                if j < pos:
-                    if assignment[j] != y:
-                        ok = False
-                        break
-                elif j in forced or j in new_forced:
-                    prev = new_forced.get(j, forced.get(j))
-                    if prev != y:
-                        ok = False
-                        break
-                else:
-                    new_forced[j] = y
-            if ok:
-                assignment[pos] = x
-                forced.update(new_forced)
-                extend(pos + 1, assignment, forced)
-                for k in new_forced:
-                    del forced[k]
-        assignment[pos] = None
-
-    extend(0, [None] * len(simplices), {})
-    return results
+    return [dict(zip(simplices, fam))
+            for fam in compatible_families(values, out_arrows)]
 
 
 def spine_square_simplex(l):

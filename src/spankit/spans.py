@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .fincat import compatible_families
 from .simplex import (MonotoneMap, SpanPoset, SubsetPoset, build_sigma,
                       build_theta, push_sigma, push_theta)
 
@@ -200,45 +201,11 @@ def _slice_limit(F, x, slot):
     """Families over the bottom objects under x, compatible with all
     maps between them; returned as value tuples in slice order."""
     objs = _slice_objects(F, x)
-    pos_of = {y: i for i, y in enumerate(objs)}
-    out_arrows = [[] for _ in objs]
-    for i, y in enumerate(objs):
-        for j, z in enumerate(objs):
-            if i != j and F.poset.leq(y, z):
-                out_arrows[i].append((j, F.get_map(y, z)[slot]))
-    results = []
-
-    def extend(pos, assignment, forced):
-        if pos == len(objs):
-            results.append(tuple(assignment))
-            return
-        candidates = ([forced[pos]] if pos in forced
-                      else F.labels[objs[pos]][slot])
-        for v in candidates:
-            new_forced = {}
-            ok = True
-            for (j, d) in out_arrows[pos]:
-                w = d[v]
-                if j < pos:
-                    if assignment[j] != w:
-                        ok = False
-                        break
-                elif j in forced or j in new_forced:
-                    if new_forced.get(j, forced.get(j)) != w:
-                        ok = False
-                        break
-                else:
-                    new_forced[j] = w
-            if ok:
-                assignment[pos] = v
-                forced.update(new_forced)
-                extend(pos + 1, assignment, forced)
-                for k in new_forced:
-                    del forced[k]
-        assignment[pos] = None
-
-    extend(0, [None] * len(objs), {})
-    return objs, results
+    arrows = [[(j, F.get_map(y, z)[slot].__getitem__)
+               for j, z in enumerate(objs) if i != j and F.poset.leq(y, z)]
+              for i, y in enumerate(objs)]
+    domains = [F.labels[y][slot] for y in objs]
+    return objs, compatible_families(domains, arrows)
 
 
 def comparison_map(F, x, slot):

@@ -29,18 +29,6 @@ def _random_monotone_map(rng, m, n):
     return simplex.MonotoneMap(m, n, tuple(vals))
 
 
-def _random_surjective_monotone(rng, m, n):
-    """A random monotone surjection [m] -> [n] (requires m >= n)."""
-    cuts = sorted(rng.sample(range(1, m + 1), n))
-    vals = []
-    level = 0
-    for j in range(m + 1):
-        while level < n and j >= cuts[level]:
-            level += 1
-        vals.append(level)
-    return simplex.MonotoneMap(m, n, tuple(vals))
-
-
 def _random_point_span(rng, name, size):
     apex = tuple("%s%d" % (name, i) for i in range(size))
     pt = ("*",)

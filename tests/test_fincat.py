@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -77,14 +78,90 @@ class TestFinCategory:
                         {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0})
 
 
+def zk_set_diagram(rng, k):
+    """A random Z/k-set as a diagram on the one-object category Z/k:
+    a disjoint union of orbits, morphism i acting as the i-th power of
+    the generator, so every arrow goes from the object to itself."""
+    divisors = [d for d in range(1, k + 1) if k % d == 0]
+    sizes = [rng.choice(divisors) for _ in range(rng.randrange(1, 4))]
+    points = ["p%d" % i for i in range(sum(sizes))]
+    rng.shuffle(points)
+    gen, start = {}, 0
+    for size in sizes:
+        orbit = points[start:start + size]
+        start += size
+        for i, x in enumerate(orbit):
+            gen[x] = orbit[(i + 1) % size]
+    powers = [{x: x for x in points}]
+    for _ in range(k - 1):
+        powers.append({x: gen[powers[-1][x]] for x in points})
+    shape = FinCategory.from_monoid(
+        [[(i + j) % k for j in range(k)] for i in range(k)], 0)
+    return Diagram(shape, [points], powers)
+
+
+def parallel_pair_diagram(rng):
+    """Two random maps X => Y: the limit is their equalizer."""
+    shape = FinCategory(2, [(0, 0), (1, 1), (0, 1), (0, 1)], [0, 1],
+                        {(0, 0): 0, (1, 1): 1, (2, 0): 2, (3, 0): 3,
+                         (1, 2): 2, (1, 3): 3})
+    xs = ["x%d" % i for i in range(rng.randrange(1, 5))]
+    ys = ["y%d" % i for i in range(rng.randrange(1, 4))]
+    f = {x: rng.choice(ys) for x in xs}
+    g = {x: rng.choice(ys) for x in xs}
+    return Diagram(shape, [xs, ys],
+                   [{x: x for x in xs}, {y: y for y in ys}, f, g])
+
+
+def bipartite_diagram(rng, lows, highs):
+    """Random maps from low objects 0..lows-1 into the high objects above
+    them, so two earlier objects can force different values on a later
+    one."""
+    leq = {(a, b) for a in range(lows) for b in range(lows, lows + highs)
+           if rng.random() < 0.7}
+    shape = FinCategory.from_poset(
+        lows + highs, lambda a, b: a == b or (a, b) in leq)
+    sets = [["v%d_%d" % (a, i) for i in range(rng.randrange(1, 4))]
+            for a in range(lows + highs)]
+    maps = [{x: (x if s == d else rng.choice(sets[d])) for x in sets[s]}
+            for (s, d) in shape.morphisms]
+    return Diagram(shape, sets, maps)
+
+
 class TestLimits:
     def test_limit_matches_bruteforce(self):
         rng = random.Random(1)
-        for _ in range(20):
-            d = chain_diagram(rng, rng.randrange(1, 4))
-            fast = sorted(fincat.limit(d).apex)
-            slow = sorted(fincat.limit_bruteforce(d))
-            assert fast == slow
+        diagrams = [chain_diagram(rng, rng.randrange(1, 4))
+                    for _ in range(20)]
+        diagrams += [zk_set_diagram(rng, k) for k in (2, 3, 4)
+                     for _ in range(10)]
+        diagrams += [parallel_pair_diagram(rng) for _ in range(20)]
+        diagrams += [bipartite_diagram(rng, rng.randrange(1, 4),
+                                       rng.randrange(1, 3))
+                     for _ in range(20)]
+        # the empty diagram has one family, ()
+        diagrams.append(Diagram(FinCategory(0, [], [], {}), [], []))
+        for d in diagrams:
+            # same families in the same order
+            assert fincat.limit(d).apex == fincat.limit_bruteforce(d)
+
+    def test_compatible_families_on_arbitrary_arrows(self):
+        # arrows need not come from a category: no identities, self
+        # arrows, backward arrows and several arrows into one position
+        rng = random.Random(6)
+        for _ in range(200):
+            n = rng.randrange(0, 4)
+            domains = [rng.sample(range(4), rng.randrange(1, 4))
+                       for _ in range(n)]
+            arrows = [[] for _ in range(n)]
+            for _ in range(rng.randrange(0, 5) if n else 0):
+                i, j = rng.randrange(n), rng.randrange(n)
+                table = {x: rng.choice(domains[j]) for x in domains[i]}
+                arrows[i].append((j, table.__getitem__))
+            want = [fam for fam in itertools.product(*domains)
+                    if all(f(fam[i]) == fam[j]
+                           for i in range(n) for (j, f) in arrows[i])]
+            assert fincat.compatible_families(domains, arrows) == want
 
     def test_limit_of_pullback_shape(self):
         # cospan x -> z <- y with two-point fibers

@@ -56,6 +56,19 @@ class TestExitCodes:
         assert out.returncode == 2
         assert "error" in json.loads(out.stderr)
 
+    @pytest.mark.parametrize("doc", [
+        {"generators": [{"name": "x", "parity": 0, "weight": 1}],
+         "relations": ["x"]},
+        {"generators": [{"name": "x", "parity": 0, "weight": 1}],
+         "relations": ["x"], "differential": []},
+    ])
+    def test_malformed_presentation_is_two(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = run_cli("crw", "cohomology", str(bad))
+        assert out.returncode == 2
+        assert "error" in json.loads(out.stderr)
+
     def test_bad_level_is_two(self):
         out = run_cli("enumerate", "sigma", "9", "--bound", "3")
         assert out.returncode == 2
