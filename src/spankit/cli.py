@@ -89,6 +89,9 @@ def _generators_from_json(items):
     gens = []
     try:
         for it in items:
+            if not isinstance(it["name"], str):
+                raise InputError("generator name must be a string, got %s"
+                                 % type(it["name"]).__name__)
             gens.append(crw.Generator(it["name"], int(it["parity"]),
                                       int(it["weight"])))
     except (KeyError, TypeError, ValueError) as exc:

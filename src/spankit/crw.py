@@ -405,30 +405,41 @@ def quotient_algebra(gens, relations, differential=None):
     # eliminate substituted generators everywhere
     keep = [g for g in gens if g.name not in subs]
     keep_idx = [i for i, g in enumerate(gens) if g.name not in subs]
+    eliminated = [i for i, g in enumerate(gens) if g.name in subs]
+    # a right-hand side may hold a generator eliminated by another
+    # relation; substitution ends when no such chain comes back round
+    reach = {name: {names[j] for m in rhs for j in eliminated if m[j]}
+             for name, rhs in subs.items()}
+    for _ in subs:
+        reach = {name: r.union(*(reach[o] for o in r))
+                 for name, r in reach.items()}
+    if any(name in r for name, r in reach.items()):
+        raise ValueError("cyclic substitutions among the relations")
 
     def project(p):
-        # substitute eliminated generators, then restrict exponents
+        # substitute eliminated generators until none is left, then
+        # restrict exponents
         work = dict(p)
-        for name, rhs in subs.items():
-            i = names.index(name)
-            done = {}
-            for m, c in work.items():
-                if m[i] == 0:
-                    done[m] = done.get(m, Fraction(0)) + c
-                    continue
-                base = list(m)
-                e = base[i]
-                base[i] = 0
-                term = {tuple(base): c}
-                for _ in range(e):
-                    term = poly_mul(gens, term, rhs)
-                for mm, cc in term.items():
-                    done[mm] = done.get(mm, Fraction(0)) + cc
-            work = {m: c for m, c in done.items() if c != 0}
-        out = {}
-        for m, c in work.items():
-            out[tuple(m[i] for i in keep_idx)] = c
-        return out
+        while True:
+            for name, rhs in subs.items():
+                i = names.index(name)
+                done = {}
+                for m, c in work.items():
+                    if m[i] == 0:
+                        done[m] = done.get(m, Fraction(0)) + c
+                        continue
+                    base = list(m)
+                    e = base[i]
+                    base[i] = 0
+                    term = {tuple(base): c}
+                    for _ in range(e):
+                        term = poly_mul(gens, term, rhs)
+                    for mm, cc in term.items():
+                        done[mm] = done.get(mm, Fraction(0)) + cc
+                work = {m: c for m, c in done.items() if c != 0}
+            if not any(m[i] for m in work for i in eliminated):
+                return {tuple(m[i] for i in keep_idx): c
+                        for m, c in work.items()}
 
     new_rules = {name: (k, project(rhs))
                  for name, (k, rhs) in power_rules.items()}
@@ -442,68 +453,24 @@ def koszul_intersection(ambient_gens, eqs1, eqs2, odd_prefix="eps"):
     the second list whose differential is that element's image."""
     gens = [g if isinstance(g, Generator) else Generator(*g)
             for g in ambient_gens]
-    base = quotient_algebra(gens, eqs1)
-    new_gens = list(base.gens)
-    odd_names = []
+    odd = []
     for idx, eq in enumerate(eqs2):
-        eq = dict(eq)
-        ws = {mono_weight(gens, m) for m in eq}
+        ws = {mono_weight(gens, m) for m in dict(eq)}
         if len(ws) != 1:
             raise ValueError(
                 "equation %d not weight-homogeneous; declare generator "
                 "weights making it homogeneous" % idx)
         name = "%s%d" % (odd_prefix, idx) if len(eqs2) > 1 else odd_prefix
-        odd_names.append(name)
-        new_gens.append(Generator(name, 1, ws.pop()))
+        odd.append(Generator(name, 1, ws.pop()))
+    pad = (0,) * len(odd)
 
-    def widen(p, width):
-        return {m + (0,) * (width - len(m)): c for m, c in p.items()}
+    def widen(p):
+        return {m + pad: c for m, c in dict(p).items()}
 
-    width = len(new_gens)
-    rules = {name: (k, widen(r, width))
-             for name, (k, r) in base.power_rules.items()}
-    diff = {g.name: widen(p, width) for g, p in
-            ((g, base.differential[g.name]) for g in base.gens)}
-    for name, eq in zip(odd_names, eqs2):
-        diff[name] = widen(_project_through(
-            gens, eqs1, [g.name for g in base.gens], dict(eq)), width)
-    return GradedDGAlgebra(new_gens, rules, diff)
-
-
-def _project_through(gens, relations, keep_names, p):
-    """Normal form of p in the quotient by the given relations,
-    expressed over the kept generators."""
-    names = [g.name for g in gens]
-    subs = {}
-    for rel in relations:
-        i, k, rhs = _classify_relation(gens, dict(rel))
-        if k == 1:
-            subs[names[i]] = rhs
-    work = dict(p)
-    for name, rhs in subs.items():
-        i = names.index(name)
-        done = {}
-        for m, c in work.items():
-            if m[i] == 0:
-                done[m] = done.get(m, Fraction(0)) + c
-                continue
-            base = list(m)
-            e = base[i]
-            base[i] = 0
-            term = {tuple(base): c}
-            for _ in range(e):
-                term = poly_mul(gens, term, rhs)
-            for mm, cc in term.items():
-                done[mm] = done.get(mm, Fraction(0)) + cc
-        work = {m: c for m, c in done.items() if c != 0}
-    keep_idx = [names.index(n) for n in keep_names]
-    out = {}
-    for m, c in work.items():
-        for j, e in enumerate(m):
-            if e and names[j] not in keep_names:
-                raise ValueError("projection left a dropped generator")
-        out[tuple(m[i] for i in keep_idx)] = c
-    return out
+    # the odd generators occur in no relation, so the quotient keeps
+    # them and reduces their differentials to normal form
+    return quotient_algebra(gens + odd, [widen(r) for r in eqs1],
+                            {g.name: widen(eq) for g, eq in zip(odd, eqs2)})
 
 
 # ---------------------------------------------------------------------------
@@ -635,12 +602,6 @@ def chain_map_dimension(module_m, module_n):
                                     module_n.source, module_n.target,
                                     module_n.images)
     return _chain_map_dimension(module_m, module_n, None, None, None)
-
-
-def restricted_chain_map_dimension(source, target, images, module_m, module_n):
-    """Dimension of chain maps M -> N where M is over the source
-    algebra, N over the target, and scalars act through the map."""
-    return _chain_map_dimension(module_m, module_n, source, target, images)
 
 
 def _chain_map_dimension(module_m, module_n, src_alg, tgt_alg, images):

@@ -115,16 +115,6 @@ class FinCategory:
         comp = {(f, g): h for (g, f), h in self.comp.items()}
         return FinCategory(self.n_objects, morphisms, self.identities, comp)
 
-    def to_json(self):
-        return {
-            "objects": list(range(self.n_objects)),
-            "morphisms": [
-                {"src": s, "dst": d, "id": i in self.identities}
-                for i, (s, d) in enumerate(self.morphisms)
-            ],
-            "composition": sorted([g, f, h] for (g, f), h in self.comp.items()),
-        }
-
 
 class FinFunctor:
     """A functor between finite categories, checked on construction."""
@@ -184,16 +174,6 @@ class Diagram:
             for x in self.on_objects[A.src(f)]:
                 if mg[mf[x]] != mh[x]:
                     raise ValueError("diagram breaks composition")
-
-    def to_json(self):
-        return {
-            "shape": self.shape.to_json(),
-            "values": [[repr(x) for x in v] for v in self.on_objects],
-            "actions": [
-                sorted([repr(k), repr(v)] for k, v in m.items())
-                for m in self.on_morphisms
-            ],
-        }
 
 
 class LimitResult:

@@ -183,24 +183,6 @@ def nondegenerate_table(l, bound=5):
     return table
 
 
-def table_to_json(table):
-    out = {}
-    for (u, v), simplices in sorted(table.items()):
-        out[f"({u},{v})"] = [
-            {"objects": list(s.objs),
-             "chains": [[list(sub) for sub in row] for row in s.chains]}
-            for s in simplices
-        ]
-    return out
-
-
-def counts_csv(table):
-    lines = ["u,v,count"]
-    for (u, v), simplices in sorted(table.items()):
-        lines.append(f"{u},{v},{len(simplices)}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # grid diagrams (commutative cubes) in a finite category
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ maps, including synthesis of the canonical filling from spine data.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,10 +86,6 @@ class VectorFamily:
     def total_dim(self):
         return sum(d for _, d in self.dims)
 
-    def to_json(self):
-        return {"base": [str(x) for x in self.base],
-                "dims": {str(x): d for x, d in self.dims}}
-
 
 @dataclass(frozen=True)
 class FamilyMap:
@@ -110,10 +107,7 @@ class FamilyMap:
                 raise ValueError("column count mismatch")
 
     def mat(self, x):
-        m = dict(self.mats)[x]
-        if not m:
-            return ratlin.zeros(0, self.source.dim(x))
-        return m
+        return dict(self.mats)[x]
 
     @staticmethod
     def build(source, target, fn):
@@ -125,25 +119,20 @@ class FamilyMap:
         return FamilyMap.build(fam, fam, lambda x: ratlin.identity(fam.dim(x)))
 
     def compose(self, other):
-        return FamilyMap.build(other.source, self.target,
-                               lambda x: ratlin.matmul(self.mat(x), other.mat(x)))
+        def block(x):
+            a, b = self.mat(x), other.mat(x)
+            if a and b:
+                return ratlin.matmul(a, b)
+            # a zero-row factor is () and has lost its column count, so a
+            # product into or through dimension 0 takes its shape from
+            # the families
+            return ratlin.zeros(len(a), other.source.dim(x))
+
+        return FamilyMap.build(other.source, self.target, block)
 
     def is_invertible(self):
         return all(ratlin.is_invertible(self.mat(x)) for x in self.source.base
                    if self.source.dim(x) or self.target.dim(x))
-
-    def to_json(self):
-        out = {}
-        for x, m in self.mats:
-            out[str(x)] = [[str(Fraction(e)) for e in row] for row in m]
-        return {"base": [str(x) for x in self.source.base], "matrices": out}
-
-
-def family_to_json(fam, maps=()):
-    """Local-system JSON: dimensions plus optional named matrix blocks."""
-    out = fam.to_json()
-    out["maps"] = {name: m.to_json() for name, m in maps}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +179,23 @@ def pushforward_map(f, phi):
         return tuple(tuple(r) for r in out)
 
     return FamilyMap.build(src, tgt, block)
+
+
+def _sum_basis(fam, points):
+    """Basis keys (x, i) of the direct sum of fam over points, in order:
+    the basis of a pushforward at y when points is the fiber over y."""
+    return [(x, i) for x in points for i in range(fam.dim(x))]
+
+
+def _matching(rows, cols):
+    """The 0/1 matrix with a 1 where a row key equals a column key; a
+    None column key gives a zero column.  Row keys are distinct."""
+    pos = {key: r for r, key in enumerate(rows)}
+    out = [[Fraction(0)] * len(cols) for _ in rows]
+    for c, key in enumerate(cols):
+        if key is not None:
+            out[pos[key]][c] = Fraction(1)
+    return tuple(tuple(r) for r in out)
 
 
 def tensor_family(a, b):
@@ -252,18 +258,9 @@ def counit_map(f, v):
     src = pullback_ls(f, pushforward_ls(f, v))
 
     def block(x):
-        y = f(x)
-        rows = []
-        off = 0
-        for z in f.fiber(y):
-            if z == x:
-                sel = off
-            off += v.dim(z)
-        total = off
-        out = [[Fraction(0)] * total for _ in range(v.dim(x))]
-        for i in range(v.dim(x)):
-            out[i][sel + i] = Fraction(1)
-        return tuple(tuple(r) for r in out)
+        return _matching(_sum_basis(v, [x]),
+                         [(z, i) if z == x else None
+                          for z, i in _sum_basis(v, f.fiber(f(x)))])
 
     return FamilyMap.build(src, v, block)
 
@@ -292,22 +289,7 @@ def push_composite_iso(f, g, v):
 
     def block(z):
         nested = [x for y in g.fiber(z) for x in f.fiber(y)]
-        flat = gf.fiber(z)
-        # permutation of basis blocks from nested order to flat order
-        dim = sum(v.dim(x) for x in flat)
-        offs_nested = {}
-        off = 0
-        for x in nested:
-            offs_nested[x] = off
-            off += v.dim(x)
-        out = [[Fraction(0)] * dim for _ in range(dim)]
-        row = 0
-        for x in flat:
-            o = offs_nested[x]
-            for i in range(v.dim(x)):
-                out[row + i][o + i] = Fraction(1)
-            row += v.dim(x)
-        return tuple(tuple(r) for r in out)
+        return _matching(_sum_basis(v, gf.fiber(z)), _sum_basis(v, nested))
 
     return FamilyMap.build(src, tgt, block)
 
@@ -344,25 +326,8 @@ def base_change(f, g, p, q, v):
     tgt = pushforward_ls(p, qv)
 
     def block(x):
-        b = f(x)
-        g_fib = g.fiber(b)
-        offs = {}
-        off = 0
-        for a in g_fib:
-            offs[a] = off
-            off += v.dim(a)
-        total = off
-        rows = []
-        for t in p.fiber(x):
-            a = q(t)
-            o = offs[a]
-            for i in range(v.dim(a)):
-                row = [Fraction(0)] * total
-                row[o + i] = Fraction(1)
-                rows.append(tuple(row))
-        if not rows:
-            return ratlin.zeros(0, total)
-        return tuple(rows)
+        return _matching(_sum_basis(v, [q(t) for t in p.fiber(x)]),
+                         _sum_basis(v, g.fiber(f(x))))
 
     return FamilyMap.build(src, tgt, block)
 
@@ -378,20 +343,12 @@ def projection_iso(f, a, b):
     tgt = pushforward_ls(f, tensor_family(a, pullback_ls(f, b)))
 
     def block(y):
-        fib = f.fiber(y)
-        nb = b.dim(y)
-        total = sum(a.dim(x) for x in fib) * nb
-        out = [[Fraction(0)] * total for _ in range(total)]
-        # source basis: ((x, i), j) with the direct-sum index major;
-        # target basis: (x, (i, j)) with the block index major.
-        src_order = [(x, i, j) for x in fib for i in range(a.dim(x))
-                     for j in range(nb)]
-        tgt_order = [(x, i, j) for x in fib for i in range(a.dim(x))
-                     for j in range(nb)]
-        pos = {key: r for r, key in enumerate(tgt_order)}
-        for c, key in enumerate(src_order):
-            out[pos[key]][c] = Fraction(1)
-        return tuple(tuple(r) for r in out)
+        # source basis ((x, i), j) with the direct-sum index major and
+        # target basis (x, (i, j)) with the block index major both list
+        # the triples (x, i, j) in this order
+        keys = [(x, i, j) for x, i in _sum_basis(a, f.fiber(y))
+                for j in range(b.dim(y))]
+        return _matching(keys, keys)
 
     return FamilyMap.build(src, tgt, block)
 
@@ -405,16 +362,11 @@ def projection_iso_left(f, a, b):
     def block(y):
         fib = f.fiber(y)
         na = a.dim(y)
-        total = na * sum(b.dim(x) for x in fib)
         src_order = [(i, x, j) for i in range(na)
-                     for x in fib for j in range(b.dim(x))]
+                     for x, j in _sum_basis(b, fib)]
         tgt_order = [(i, x, j) for x in fib for i in range(na)
                      for j in range(b.dim(x))]
-        pos = {key: r for r, key in enumerate(tgt_order)}
-        out = [[Fraction(0)] * total for _ in range(total)]
-        for c, key in enumerate(src_order):
-            out[pos[key]][c] = Fraction(1)
-        return tuple(tuple(r) for r in out)
+        return _matching(tgt_order, src_order)
 
     return FamilyMap.build(src, tgt, block)
 
@@ -603,6 +555,20 @@ def _proj(vertices, big, small):
                         lambda x: tuple(x[p] for p in pos))
 
 
+def _chain_faces(l):
+    """The subsets S of {0, .., l} with at least three elements."""
+    return [s for m in range(3, l + 2)
+            for s in itertools.combinations(range(l + 1), m)]
+
+
+def _edge_tensor(vertices, s, piece, pull, tensor):
+    """Fold ``tensor`` over the edges (s[j], s[j+1]) of S, in order, of
+    ``pull(_proj(vertices, s, edge), piece(edge))``: the tensor of the
+    edge systems (or maps) pulled back to u_S."""
+    return functools.reduce(tensor, (pull(_proj(vertices, s, e), piece(e))
+                                     for e in zip(s, s[1:])))
+
+
 class PushPullThetaDiagram:
     """Local systems over a chain of vertices u_0 .. u_l.
 
@@ -613,36 +579,28 @@ class PushPullThetaDiagram:
     long-edge system to the tensor of the consecutive-edge pullbacks.
     """
 
-    def __init__(self, vertices, club, r, vertical, phi, check=True):
+    def __init__(self, vertices, club, r, vertical, phi):
         self.vertices = [tuple(v) for v in vertices]
         self.l = len(vertices) - 1
         self.club = club
         self.r = r                # (a, b) -> list of VectorFamily per height
         self.vertical = vertical  # (a, b) -> list of FamilyMap (height i -> i+1)
         self.phi = phi            # S -> list of FamilyMap per height
-        if check:
-            self._check()
+        self._check()
 
     def _pairs(self):
         return [(a, b) for a in range(self.l + 1) for b in range(a + 1, self.l + 1)]
 
     def _faces(self):
-        out = []
-        for m in range(3, self.l + 2):
-            out.extend(itertools.combinations(range(self.l + 1), m))
-        return out
+        return _chain_faces(self.l)
 
     def phi_source(self, s, i):
         return pullback_ls(_proj(self.vertices, s, (s[0], s[-1])),
                            self.r[(s[0], s[-1])][i])
 
     def phi_target(self, s, i):
-        fam = None
-        for j in range(len(s) - 1):
-            piece = pullback_ls(_proj(self.vertices, s, (s[j], s[j + 1])),
-                                self.r[(s[j], s[j + 1])][i])
-            fam = piece if fam is None else tensor_family(fam, piece)
-        return fam
+        return _edge_tensor(self.vertices, s, lambda e: self.r[e][i],
+                            pullback_ls, tensor_family)
 
     def _check(self):
         for pr in self._pairs():
@@ -672,12 +630,8 @@ class PushPullThetaDiagram:
                     raise ValueError("phi does not commute with the tower")
 
     def _target_vertical(self, s, i):
-        out = None
-        for j in range(len(s) - 1):
-            piece = pullback_map(_proj(self.vertices, s, (s[j], s[j + 1])),
-                                 self.vertical[(s[j], s[j + 1])][i])
-            out = piece if out is None else tensor_map(out, piece)
-        return out
+        return _edge_tensor(self.vertices, s, lambda e: self.vertical[e][i],
+                            pullback_map, tensor_map)
 
 
 def pushpull_maps(d):
@@ -716,32 +670,16 @@ def synthesize_filling(vertices, club, spine, spine_vertical=None):
         spine_vertical = {j: [] for j in range(l)}
     r = {}
     vertical = {}
-
-    def chain_family(a, b, i):
-        big = tuple(range(a, b + 1))
-        fam = None
-        for j in range(a, b):
-            piece = pullback_ls(_proj(vertices, big, (j, j + 1)), spine[j][i])
-            fam = piece if fam is None else tensor_family(fam, piece)
-        return fam
-
-    def chain_map(a, b, i):
-        big = tuple(range(a, b + 1))
-        out = None
-        for j in range(a, b):
-            piece = pullback_map(_proj(vertices, big, (j, j + 1)),
-                                 spine_vertical[j][i])
-            out = piece if out is None else tensor_map(out, piece)
-        return out
-
     for a in range(l + 1):
         for b in range(a + 1, l + 1):
             big = tuple(range(a, b + 1))
             pi = _proj(vertices, big, (a, b))
-            r[(a, b)] = [pushforward_ls(pi, chain_family(a, b, i))
-                         for i in range(club + 1)]
-            vertical[(a, b)] = [pushforward_map(pi, chain_map(a, b, i))
-                                for i in range(club)]
+            r[(a, b)] = [pushforward_ls(pi, _edge_tensor(
+                vertices, big, lambda e: spine[e[0]][i],
+                pullback_ls, tensor_family)) for i in range(club + 1)]
+            vertical[(a, b)] = [pushforward_map(pi, _edge_tensor(
+                vertices, big, lambda e: spine_vertical[e[0]][i],
+                pullback_map, tensor_map)) for i in range(club)]
 
     def phi_matrix(s, i, x):
         # basis bookkeeping: source = middle coords of the full interval
@@ -762,34 +700,29 @@ def synthesize_filling(vertices, club, spine, spine_vertical=None):
                     out.append((mid, t))
             return out
 
-        src_basis = seg_basis(a, b)
-        segs = [(s[j], s[j + 1]) for j in range(len(s) - 1)]
-        seg_bases = [seg_basis(lo, hi) for (lo, hi) in segs]
-        tgt_basis = list(itertools.product(*seg_bases))
-        pos = {key: rr for rr, key in enumerate(tgt_basis)}
-        out = [[Fraction(0)] * len(src_basis) for _ in range(len(tgt_basis))]
-        for c, (mid, t) in enumerate(src_basis):
+        segs = list(zip(s, s[1:]))
+
+        def key(mid, t):
             midmap = dict(zip(interior, mid))
             # the middle coordinates at the split points must match x
             if any(midmap[sp] != xmap[sp] for sp in s[1:-1]):
-                continue
-            key = []
-            for (lo, hi) in segs:
-                seg_mid = tuple(midmap[c2] for c2 in range(lo + 1, hi))
-                seg_t = tuple(t[j - a] for j in range(lo, hi))
-                key.append((seg_mid, seg_t))
-            out[pos[tuple(key)]][c] = Fraction(1)
-        return tuple(tuple(row) for row in out)
+                return None
+            return tuple((tuple(midmap[c] for c in range(lo + 1, hi)),
+                          tuple(t[j - a] for j in range(lo, hi)))
+                         for lo, hi in segs)
+
+        return _matching(
+            list(itertools.product(*[seg_basis(lo, hi) for lo, hi in segs])),
+            [key(mid, t) for mid, t in seg_basis(a, b)])
 
     phi = {}
-    tmp = PushPullThetaDiagram(vertices, club, r, vertical, {}, check=False)
-    for s in tmp._faces():
-        phi[s] = []
-        for i in range(club + 1):
-            src = tmp.phi_source(s, i)
-            tgt = tmp.phi_target(s, i)
-            phi[s].append(FamilyMap.build(src, tgt,
-                                          lambda x, s=s, i=i: phi_matrix(s, i, x)))
+    for s in _chain_faces(l):
+        pi = _proj(vertices, s, (s[0], s[-1]))
+        phi[s] = [FamilyMap.build(
+            pullback_ls(pi, r[(s[0], s[-1])][i]),
+            _edge_tensor(vertices, s, lambda e: r[e][i],
+                         pullback_ls, tensor_family),
+            lambda x: phi_matrix(s, i, x)) for i in range(club + 1)]
     return PushPullThetaDiagram(vertices, club, r, vertical, phi)
 
 
@@ -847,12 +780,8 @@ def filling_iso_solutions(d1, d2):
         for s in d1._faces():
             pi = _proj(d1.vertices, s, (s[0], s[-1]))
             for i in range(d1.club + 1):
-                lhs_map = None
-                for j in range(len(s) - 1):
-                    piece = pullback_map(_proj(d1.vertices, s, (s[j], s[j + 1])),
-                                         psi[(s[j], s[j + 1])][i])
-                    lhs_map = piece if lhs_map is None else tensor_map(lhs_map, piece)
-                lhs = lhs_map.compose(d1.phi[s][i])
+                lhs = _edge_tensor(d1.vertices, s, lambda e: psi[e][i],
+                                   pullback_map, tensor_map).compose(d1.phi[s][i])
                 rhs = d2.phi[s][i].compose(pullback_map(pi, psi[(s[0], s[-1])][i]))
                 for x in lhs.source.base:
                     for ra, rb in zip(lhs.mat(x), rhs.mat(x)):

@@ -50,15 +50,6 @@ class Span:
         idm = tuple((a, a) for a in x)
         return Span(x, x, x, idm, idm)
 
-    def to_json(self):
-        return {
-            "feet": [[str(a) for a in self.left_foot],
-                     [str(a) for a in self.right_foot]],
-            "apex": [str(a) for a in self.apex],
-            "left_map": [[str(a), str(b)] for a, b in self.left_map],
-            "right_map": [[str(a), str(b)] for a, b in self.right_map],
-        }
-
 
 def compose_spans(s1, s2):
     """Composite span with apex the pullback over the shared foot."""

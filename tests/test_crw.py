@@ -146,6 +146,28 @@ class TestQuotients:
         with pytest.raises(ValueError):
             crw.quotient_algebra(gens, [mixed])
 
+    def test_chained_substitutions_ignore_relation_order(self):
+        # y = z is applied after x = y has brought y back into d(eps)
+        gens = [G("x", 0, 1), G("y", 0, 1), G("z", 0, 1), G("eps", 1, 2)]
+        x_y = {(1, 0, 0, 0): ONE, (0, 1, 0, 0): -ONE}
+        y_z = {(0, 1, 0, 0): ONE, (0, 0, 1, 0): -ONE}
+        diff = {"eps": {(2, 0, 0, 0): ONE}}
+        tables = []
+        for rels in ([x_y, y_z], [y_z, x_y]):
+            alg = crw.quotient_algebra(gens, rels, diff)
+            assert [g.name for g in alg.gens] == ["z", "eps"]
+            assert alg.differential["eps"] == {(2, 0): ONE}
+            tables.append(crw.cohomology(alg, 4))
+        assert tables[0] == tables[1] == [(0, 1, 0), (1, 1, 0), (2, 0, 0),
+                                          (3, 0, 0), (4, 0, 0)]
+
+    def test_cyclic_substitutions_rejected(self):
+        gens = [G("x", 0, 1), G("y", 0, 1)]
+        x_y2 = {(1, 0): ONE, (0, 2): -ONE}
+        y_x2 = {(0, 1): ONE, (2, 0): -ONE}
+        with pytest.raises(ValueError):
+            crw.quotient_algebra(gens, [x_y2, y_x2])
+
 
 class TestKoszulIntersections:
     def test_origin_self_intersection_on_line(self):

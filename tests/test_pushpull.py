@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,21 @@ def random_family_map(rng, src, tgt):
     return FamilyMap.build(src, tgt, lambda x: tuple(
         tuple(Fraction(rng.randrange(-3, 4)) for _ in range(src.dim(x)))
         for _ in range(tgt.dim(x))))
+
+
+def offsets(fam, points):
+    """Offset of each point's block in the direct sum over points."""
+    out, off = {}, 0
+    for x in points:
+        out[x] = off
+        off += fam.dim(x)
+    return out
+
+
+def zero_one(n_rows, n_cols, ones):
+    """The n_rows x n_cols matrix with a 1 at each (row, col) in ones."""
+    return tuple(tuple(Fraction(int((r, c) in ones)) for c in range(n_cols))
+                 for r in range(n_rows))
 
 
 def random_point_span(rng, name, apex_size):
@@ -65,6 +81,27 @@ class TestBasics:
             assert iso.is_invertible()
             assert iso.source == pp.pushforward_ls(g, pp.pushforward_ls(f, v))
             assert iso.target == pp.pushforward_ls(g.compose(f), v)
+            # rows in the fiber order of g.f, columns in the nested order
+            for z in g.target:
+                flat = offsets(v, g.compose(f).fiber(z))
+                nested = offsets(v, [x for y in g.fiber(z)
+                                     for x in f.fiber(y)])
+                n = iso.target.dim(z)
+                assert iso.mat(z) == zero_one(n, n, {
+                    (flat[x] + i, nested[x] + i)
+                    for x in flat for i in range(v.dim(x))})
+
+    def test_compose_through_zero_dimensions(self):
+        base = (0,)
+        one, zero = VectorFamily.unit(base), VectorFamily.zero(base)
+        to_zero = FamilyMap.build(one, zero, lambda x: ())
+        from_zero = FamilyMap.build(zero, one, lambda x: ((),))
+        ident = FamilyMap.identity(one)
+        # 1 -> 1 -> 0: no rows
+        assert to_zero.compose(ident).mat(0) == ()
+        # 1 -> 0 -> 1: the zero 1 x 1 matrix
+        assert from_zero.compose(to_zero).mat(0) == ((Fraction(0),),)
+        assert to_zero.compose(from_zero).mat(0) == ()
 
 
 class TestAdjunction:
@@ -95,6 +132,18 @@ class TestAdjunction:
                 pp.unit_map(f, fv))
             assert right.mats == FamilyMap.identity(fv).mats
 
+    def test_counit_selects_own_block(self):
+        rng = random.Random(14)
+        for _ in range(15):
+            f = random_setmap(rng, rng.randrange(1, 5), rng.randrange(1, 4))
+            v = random_family(rng, f.source)
+            counit = pp.counit_map(f, v)
+            for x in f.source:
+                fiber = offsets(v, f.fiber(f(x)))
+                n_cols = sum(v.dim(z) for z in fiber)
+                assert counit.mat(x) == zero_one(v.dim(x), n_cols, {
+                    (i, fiber[x] + i) for i in range(v.dim(x))})
+
 
 class TestBaseChange:
     def test_invertible_on_pullback_squares(self):
@@ -105,12 +154,23 @@ class TestBaseChange:
             zs = tuple(range(rng.randrange(1, 3)))
             f = SetMap.build(xs, zs, lambda x: rng.choice(zs))
             g = SetMap.build(ys, zs, lambda y: rng.choice(zs))
-            pb = tuple((x, y) for x in xs for y in ys if f(x) == g(y))
+            # apex order unrelated to the fiber order of g
+            pb = [(x, y) for x in xs for y in ys if f(x) == g(y)]
+            rng.shuffle(pb)
             p = SetMap.build(pb, xs, lambda t: t[0])
             q = SetMap.build(pb, ys, lambda t: t[1])
             v = random_family(rng, ys)
             iso = pp.base_change(f, g, p, q, v)
             assert iso.is_invertible()
+            # rows: the p-fiber blocks of q*V at x; columns: the g-fiber
+            # blocks of V at f(x); the block of t meets that of q(t)
+            for x in xs:
+                g_fib = offsets(v, g.fiber(f(x)))
+                rows = [(q(t), i) for t in p.fiber(x)
+                        for i in range(v.dim(q(t)))]
+                n_cols = sum(v.dim(a) for a in g_fib)
+                assert iso.mat(x) == zero_one(len(rows), n_cols, {
+                    (r, g_fib[a] + i) for r, (a, i) in enumerate(rows)})
 
     def test_non_pullback_rejected(self):
         xs = ys = zs = (0, 1)
@@ -137,15 +197,26 @@ class TestProjectionIsos:
             assert iso.source == pp.tensor_family(pp.pushforward_ls(f, a), b)
             assert iso.target == pp.pushforward_ls(
                 f, pp.tensor_family(a, pp.pullback_ls(f, b)))
+            for y in f.target:
+                assert iso.mat(y) == ratlin.identity(iso.source.dim(y))
 
     def test_left_projection(self):
         rng = random.Random(6)
-        for _ in range(10):
+        for _ in range(30):
             f = random_setmap(rng, rng.randrange(1, 5), rng.randrange(1, 4))
             a = random_family(rng, f.target)
             b = random_family(rng, f.source)
             iso = pp.projection_iso_left(f, a, b)
             assert iso.is_invertible()
+            # source A (x) f_*B: (i, (x, j)) with i major; target
+            # f_*(f*A (x) B): (x, (i, j)) with the fiber block major
+            for y in f.target:
+                na, fib = a.dim(y), offsets(b, f.fiber(y))
+                nb = sum(b.dim(x) for x in fib)
+                assert iso.mat(y) == zero_one(na * nb, na * nb, {
+                    (na * fib[x] + i * b.dim(x) + j, i * nb + fib[x] + j)
+                    for i in range(na) for x in fib
+                    for j in range(b.dim(x))})
 
 
 class TestTwoMorphisms:
@@ -327,6 +398,21 @@ class TestFillings:
         d2 = pp.PushPullThetaDiagram(vertices, 0, d1.r, d1.vertical, phi)
         assert not pp.is_pushpull(d2)
         assert not pp.fillings_isomorphic(d1, d2)
+
+    def test_zero_dimensional_points(self):
+        # every 0/1 spine on these vertices, including those whose
+        # composites pass through or land in dimension 0
+        vertices = [("a",), ("a", "b"), ("a",)]
+        bases = [tuple((x, y) for x in vertices[a] for y in vertices[a + 1])
+                 for a in range(2)]
+        for dims in itertools.product((0, 1), repeat=4):
+            it = iter(dims)
+            spine = {}
+            for a, base in enumerate(bases):
+                fixed = {t: next(it) for t in base}
+                spine[a] = [VectorFamily.build(base, fixed.__getitem__)]
+            d = pp.synthesize_filling(vertices, 0, spine)
+            assert pp.fillings_isomorphic(d, d), dims
 
     def test_mismatched_spines_rejected(self):
         vertices = [("a",), ("a", "b"), ("a",)]

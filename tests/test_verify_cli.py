@@ -61,6 +61,7 @@ class TestExitCodes:
          "relations": ["x"]},
         {"generators": [{"name": "x", "parity": 0, "weight": 1}],
          "relations": ["x"], "differential": []},
+        {"generators": [{"name": ["x"], "parity": 0, "weight": 1}]},
     ])
     def test_malformed_presentation_is_two(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
@@ -184,6 +185,23 @@ class TestCrwCommand:
         assert out.returncode == 0
         assert out.stdout == ("weight,even_dim,odd_dim\n"
                               "0,1,0\n1,1,0\n2,0,0\n3,0,0\n")
+
+    def test_cohomology_ignores_relation_order(self, tmp_path):
+        gens = [{"name": n, "parity": 0, "weight": 1} for n in "xyz"]
+        gens.append({"name": "eps", "parity": 1, "weight": 2})
+        x_y = {"1,0,0,0": "1", "0,1,0,0": "-1"}
+        y_z = {"0,1,0,0": "1", "0,0,1,0": "-1"}
+        outs = []
+        for rels in ([x_y, y_z], [y_z, x_y]):
+            f = tmp_path / "alg.json"
+            f.write_text(json.dumps({"generators": gens, "relations": rels,
+                                     "differential": {"eps": {"2,0,0,0": "1"}}}))
+            out = run_cli("crw", "cohomology", str(f), "--bound", "3",
+                          "--format", "csv")
+            assert out.returncode == 0, out.stderr
+            outs.append(out.stdout)
+        assert outs[0] == outs[1] == ("weight,even_dim,odd_dim\n"
+                                      "0,1,0\n1,1,0\n2,0,0\n3,0,0\n")
 
     def test_intro_requires_n(self):
         out = run_cli("crw", "intro")
