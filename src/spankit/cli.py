@@ -345,54 +345,37 @@ def cmd_crw(args):
     if args.action == "intro":
         if args.n is None or args.n < 2:
             raise InputError("intro requires --n with n >= 2")
-        a, b, report = crw.build_intro_algebras(args.n)
-        table = crw.cohomology(b, args.bound)
-        payload = {"action": "intro", "n": args.n,
-                   "report": report,
-                   "critical_locus_presentation": _algebra_to_json(b),
-                   "cohomology": [{"weight": w, "even_dim": e, "odd_dim": o}
-                                  for (w, e, o) in table]}
-        if args.format == "csv":
-            _emit(args, crw.cohomology_csv(table))
-        else:
-            _emit_json(args, payload)
-        return 0
-    if args.action == "cohomology":
+        _, algebra, report = crw.build_intro_algebras(args.n)
+        payload = {"action": "intro", "n": args.n, "report": report,
+                   "critical_locus_presentation": _algebra_to_json(algebra)}
+    elif args.action == "cohomology":
         if len(args.files) != 1:
             raise InputError("cohomology takes one presentation file")
         algebra = _algebra_from_json(_load_json(args.files[0]))
-        table = crw.cohomology(algebra, args.bound)
-        if args.format == "csv":
-            _emit(args, crw.cohomology_csv(table))
-        else:
-            _emit_json(args, {"action": "cohomology",
-                              "cohomology": [{"weight": w, "even_dim": e,
-                                              "odd_dim": o}
-                                             for (w, e, o) in table]})
-        return 0
-    # intersect
-    if len(args.files) != 1:
-        raise InputError("intersect takes one input file")
-    doc = _load_json(args.files[0])
-    try:
-        ambient = _generators_from_json(doc["ambient"])
-        n = len(ambient)
-        eqs1 = [_poly_from_json(n, p) for p in doc.get("eqs1", [])]
-        eqs2 = [_poly_from_json(n, p) for p in doc.get("eqs2", [])]
-    except (KeyError, TypeError) as exc:
-        raise InputError("bad intersection input: %s" % exc)
-    try:
-        algebra = crw.koszul_intersection(ambient, eqs1, eqs2)
-    except ValueError as exc:
-        raise InputError(str(exc))
+        payload = {"action": "cohomology"}
+    else:  # intersect
+        if len(args.files) != 1:
+            raise InputError("intersect takes one input file")
+        doc = _load_json(args.files[0])
+        try:
+            ambient = _generators_from_json(doc["ambient"])
+            n = len(ambient)
+            eqs1 = [_poly_from_json(n, p) for p in doc.get("eqs1", [])]
+            eqs2 = [_poly_from_json(n, p) for p in doc.get("eqs2", [])]
+        except (KeyError, TypeError) as exc:
+            raise InputError("bad intersection input: %s" % exc)
+        try:
+            algebra = crw.koszul_intersection(ambient, eqs1, eqs2)
+        except ValueError as exc:
+            raise InputError(str(exc))
+        payload = {"action": "intersect",
+                   "presentation": _algebra_to_json(algebra)}
     table = crw.cohomology(algebra, args.bound)
-    payload = {"action": "intersect",
-               "presentation": _algebra_to_json(algebra),
-               "cohomology": [{"weight": w, "even_dim": e, "odd_dim": o}
-                              for (w, e, o) in table]}
     if args.format == "csv":
         _emit(args, crw.cohomology_csv(table))
     else:
+        payload["cohomology"] = [{"weight": w, "even_dim": e, "odd_dim": o}
+                                 for (w, e, o) in table]
         _emit_json(args, payload)
     return 0
 

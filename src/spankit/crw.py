@@ -37,6 +37,18 @@ class Generator:
             raise ValueError("even generators need positive weight")
 
 
+def _generators(items):
+    """Generators from Generator objects or (name, parity, weight) tuples.
+    The names must be distinct: differentials, power rules and
+    substitutions are all keyed by name."""
+    gens = [g if isinstance(g, Generator) else Generator(*g) for g in items]
+    names = [g.name for g in gens]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError("repeated generator name %r" % (name,))
+    return gens
+
+
 def poly_zero():
     return {}
 
@@ -152,8 +164,7 @@ class GradedDGAlgebra:
 
     def __init__(self, generators, power_rules=None, differential=None,
                  check=True):
-        self.gens = [g if isinstance(g, Generator) else Generator(*g)
-                     for g in generators]
+        self.gens = _generators(generators)
         self.names = [g.name for g in self.gens]
         self.power_rules = {}
         for name, (k, p) in (power_rules or {}).items():
@@ -390,7 +401,7 @@ def quotient_algebra(gens, relations, differential=None):
     """Quotient of the free graded-commutative algebra on ``gens`` by
     the given relation polynomials (substitution or power-rewrite
     form)."""
-    gens = [g if isinstance(g, Generator) else Generator(*g) for g in gens]
+    gens = _generators(gens)
     names = [g.name for g in gens]
     relations = [dict(r) for r in relations]
     differential = {n: dict(p) for n, p in (differential or {}).items()}
@@ -451,8 +462,7 @@ def koszul_intersection(ambient_gens, eqs1, eqs2, odd_prefix="eps"):
     """Derived intersection model: quotient the ambient ring by the
     first equation list, then adjoin one odd generator per element of
     the second list whose differential is that element's image."""
-    gens = [g if isinstance(g, Generator) else Generator(*g)
-            for g in ambient_gens]
+    gens = _generators(ambient_gens)
     odd = []
     for idx, eq in enumerate(eqs2):
         ws = {mono_weight(gens, m) for m in dict(eq)}

@@ -128,46 +128,37 @@ def act(simplex, alpha, beta):
     return BiSimplex(up, vp, objs, tuple(chains))
 
 
+def _degenerate_step(s):
+    """The first degenerate direction and index of the simplex s, or None:
+    ("u", a) when objects a and a+1 agree and chain row a is constant
+    there, else ("v", b) when chain columns b and b+1 agree in every row
+    (for u == 0 the chains are empty, so every v-direction step repeats)."""
+    for a in range(s.u):
+        if (s.objs[a] == s.objs[a + 1]
+                and all(c == (s.objs[a],) for c in s.chains[a])):
+            return "u", a
+    for b in range(s.v):
+        if all(s.chains[a][b] == s.chains[a][b + 1] for a in range(s.u)):
+            return "v", b
+    return None
+
+
 def is_degenerate(simplex):
-    u, v = simplex.u, simplex.v
-    for a in range(u):
-        if (simplex.objs[a] == simplex.objs[a + 1]
-                and all(c == (simplex.objs[a],) for c in simplex.chains[a])):
-            return True
-    for b in range(v):
-        if all(simplex.chains[a][b] == simplex.chains[a][b + 1]
-               for a in range(u)) and u > 0:
-            return True
-    # for u == 0 the chains are empty, so every v-direction step repeats
-    if u == 0 and v > 0:
-        return True
-    return False
+    return _degenerate_step(simplex) is not None
 
 
 def nondegenerate_core(simplex):
     """The unique nondegenerate simplex this one is a degeneracy of."""
     s = simplex
-    changed = True
-    while changed:
-        changed = False
-        for a in range(s.u):
-            if (s.objs[a] == s.objs[a + 1]
-                    and all(c == (s.objs[a],) for c in s.chains[a])):
-                alpha_vals = tuple(i if i <= a else i + 1 for i in range(s.u))
-                alpha = MonotoneMap(s.u - 1, s.u, alpha_vals)
-                s = act(s, alpha, MonotoneMap.identity(s.v))
-                changed = True
-                break
-        if changed:
-            continue
-        for b in range(s.v):
-            if s.u == 0 or all(s.chains[a][b] == s.chains[a][b + 1]
-                               for a in range(s.u)):
-                beta_vals = tuple(j if j <= b else j + 1 for j in range(s.v))
-                beta = MonotoneMap(s.v - 1, s.v, beta_vals)
-                s = act(s, MonotoneMap.identity(s.u), beta)
-                changed = True
-                break
+    while (step := _degenerate_step(s)) is not None:
+        axis, k = step
+        n = s.u if axis == "u" else s.v
+        skip = MonotoneMap(n - 1, n, tuple(i if i <= k else i + 1
+                                           for i in range(n)))
+        if axis == "u":
+            s = act(s, skip, MonotoneMap.identity(s.v))
+        else:
+            s = act(s, MonotoneMap.identity(s.u), skip)
     return s
 
 

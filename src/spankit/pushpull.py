@@ -727,93 +727,75 @@ def synthesize_filling(vertices, club, spine, spine_vertical=None):
 
 
 # ---------------------------------------------------------------------------
-# uniqueness of fillings: exact linear solve
+# uniqueness of fillings: one small exact solve per long edge and point
 # ---------------------------------------------------------------------------
 
 def filling_iso_solutions(d1, d2):
-    """All systems of maps psi_(a,b) : r1_(a,b) -> r2_(a,b) restricting
-    to the identity on the spine and commuting with every structure map
-    and vertical chain map.  The commutation constraints are linear in
-    the psi entries, so the solution set is an affine subspace; returns
-    (particular solution dict or None, degrees of freedom).
+    """Systems of maps psi_(a,b) : r1_(a,b) -> r2_(a,b) restricting to the
+    identity on the spine and commuting with every structure map and
+    vertical chain map; returns (psi dict or None, degrees of freedom).
+
+    A face S = {a_0 < .. < a_m} asks that
+        (psi over the edges of S, tensored) . phi1[S] = phi2[S] . psi_(a_0,a_m),
+    which is not linear in the unknowns: at l = 4 the face {0, 2, 4}
+    multiplies psi_02 by psi_24.  Every edge of S is shorter than its long
+    edge, so the pairs (a, b) are solved by increasing b - a; then the faces
+    with long edge (a, b) are linear in psi_(a,b) alone.  At each height i
+    and point y of u_a x u_b they stack into A P = B: A holds the blocks of
+    phi2[S][i], B those of the left-hand side, at every point x of such an
+    S over y, and P is the n2 x n1 block of psi_(a,b)[i] at y.  The point
+    adds n1 (n2 - rank A) to ``dof``; free entries of P are set to 0.
+
+    ``dof == 0`` means the returned psi is the unique solution; when d2 is
+    push-pull the face {a, a+1, .., b} alone has rank n2, so this is the
+    case.  The vertical chain maps are checked on psi, not solved for, so
+    with ``dof > 0`` a None says only that this particular psi fails.
     """
     if d1.vertices != d2.vertices or d1.club != d2.club:
         raise ValueError("diagrams not comparable")
-    spine_pairs = {(j, j + 1) for j in range(d1.l)}
+    spine_pairs = [(j, j + 1) for j in range(d1.l)]
     for pr in spine_pairs:
         for i in range(d1.club + 1):
             if d1.r[pr][i] != d2.r[pr][i]:
                 raise ValueError("spines differ")
 
-    unknowns = []  # (pair, height, point, row, col)
-    for pr in d1._pairs():
-        if pr in spine_pairs:
-            continue
+    psi = dict.fromkeys(d1._pairs())
+    for pr in spine_pairs:
+        psi[pr] = [FamilyMap.identity(fam) for fam in d1.r[pr]]
+    dof, solvable = 0, True
+    for pr in sorted(set(psi) - set(spine_pairs),
+                     key=lambda p: (p[1] - p[0], p)):
+        faces = [s for s in d1._faces() if (s[0], s[-1]) == pr]
+        over = {}  # point y of u_a x u_b -> the (S, x) with x over y
+        for s in faces:
+            for x in _product_base(d1.vertices, s):
+                over.setdefault((x[0], x[-1]), []).append((s, x))
+        psi[pr] = []
         for i in range(d1.club + 1):
-            for x in d1.r[pr][i].base:
-                for rr in range(d2.r[pr][i].dim(x)):
-                    for cc in range(d1.r[pr][i].dim(x)):
-                        unknowns.append((pr, i, x, rr, cc))
-
-    def build_psi(values):
-        psi = {}
-        for pr in d1._pairs():
-            psi[pr] = []
-            for i in range(d1.club + 1):
-                if pr in spine_pairs:
-                    psi[pr].append(FamilyMap.identity(d1.r[pr][i]))
-                    continue
-                mats = {x: [[Fraction(0)] * d1.r[pr][i].dim(x)
-                            for _ in range(d2.r[pr][i].dim(x))]
-                        for x in d1.r[pr][i].base}
-                for (pr2, i2, x, rr, cc), val in values:
-                    if pr2 == pr and i2 == i:
-                        mats[x][rr][cc] = val
-                psi[pr].append(FamilyMap(
-                    d1.r[pr][i], d2.r[pr][i],
-                    tuple((x, tuple(tuple(row) for row in mats[x]))
-                          for x in d1.r[pr][i].base)))
-        return psi
-
-    def residual(psi):
-        res = []
-        for s in d1._faces():
-            pi = _proj(d1.vertices, s, (s[0], s[-1]))
-            for i in range(d1.club + 1):
-                lhs = _edge_tensor(d1.vertices, s, lambda e: psi[e][i],
+            lhs = {s: _edge_tensor(d1.vertices, s, lambda e: psi[e][i],
                                    pullback_map, tensor_map).compose(d1.phi[s][i])
-                rhs = d2.phi[s][i].compose(pullback_map(pi, psi[(s[0], s[-1])][i]))
-                for x in lhs.source.base:
-                    for ra, rb in zip(lhs.mat(x), rhs.mat(x)):
-                        for ea, eb in zip(ra, rb):
-                            res.append(ea - eb)
-        for pr in d1._pairs():
-            if pr in spine_pairs:
-                continue
-            for i in range(d1.club):
-                lhs = psi[pr][i + 1].compose(d1.vertical[pr][i])
-                rhs = d2.vertical[pr][i].compose(psi[pr][i])
-                for x in lhs.source.base:
-                    for ra, rb in zip(lhs.mat(x), rhs.mat(x)):
-                        for ea, eb in zip(ra, rb):
-                            res.append(ea - eb)
-        return res
-
-    base = residual(build_psi([]))
-    if not unknowns:
-        return (build_psi([]), 0) if all(e == 0 for e in base) else (None, 0)
-    cols = []
-    for u in unknowns:
-        col = residual(build_psi([(u, Fraction(1))]))
-        cols.append(tuple(c - b for c, b in zip(col, base)))
-    a_mat = ratlin.transpose(tuple(cols))
-    b_mat = tuple((-e,) for e in base)
-    sol = ratlin.solve(a_mat, b_mat)
-    dof = len(unknowns) - ratlin.rank(a_mat)
-    if sol is None:
-        return None, dof
-    values = [(u, sol[k][0]) for k, u in enumerate(unknowns)]
-    return build_psi(values), dof
+                   for s in faces}
+            src, tgt = d1.r[pr][i], d2.r[pr][i]
+            mats = []
+            for y in src.base:
+                n1, n2 = src.dim(y), tgt.dim(y)
+                rows = over.get(y, [])
+                aug, pivots = ratlin.rref(ratlin.hstack([
+                    ratlin.vstack([d2.phi[s][i].mat(x) for s, x in rows]),
+                    ratlin.vstack([lhs[s].mat(x) for s, x in rows])]))
+                rank = sum(p < n2 for p in pivots)
+                dof += n1 * (n2 - rank)
+                solvable = solvable and rank == len(pivots)
+                sol = [(Fraction(0),) * n1] * n2
+                for row, p in zip(aug, pivots[:rank]):
+                    sol[p] = row[n2:]
+                mats.append((y, tuple(sol)))
+            psi[pr].append(FamilyMap(src, tgt, tuple(mats)))
+    solvable = solvable and all(
+        psi[pr][i + 1].compose(d1.vertical[pr][i]).mats
+        == d2.vertical[pr][i].compose(psi[pr][i]).mats
+        for pr in d1._pairs() for i in range(d1.club))
+    return (psi if solvable else None), dof
 
 
 def fillings_isomorphic(d1, d2):

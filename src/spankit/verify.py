@@ -354,14 +354,9 @@ def check_decoration_additive(rng, bound):
             return "decoration rejected a cartesian diagram"
         psi = _random_pointed_map(rng, 1, 2)
         E = D.gamma_act(psi)
-        total_before = sum(sum(d.values()) for x in F.poset.objects
-                           for d in weights[x] if F.poset.is_bottom(x))
-        del total_before  # totals are per-object, checked below
         for x in E.diagram.poset.objects:
-            for s, d in enumerate(E.weights[x]):
-                for e, w in d.items():
-                    if w < 0:
-                        return "negative weight produced at %r" % (x,)
+            if any(w < 0 for d in E.weights[x] for w in d.values()):
+                return "negative weight produced at %r" % (x,)
     return None
 
 
@@ -613,13 +608,11 @@ SUITES = {
     ],
 }
 
-SUITE_ORDER = ["posets", "nerve", "spans", "pushpull", "crw"]
-
 
 def run_suite(name, seed=0, bound=4):
     """Run one suite (or ``all``); returns a list of
     (suite, property name, passed, detail) in declaration order."""
-    names = SUITE_ORDER if name == "all" else [name]
+    names = list(SUITES) if name == "all" else [name]
     results = []
     for suite in names:
         if suite not in SUITES:

@@ -24,6 +24,13 @@ class TestGenerators:
     def test_odd_weight_zero_allowed(self):
         assert G("eps", 1, 0).weight == 0
 
+    def test_repeated_names_rejected(self):
+        with pytest.raises(ValueError, match="repeated generator name"):
+            crw.GradedDGAlgebra([G("x", 0, 1), G("x", 0, 1)])
+        # an ambient generator named like the adjoined odd generator
+        with pytest.raises(ValueError, match="repeated generator name"):
+            crw.koszul_intersection([G("eps", 0, 1)], [], [{(1,): ONE}])
+
 
 class TestPolynomials:
     GENS = [G("a", 1, 1), G("b", 1, 1), G("x", 0, 1)]

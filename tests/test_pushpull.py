@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -323,8 +324,9 @@ def inverse_family_map(phi):
 
 
 def conjugated(rng, d):
-    """Transport the structure maps of d along random invertible maps of
-    the non-spine systems (identity on the spine)."""
+    """Transport the structure maps and the vertical chain maps of d along
+    random invertible maps psi of the non-spine systems (identity on the
+    spine); returns the new diagram and psi."""
     spine_pairs = {(j, j + 1) for j in range(d.l)}
     psi = {}
     for pr in d._pairs():
@@ -356,7 +358,42 @@ def conjugated(rng, d):
             long_inv = pp.pullback_map(
                 pi, inverse_family_map(psi[(s[0], s[-1])][i]))
             phi[s].append(seg.compose(d.phi[s][i]).compose(long_inv))
-    return pp.PushPullThetaDiagram(d.vertices, d.club, d.r, d.vertical, phi)
+    vertical = {pr: [psi[pr][i + 1].compose(v).compose(
+                         inverse_family_map(psi[pr][i]))
+                     for i, v in enumerate(d.vertical[pr])]
+                for pr in d._pairs()}
+    dc = pp.PushPullThetaDiagram(d.vertices, d.club, d.r, vertical, phi)
+    return dc, psi
+
+
+def filling_residual_ok(d1, d2, psi):
+    """True iff psi commutes with every structure map and vertical chain
+    map of d1 and d2, checked point by point with explicit Kronecker
+    products (every dimension must be positive)."""
+    def at(fmap, x):
+        return dict(fmap.mats)[x]
+
+    for s in d1._faces():
+        for i in range(d1.club + 1):
+            for x in itertools.product(*[d1.vertices[c] for c in s]):
+                kron = functools.reduce(ratlin.kron, (
+                    at(psi[(s[j], s[j + 1])][i], (x[j], x[j + 1]))
+                    for j in range(len(s) - 1)))
+                lhs = ratlin.matmul(kron, at(d1.phi[s][i], x))
+                rhs = ratlin.matmul(at(d2.phi[s][i], x),
+                                    at(psi[(s[0], s[-1])][i], (x[0], x[-1])))
+                if lhs != rhs:
+                    return False
+    for pr in d1._pairs():
+        for i in range(d1.club):
+            for y in d1.r[pr][i].base:
+                lhs = ratlin.matmul(at(psi[pr][i + 1], y),
+                                    at(d1.vertical[pr][i], y))
+                rhs = ratlin.matmul(at(d2.vertical[pr][i], y),
+                                    at(psi[pr][i], y))
+                if lhs != rhs:
+                    return False
+    return True
 
 
 class TestFillings:
@@ -380,7 +417,7 @@ class TestFillings:
         spine, _ = unit_spine(vertices)
         d = pp.synthesize_filling(vertices, 0, spine)
         for _ in range(5):
-            dc = conjugated(rng, d)
+            dc, _ = conjugated(rng, d)
             assert pp.is_pushpull(dc)
             assert pp.fillings_isomorphic(d, dc)
 
@@ -423,3 +460,32 @@ class TestFillings:
         d2 = pp.synthesize_filling(vertices, 0, spine2)
         with pytest.raises(ValueError):
             pp.filling_iso_solutions(d1, d2)
+
+    @pytest.mark.parametrize("l", [2, 3, 4])
+    def test_conjugation_recovered_exactly(self, l):
+        # at l = 4 the face {0, 2, 4} couples the unknowns psi_02 and
+        # psi_24, so its constraint is bilinear, not linear
+        rng = random.Random(20 + l)
+        vertices = [("a", "b")[:1 + (a % 2)] for a in range(l + 1)]
+        spine, _ = unit_spine(vertices)
+        spine[1] = [VectorFamily.build(spine[1][0].base, lambda t: 2)]
+        d = pp.synthesize_filling(vertices, 0, spine)
+        for _ in range(2):
+            dc, psi = conjugated(rng, d)
+            assert pp.filling_iso_solutions(d, dc) == (psi, 0)
+            assert pp.fillings_isomorphic(d, dc)
+
+    def test_solution_commutes_with_faces_and_verticals(self):
+        rng = random.Random(17)
+        vertices = [("a", "b"), ("a",), ("a", "b"), ("a",)]
+        spine, spine_vertical = unit_spine(vertices, club=1)
+        d = pp.synthesize_filling(vertices, 1, spine, spine_vertical)
+        for _ in range(2):
+            dc, psi = conjugated(rng, d)
+            got, dof = pp.filling_iso_solutions(d, dc)
+            assert dof == 0 and got == psi
+            assert filling_residual_ok(d, dc, got)
+            # the residual is not vacuous: the identities of (d, d) fail it
+            ident, _ = pp.filling_iso_solutions(d, d)
+            assert filling_residual_ok(d, d, ident)
+            assert not filling_residual_ok(d, dc, ident)

@@ -62,6 +62,8 @@ class TestExitCodes:
         {"generators": [{"name": "x", "parity": 0, "weight": 1}],
          "relations": ["x"], "differential": []},
         {"generators": [{"name": ["x"], "parity": 0, "weight": 1}]},
+        {"generators": [{"name": "x", "parity": 0, "weight": 1},
+                        {"name": "x", "parity": 0, "weight": 1}]},
     ])
     def test_malformed_presentation_is_two(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
