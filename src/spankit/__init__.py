@@ -12,15 +12,16 @@ Modules
 ``pushpull``  local systems on spans, push-pull composition, fillings
 ``crw``       graded-commutative DG algebras and derived intersections
 ``verify``    the property suites behind the ``verify`` command
+``instances`` seeded random instances and oracles for ``verify`` and tests
 ``cli``       command-line front end
 """
 
 # ``cli`` is left out so that ``python -m spankit.cli`` does not find it
 # already imported; ``from spankit import cli`` still works.
 from . import crw, fincat, pathnerve, pushpull, ratlin, simplex, spans
-from . import verify
+from . import instances, verify
 
-__all__ = ["cli", "crw", "fincat", "pathnerve", "pushpull", "ratlin",
-           "simplex", "spans", "verify"]
+__all__ = ["cli", "crw", "fincat", "instances", "pathnerve", "pushpull",
+           "ratlin", "simplex", "spans", "verify"]
 
 __version__ = "0.1.0"

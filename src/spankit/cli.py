@@ -139,13 +139,18 @@ def _two_morphism_from_json(obj):
         dims = obj["dims"]
     except (KeyError, TypeError) as exc:
         raise InputError("bad 2-morphism data: %s" % exc)
+    if not isinstance(dims, dict):
+        raise InputError("dims: expected an object")
+    bad = sorted(k for k, v in dims.items() if type(v) is not int)
+    if bad:
+        raise InputError("dims: expected integers at %r" % bad)
     base = pushpull.intersection(src, tgt)
     missing = [t for t in base if _pair_key(t) not in dims]
     if missing:
         raise InputError("dims missing intersection points %r" % missing)
     try:
         return pushpull.TwoMorphism.from_dims(
-            src, tgt, lambda t: int(dims[_pair_key(t)]))
+            src, tgt, lambda t: dims[_pair_key(t)])
     except (ValueError, TypeError) as exc:
         raise InputError("bad 2-morphism data: %s" % exc)
 

@@ -162,8 +162,7 @@ class GradedDGAlgebra:
     the algebra by the Leibniz rule d(ab) = (da)b + (-1)^|a| a(db).
     """
 
-    def __init__(self, generators, power_rules=None, differential=None,
-                 check=True):
+    def __init__(self, generators, power_rules=None, differential=None):
         self.gens = _generators(generators)
         self.names = [g.name for g in self.gens]
         self.power_rules = {}
@@ -173,8 +172,7 @@ class GradedDGAlgebra:
                              (differential or {}).items()}
         for g in self.gens:
             self.differential.setdefault(g.name, {})
-        if check:
-            self._check()
+        self._check()
 
     # -- normal form --------------------------------------------------
 
@@ -350,19 +348,13 @@ def d_matrix(algebra, w, parity):
 
 def cohomology(algebra, weight_bound):
     """Rows (weight, even_dim, odd_dim): dim ker d - dim im d per
-    weight and parity, by exact rational rank."""
+    weight and parity, by exact rational rank.  With r0 and r1 the ranks
+    of d out of the even and the odd part of a weight, both cohomology
+    dimensions lose r0 + r1."""
     table = []
-    for w in range(weight_bound + 1):
-        dims = []
-        for parity in (0, 1):
-            out = d_matrix(algebra, w, parity)
-            inc = d_matrix(algebra, w, 1 - parity)
-            src = [m for m in algebra.monomials_of_weight(w)
-                   if mono_parity(algebra.gens, m) == parity]
-            kernel = len(src) - ratlin.rank(out)
-            image = ratlin.rank(inc)
-            dims.append(kernel - image)
-        table.append((w, dims[0], dims[1]))
+    for w, even, odd in algebra.graded_dims(weight_bound):
+        lost = sum(ratlin.rank(d_matrix(algebra, w, p)) for p in (0, 1))
+        table.append((w, even - lost, odd - lost))
     return table
 
 
@@ -458,7 +450,7 @@ def quotient_algebra(gens, relations, differential=None):
     return GradedDGAlgebra(keep, new_rules, new_diff)
 
 
-def koszul_intersection(ambient_gens, eqs1, eqs2, odd_prefix="eps"):
+def koszul_intersection(ambient_gens, eqs1, eqs2):
     """Derived intersection model: quotient the ambient ring by the
     first equation list, then adjoin one odd generator per element of
     the second list whose differential is that element's image."""
@@ -470,7 +462,7 @@ def koszul_intersection(ambient_gens, eqs1, eqs2, odd_prefix="eps"):
             raise ValueError(
                 "equation %d not weight-homogeneous; declare generator "
                 "weights making it homogeneous" % idx)
-        name = "%s%d" % (odd_prefix, idx) if len(eqs2) > 1 else odd_prefix
+        name = "eps%d" % idx if len(eqs2) > 1 else "eps"
         odd.append(Generator(name, 1, ws.pop()))
     pad = (0,) * len(odd)
 
@@ -492,15 +484,14 @@ class DGModule:
     matrix.  ``d_matrix[i][j]`` is the coefficient of generator i in
     d(generator j); entries are homogeneous algebra elements."""
 
-    def __init__(self, algebra, generators, d_entries, check=True):
+    def __init__(self, algebra, generators, d_entries):
         self.algebra = algebra
         self.generators = [g if isinstance(g, Generator) else Generator(*g)
                            for g in generators]
         n = len(self.generators)
         self.d_entries = [[algebra.normalize(dict(d_entries[i][j]))
                            for j in range(n)] for i in range(n)]
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         a = self.algebra
@@ -540,29 +531,28 @@ class DGModule:
         return DGModule(algebra, generators, zero)
 
 
-def algebra_map(source, target, images, check=True):
+def algebra_map(source, target, images):
     """A map of DG algebras, recorded as generator images; checked to
     preserve parity and weight, kill the relations, and commute with
     the differentials."""
     images = {n: target.normalize(dict(p)) for n, p in images.items()}
-    if check:
-        for g in source.gens:
-            p = images[g.name]
-            if p and (target.parity_of(p) != g.parity
-                      or target.weight_of(p) != g.weight):
-                raise ValueError("map does not preserve the grading")
-        for name, (k, rhs) in source.power_rules.items():
-            lhs = target.const(1)
-            for _ in range(k):
-                lhs = target.mul(lhs, images[name])
-            if lhs != target.normalize(_apply_map(source, target, images, rhs)):
-                raise ValueError("map does not kill relation on %s" % name)
-        for g in source.gens:
-            lhs = target.d(images[g.name])
-            rhs = target.normalize(_apply_map(source, target, images,
-                                              source.differential[g.name]))
-            if lhs != rhs:
-                raise ValueError("map does not commute with d")
+    for g in source.gens:
+        p = images[g.name]
+        if p and (target.parity_of(p) != g.parity
+                  or target.weight_of(p) != g.weight):
+            raise ValueError("map does not preserve the grading")
+    for name, (k, rhs) in source.power_rules.items():
+        lhs = target.const(1)
+        for _ in range(k):
+            lhs = target.mul(lhs, images[name])
+        if lhs != target.normalize(_apply_map(source, target, images, rhs)):
+            raise ValueError("map does not kill relation on %s" % name)
+    for g in source.gens:
+        lhs = target.d(images[g.name])
+        rhs = target.normalize(_apply_map(source, target, images,
+                                          source.differential[g.name]))
+        if lhs != rhs:
+            raise ValueError("map does not commute with d")
     return images
 
 

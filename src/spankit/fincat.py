@@ -23,13 +23,12 @@ class FinCategory:
     and unit laws are checked on construction.
     """
 
-    def __init__(self, n_objects, morphisms, identities, comp, check=True):
+    def __init__(self, n_objects, morphisms, identities, comp):
         self.n_objects = n_objects
         self.morphisms = [tuple(m) for m in morphisms]  # (src, dst)
         self.identities = list(identities)
         self.comp = dict(comp)
-        if check:
-            self._check()
+        self._check()
 
     def src(self, f):
         return self.morphisms[f][0]
@@ -80,11 +79,6 @@ class FinCategory:
     # -- builders ----------------------------------------------------------
 
     @staticmethod
-    def discrete(k):
-        return FinCategory(k, [(i, i) for i in range(k)], list(range(k)),
-                           {(i, i): i for i in range(k)})
-
-    @staticmethod
     def from_poset(n, leq):
         """The category of a poset on objects 0..n-1 with order ``leq``."""
         morphisms = [(a, b) for a in range(n) for b in range(n) if leq(a, b)]
@@ -119,13 +113,12 @@ class FinCategory:
 class FinFunctor:
     """A functor between finite categories, checked on construction."""
 
-    def __init__(self, source, target, obj_map, mor_map, check=True):
+    def __init__(self, source, target, obj_map, mor_map):
         self.source = source
         self.target = target
         self.obj_map = list(obj_map)
         self.mor_map = list(mor_map)
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         A, B = self.source, self.target
@@ -177,18 +170,15 @@ class Diagram:
 
 
 class LimitResult:
-    """Limit apex (list of families) plus projection legs.
+    """Limit apex: the list of compatible families.
 
-    A family is a tuple with one entry per shape object; ``legs[a]`` maps
-    a family to its component at object a.
+    A family is a tuple with one entry per shape object; the projection
+    to object a takes a family to its entry a.
     """
 
     def __init__(self, shape, apex):
         self.shape = shape
         self.apex = apex
-
-    def leg(self, a):
-        return lambda fam: fam[a]
 
 
 def compatible_families(domains, arrows):
@@ -311,12 +301,11 @@ class Bifunctor:
     q: b -> b') is a dict H(a, b) -> H(a', b').
     """
 
-    def __init__(self, shape, values, action, check=True):
+    def __init__(self, shape, values, action):
         self.shape = shape
         self.values = {k: list(v) for k, v in values.items()}
         self.action = {k: dict(v) for k, v in action.items()}
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         A = self.shape

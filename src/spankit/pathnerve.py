@@ -412,13 +412,12 @@ class FinSymMonCat:
     """A finite category with a strictly associative, strictly unital,
     strictly commutative tensor on objects and morphisms."""
 
-    def __init__(self, cat, unit, obj_tensor, mor_tensor, check=True):
+    def __init__(self, cat, unit, obj_tensor, mor_tensor):
         self.cat = cat
         self.unit = unit
         self.obj_tensor = dict(obj_tensor)
         self.mor_tensor = dict(mor_tensor)
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         C = self.cat

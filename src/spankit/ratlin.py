@@ -35,15 +35,6 @@ def matmul(a, b):
                        for j in range(cb)) for i in range(ra))
 
 
-def madd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mscale(c, a):
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def transpose(a):
     r, c = shape(a)
     return tuple(tuple(a[i][j] for i in range(r)) for j in range(c))

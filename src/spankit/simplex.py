@@ -49,10 +49,6 @@ class MonotoneMap:
         return self.values[i]
 
     @property
-    def is_injective(self):
-        return all(b > a for a, b in zip(self.values, self.values[1:]))
-
-    @property
     def is_inert(self):
         return all(v == self.values[0] + i for i, v in enumerate(self.values))
 
@@ -323,38 +319,18 @@ class ElementsArrow:
     fiber_source: object  # inert MonotoneMap (sigma) or subset tuple (theta)
     fiber_target: object
 
-    def is_valid(self):
-        alpha = self.base_map
-        if self.direction == "sigma":
-            phi, psi = self.fiber_source, self.fiber_target
-            if phi.target_size != alpha.target_size:
-                return False
-            if psi.target_size != alpha.source_size:
-                return False
-            pushed = push_sigma(alpha, psi)
-            return (pushed.values[0] >= phi.values[0]
-                    and pushed.values[-1] <= phi.values[-1])
-        phi, psi = tuple(self.fiber_source), tuple(self.fiber_target)
-        if max(psi) > alpha.source_size:
-            return False
-        pushed = push_theta(alpha, psi)
-        return set(pushed) <= set(phi)
 
-
-def face_map(direction, base, fiber_arrow, strict=False):
+def face_map(direction, base, fiber_arrow):
     """The monotone map induced on fibers by an ElementsArrow.
 
     For intervals: r -> alpha(psi(r)) - phi(0).  For subsets: r -> the
     largest s with phi_s <= alpha(psi_r), indexing the sorted tuples.
 
-    With strict=True the arrow must be a valid category-of-elements
-    morphism; by default the formula is evaluated whenever it defines a
-    monotone map (functoriality is only guaranteed on valid arrows).
+    The formula is evaluated whenever it defines a monotone map;
+    functoriality is only guaranteed on valid arrows.
     """
     if fiber_arrow.direction != direction or fiber_arrow.base_map != base:
         raise ValueError("inconsistent arrow data")
-    if strict and not fiber_arrow.is_valid():
-        raise ValueError("invalid category-of-elements arrow")
     alpha = base
     if direction == "sigma":
         phi, psi = fiber_arrow.fiber_source, fiber_arrow.fiber_target

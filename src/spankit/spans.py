@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 
 from .fincat import compatible_families
-from .simplex import (MonotoneMap, SpanPoset, SubsetPoset, build_sigma,
-                      build_theta, push_sigma, push_theta)
+from .simplex import (SpanPoset, build_sigma, build_theta, push_sigma,
+                      push_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +274,13 @@ def gamma_act(psi, F):
     return GeneralizedSpanDiagram(F.poset, psi.target_size, labels, maps)
 
 
-def delta_act(F, factor_index, alpha, replace=None):
+def delta_act(F, factor_index, alpha):
     """Reindex one poset factor along a monotone map alpha.
 
     For an interval (sigma) factor this is a pure reindex along the
     interval pushforward; for a subset (theta) factor the reindex along
     the image pushforward is followed by cartesian replacement (the
-    reindex alone can break cartesianness on collapsed faces).  Set
-    replace=False/True to override that default.
+    reindex alone can break cartesianness on collapsed faces).
     """
     old = F.poset
     factor = old.factors[factor_index]
@@ -308,9 +307,7 @@ def delta_act(F, factor_index, alpha, replace=None):
     for (a, b) in new.covers:
         maps[(a, b)] = F.get_map(transport(a), transport(b))
     G = GeneralizedSpanDiagram(new, F.width, labels, maps)
-    if replace is None:
-        replace = not is_sigma
-    if replace:
+    if not is_sigma:
         G, _ = cartesian_replacement(G)
     return G
 
@@ -325,19 +322,18 @@ class DecoratedSpanDiagram:
     with the maps is imposed.  Under the slotwise product action the
     weights add up."""
 
-    def __init__(self, diagram, weights, check=True):
+    def __init__(self, diagram, weights):
         self.diagram = diagram
         self.weights = {o: [dict(d) for d in weights[o]]
                         for o in diagram.poset.objects}
-        if check:
-            flag, witness = is_cartesian(diagram)
-            if not flag:
-                raise ValueError("underlying diagram not cartesian at %r"
-                                 % (witness,))
-            for o in diagram.poset.objects:
-                for s in range(diagram.width):
-                    if set(self.weights[o][s]) != set(diagram.labels[o][s]):
-                        raise ValueError("weights not total")
+        flag, witness = is_cartesian(diagram)
+        if not flag:
+            raise ValueError("underlying diagram not cartesian at %r"
+                             % (witness,))
+        for o in diagram.poset.objects:
+            for s in range(diagram.width):
+                if set(self.weights[o][s]) != set(diagram.labels[o][s]):
+                    raise ValueError("weights not total")
 
     def gamma_act(self, psi):
         G = gamma_act(psi, self.diagram)

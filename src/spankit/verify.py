@@ -8,11 +8,11 @@ order, so reports are reproducible for a fixed (seed, bound).
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
-from . import crw, fincat, pathnerve, pushpull, ratlin, simplex, spans
+from . import crw, fincat, instances, pathnerve, pushpull, ratlin, simplex
+from . import spans
 
 
 # ---------------------------------------------------------------------------
@@ -43,20 +43,8 @@ def _random_fincat(rng, max_objects):
     if kind == 0:
         return fincat.FinCategory.chain(rng.randrange(1, max_objects + 1))
     if kind == 1:
-        n = rng.randrange(2, max_objects + 1)
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for i in range(n):
-            leq[i][i] = True
-            for j in range(i + 1, n):
-                if rng.random() < 0.5:
-                    leq[i][j] = True
-        # transitive closure
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if leq[i][k] and leq[k][j]:
-                        leq[i][j] = True
-        return fincat.FinCategory.from_poset(n, lambda i, j: leq[i][j])
+        return instances.random_poset_category(
+            rng, rng.randrange(2, max_objects + 1))
     k = rng.randrange(2, 4)
     table = [[(i + j) % k for j in range(k)] for i in range(k)]
     return fincat.FinCategory.from_monoid(table, 0)
@@ -196,36 +184,11 @@ def check_limit_closed_forms(rng, bound):
         if len(pathnerve.labelled_limit(X, 1)) != len(X.values(1, 0)):
             return "level-1 labelled limit differs from X_{1,0}"
         got = len(pathnerve.labelled_limit(X, 2))
-        want = _square_fiber_product(X)
+        want = len(instances.square_fiber_product(X))
         if got != want:
             return "level-2 labelled limit has %d elements, " \
                 "fiber product has %d" % (got, want)
     return None
-
-
-def _square_fiber_product(X):
-    """|X_{2,0} x_{X_{1,0}} X_{1,1}|, glued along the composite edge of
-    the triangle and the target edge of the square.
-
-    Both corner faces of the square land on the same point of the
-    indexing shape, so the limit only sees squares whose two vertical
-    corner restrictions agree; for objects with a constant column of
-    points this is vacuous."""
-    long_edge = simplex.MonotoneMap(1, 2, (0, 2))
-    id1 = simplex.MonotoneMap.identity(1)
-    id0 = simplex.MonotoneMap.identity(0)
-    top = simplex.MonotoneMap(0, 1, (1,))
-    bottom = simplex.MonotoneMap(0, 1, (0,))
-    left = simplex.MonotoneMap(0, 1, (0,))
-    right = simplex.MonotoneMap(0, 1, (1,))
-    vals11 = [y for y in X.values(1, 1)
-              if all(X.act(side, top, y) == X.act(side, bottom, y)
-                     for side in (left, right))]
-    count = 0
-    for x in X.values(2, 0):
-        fx = X.act(long_edge, id0, x)
-        count += sum(1 for y in vals11 if X.act(id1, top, y) == fx)
-    return count
 
 
 def check_truncated_vs_full_limit(rng, bound):
@@ -249,7 +212,7 @@ def check_cq_closed_forms(rng, bound):
     if sizes[1] != len(pathnerve.qpow(Q, 1, 1)):
         return "level 1 should be the object set, got %d" % sizes[1]
     X = pathnerve.TensorGridObject(Q, 1, 1)
-    want = _square_fiber_product(X)
+    want = len(instances.square_fiber_product(X))
     if sizes[2] != want:
         return "level 2 is %d, fiber product has %d" % (sizes[2], want)
     return None
@@ -258,25 +221,6 @@ def check_cq_closed_forms(rng, bound):
 # ---------------------------------------------------------------------------
 # spans suite
 # ---------------------------------------------------------------------------
-
-def _random_bottom_diagram(rng, sigma_levels, theta_levels, width=1,
-                           max_label=3):
-    poset = spans.ProductPoset(sigma_levels, theta_levels)
-    bottom_labels = {}
-    for x in poset.objects:
-        if poset.is_bottom(x):
-            bottom_labels[x] = [
-                ["e%d" % i for i in range(rng.randrange(1, max_label + 1))]
-                for _ in range(width)]
-    bottom_maps = {}
-    for (a, b) in poset.covers:
-        if poset.is_bottom(a) and a in bottom_labels:
-            bottom_maps[(a, b)] = [
-                {e: rng.choice(bottom_labels[b][s])
-                 for e in bottom_labels[a][s]}
-                for s in range(width)]
-    return spans.diagram_from_bottom(poset, width, bottom_labels, bottom_maps)
-
 
 def check_span_identity_compose(rng, bound):
     for _ in range(20):
@@ -299,11 +243,11 @@ def check_span_identity_compose(rng, bound):
 
 def check_bottom_diagram_cartesian(rng, bound):
     for _ in range(5):
-        F = _random_bottom_diagram(rng, (2,), ())
+        F = instances.random_bottom_diagram(rng, (2,), ())
         ok, witness = spans.is_cartesian(F)
         if not ok:
             return "diagram built from bottom data fails at %r" % (witness,)
-        G = _random_bottom_diagram(rng, (), (1,))
+        G = instances.random_bottom_diagram(rng, (), (1,))
         ok, witness = spans.is_cartesian(G)
         if not ok:
             return "theta diagram built from bottom data fails at %r" \
@@ -313,7 +257,7 @@ def check_bottom_diagram_cartesian(rng, bound):
 
 def check_replacement_idempotent(rng, bound):
     for _ in range(5):
-        F = _random_bottom_diagram(rng, (2,), (1,))
+        F = instances.random_bottom_diagram(rng, (2,), (1,))
         G, _ = spans.cartesian_replacement(F)
         ok, witness = spans.is_cartesian(G)
         if not ok:
@@ -327,7 +271,7 @@ def check_replacement_idempotent(rng, bound):
 
 def check_reindex_preserves_cartesian(rng, bound):
     for _ in range(5):
-        F = _random_bottom_diagram(rng, (2,), (), width=2)
+        F = instances.random_bottom_diagram(rng, (2,), (), width=2)
         psi = _random_pointed_map(rng, 2, 2)
         G = spans.gamma_act(psi, F)
         ok, witness = spans.is_cartesian(G)
@@ -344,7 +288,7 @@ def check_reindex_preserves_cartesian(rng, bound):
 
 def check_decoration_additive(rng, bound):
     for _ in range(5):
-        F = _random_bottom_diagram(rng, (1,), ())
+        F = instances.random_bottom_diagram(rng, (1,), ())
         weights = {x: [{e: rng.randrange(0, 4) for e in s}
                        for s in F.labels[x]]
                    for x in F.poset.objects}
@@ -457,11 +401,7 @@ def check_base_change_invertible(rng, bound):
 def check_canonical_filling(rng, bound):
     for l in (2, 3):
         vertices = [("a", "b")[:1 + (a % 2)] for a in range(l + 1)]
-        spine = {}
-        for a in range(l):
-            base = tuple((x, y) for x in vertices[a]
-                         for y in vertices[a + 1])
-            spine[a] = [pushpull.VectorFamily.build(base, lambda t: 1)]
+        spine, _ = instances.unit_spine(vertices)
         d = pushpull.synthesize_filling(vertices, 0, spine)
         if not pushpull.is_pushpull(d):
             return "synthesized level-%d filling fails the invertibility " \
@@ -471,10 +411,7 @@ def check_canonical_filling(rng, bound):
 
 def check_filling_uniqueness(rng, bound):
     vertices = [("a",), ("a", "b"), ("a",)]
-    spine = {}
-    for a in range(2):
-        base = tuple((x, y) for x in vertices[a] for y in vertices[a + 1])
-        spine[a] = [pushpull.VectorFamily.build(base, lambda t: 1)]
+    spine, _ = instances.unit_spine(vertices)
     d1 = pushpull.synthesize_filling(vertices, 0, spine)
     d2 = pushpull.synthesize_filling(vertices, 0, spine)
     if not pushpull.fillings_isomorphic(d1, d2):

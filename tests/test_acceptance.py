@@ -5,12 +5,14 @@ import itertools
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 from spankit import crw, fincat, pathnerve as pn, pushpull as pp, ratlin
 from spankit import simplex, spans as sp
-from spankit.fincat import Diagram, FinCategory, FinFunctor
-from spankit.pushpull import FamilyMap, VectorFamily
+from spankit.fincat import FinCategory
+from spankit.instances import (chain_diagram, conjugated, monotone_functor,
+                               point_span, random_bottom_diagram,
+                               random_poset_category, square_fiber_product)
+from spankit.pushpull import VectorFamily
 from spankit.simplex import MonotoneMap
 
 
@@ -24,7 +26,7 @@ def budget(seconds):
 
 
 # ---------------------------------------------------------------------------
-# shared random builders and oracles
+# builders and oracles used only here
 # ---------------------------------------------------------------------------
 
 def random_category(rng, max_objects=5):
@@ -32,41 +34,10 @@ def random_category(rng, max_objects=5):
     if kind == 0:
         return FinCategory.chain(rng.randrange(1, max_objects))
     if kind == 1:
-        n = rng.randrange(2, max_objects + 1)
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.5:
-                    leq[i][j] = True
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if leq[i][k] and leq[k][j]:
-                        leq[i][j] = True
-        return FinCategory.from_poset(n, lambda i, j: leq[i][j])
+        return random_poset_category(rng, rng.randrange(2, max_objects + 1))
     k = rng.randrange(2, 5)
     return FinCategory.from_monoid(
         [[(i + j) % k for j in range(k)] for i in range(k)], 0)
-
-
-def square_fiber_product(X):
-    """Direct model of the level-2 labelled limit: pairs of a triangle
-    and a square glued along the composite edge, where the square's two
-    vertical corner restrictions agree (both corner faces of the
-    indexing square land on the same point of the shape)."""
-    long_edge = MonotoneMap(1, 2, (0, 2))
-    id1 = MonotoneMap.identity(1)
-    id0 = MonotoneMap.identity(0)
-    top = MonotoneMap(0, 1, (1,))
-    bottom = MonotoneMap(0, 1, (0,))
-    squares = [y for y in X.values(1, 1)
-               if all(X.act(side, top, y) == X.act(side, bottom, y)
-                      for side in (bottom, top))]
-    out = []
-    for x in X.values(2, 0):
-        fx = X.act(long_edge, id0, x)
-        out.extend((x, y) for y in squares if X.act(id1, top, y) == fx)
-    return out
 
 
 def chain_count(cat, k):
@@ -79,25 +50,6 @@ def chain_count(cat, k):
                          if cat.dst(f) == cat.src(g))
                   for g in range(len(cat.morphisms))}
     return sum(counts.values())
-
-
-def random_bottom_diagram(rng, sigma_levels, theta_levels, width=1,
-                          max_label=3):
-    poset = sp.ProductPoset(sigma_levels, theta_levels)
-    bottom_labels = {}
-    for x in poset.objects:
-        if poset.is_bottom(x):
-            bottom_labels[x] = [
-                ["e%d" % i for i in range(rng.randrange(1, max_label + 1))]
-                for _ in range(width)]
-    bottom_maps = {}
-    for (a, b) in poset.covers:
-        if poset.is_bottom(a):
-            bottom_maps[(a, b)] = [
-                {e: rng.choice(bottom_labels[b][s])
-                 for e in bottom_labels[a][s]}
-                for s in range(width)]
-    return sp.diagram_from_bottom(poset, width, bottom_labels, bottom_maps)
 
 
 def direct_value_count(F, k, x, slot):
@@ -140,89 +92,6 @@ def unit_spine(vertices, dim_fn):
         base = tuple((x, y) for x in vertices[a] for y in vertices[a + 1])
         spine[a] = [VectorFamily.build(base, dim_fn)]
     return spine
-
-
-def inverse_family_map(phi):
-    return FamilyMap.build(phi.target, phi.source,
-                           lambda x: ratlin.inverse(phi.mat(x)))
-
-
-def conjugated(rng, d):
-    """A second filling over the same spine: transport of the structure
-    maps along random invertible maps of the non-spine systems."""
-    spine_pairs = {(j, j + 1) for j in range(d.l)}
-    psi = {}
-    for pr in d._pairs():
-        psi[pr] = []
-        for i in range(d.club + 1):
-            if pr in spine_pairs:
-                psi[pr].append(FamilyMap.identity(d.r[pr][i]))
-                continue
-
-            def block(x, fam=d.r[pr][i]):
-                n = fam.dim(x)
-                while True:
-                    m = tuple(tuple(Fraction(rng.randrange(-2, 3))
-                                    for _ in range(n)) for _ in range(n))
-                    if not n or ratlin.is_invertible(m):
-                        return m
-            psi[pr].append(FamilyMap.build(d.r[pr][i], d.r[pr][i], block))
-    phi = {}
-    for s in d._faces():
-        pi = pp._proj(d.vertices, s, (s[0], s[-1]))
-        phi[s] = []
-        for i in range(d.club + 1):
-            seg = None
-            for j in range(len(s) - 1):
-                piece = pp.pullback_map(
-                    pp._proj(d.vertices, s, (s[j], s[j + 1])),
-                    psi[(s[j], s[j + 1])][i])
-                seg = piece if seg is None else pp.tensor_map(seg, piece)
-            long_inv = pp.pullback_map(
-                pi, inverse_family_map(psi[(s[0], s[-1])][i]))
-            phi[s].append(seg.compose(d.phi[s][i]).compose(long_inv))
-    return pp.PushPullThetaDiagram(d.vertices, d.club, d.r, d.vertical, phi)
-
-
-def random_poset_category(rng, n):
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                leq[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if leq[i][k] and leq[k][j]:
-                    leq[i][j] = True
-    return FinCategory.from_poset(n, lambda i, j: leq[i][j])
-
-
-def chain_diagram(rng, n, max_size=3):
-    shape = FinCategory.chain(n)
-    sets = [["x%d_%d" % (a, i) for i in range(rng.randrange(1, max_size + 1))]
-            for a in range(n + 1)]
-    step = [{x: rng.choice(sets[a + 1]) for x in sets[a]} for a in range(n)]
-
-    def arrow_map(s, d):
-        out = {x: x for x in sets[s]}
-        for a in range(s, d):
-            out = {x: step[a][out[x]] for x in sets[s]}
-        return out
-
-    on_morphisms = [arrow_map(s, d) for (s, d) in shape.morphisms]
-    return Diagram(shape, sets, on_morphisms)
-
-
-def monotone_functor(rng, chain, poset):
-    n = chain.n_objects - 1
-    m = poset.n_objects
-    while True:
-        objs = sorted(rng.randrange(m) for _ in range(n + 1))
-        if all(poset.hom(objs[i], objs[i + 1]) for i in range(n)):
-            break
-    mor_map = [poset.hom(objs[s], objs[d])[0] for (s, d) in chain.morphisms]
-    return FinFunctor(chain, poset, objs, mor_map)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +181,9 @@ def test_07_vertical_composition_oracle():
     rng = random.Random(3)
     with budget(60):
         for _ in range(200):
-            def span(name, size):
-                apex = tuple("%s%d" % (name, i) for i in range(size))
-                return sp.Span((0,), apex, (0,),
-                               tuple((a, 0) for a in apex),
-                               tuple((a, 0) for a in apex))
-            l = span("l", rng.randrange(1, 5))
-            m = span("m", rng.randrange(1, 5))
-            n = span("n", rng.randrange(1, 5))
+            l = point_span("l", rng.randrange(1, 5))
+            m = point_span("m", rng.randrange(1, 5))
+            n = point_span("n", rng.randrange(1, 5))
             mm = pp.TwoMorphism.from_dims(l, m, lambda t: rng.randrange(0, 4))
             nn = pp.TwoMorphism.from_dims(m, n, lambda t: rng.randrange(0, 4))
             out = pp.compose2_vertical(mm, nn)
@@ -330,10 +194,7 @@ def test_07_vertical_composition_oracle():
                         for b in m.apex)
         # unit laws via the explicitly assembled isomorphisms
         for _ in range(10):
-            l = sp.Span((0,), ("l0", "l1"), (0,),
-                        (("l0", 0), ("l1", 0)), (("l0", 0), ("l1", 0)))
-            m = sp.Span((0,), ("m0", "m1"), (0,),
-                        (("m0", 0), ("m1", 0)), (("m0", 0), ("m1", 0)))
+            l, m = point_span("l", 2), point_span("m", 2)
             mm = pp.TwoMorphism.from_dims(l, m, lambda t: rng.randrange(0, 3))
             composite, iso = pp.vertical_unit_law_iso(mm)
             assert composite.payload == mm.payload
@@ -352,7 +213,7 @@ def test_08_uniqueness_of_fillings():
             d = pp.synthesize_filling(vertices, 0, spine)
             assert pp.is_pushpull(d)
             for _ in range(3):
-                dc = conjugated(rng, d)
+                dc, _ = conjugated(rng, d)
                 assert pp.is_pushpull(dc)
                 assert pp.fillings_isomorphic(d, dc)
             psi, dof = pp.filling_iso_solutions(d, d)

@@ -5,52 +5,8 @@ import pytest
 
 from spankit import fincat
 from spankit.fincat import Diagram, FinCategory, FinFunctor
-
-
-def random_poset_category(rng, n):
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                leq[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if leq[i][k] and leq[k][j]:
-                    leq[i][j] = True
-    return fincat.FinCategory.from_poset(n, lambda i, j: leq[i][j])
-
-
-def chain_diagram(rng, n, max_size=3):
-    """A random diagram on the chain category [n]: free on the
-    consecutive maps, composites filled in from the tables."""
-    shape = FinCategory.chain(n)
-    sets = [["x%d_%d" % (a, i) for i in range(rng.randrange(1, max_size + 1))]
-            for a in range(n + 1)]
-    step = [{x: rng.choice(sets[a + 1]) for x in sets[a]} for a in range(n)]
-
-    def arrow_map(s, d):
-        out = {x: x for x in sets[s]}
-        for a in range(s, d):
-            out = {x: step[a][out[x]] for x in sets[s]}
-        return out
-
-    on_morphisms = [arrow_map(s, d) for (s, d) in shape.morphisms]
-    return Diagram(shape, sets, on_morphisms)
-
-
-def monotone_functor(rng, chain, poset, leq_check=None):
-    """A functor from a chain category into a poset category."""
-    n = chain.n_objects - 1
-    m = poset.n_objects
-    while True:
-        objs = sorted(rng.randrange(m) for _ in range(n + 1))
-        if all(poset.hom(objs[i], objs[i + 1]) for i in range(n)):
-            break
-    mor_map = []
-    for (s, d) in chain.morphisms:
-        mor_map.append(poset.hom(objs[s], objs[d])[0])
-    return FinFunctor(chain, poset, objs, mor_map)
+from spankit.instances import (chain_diagram, monotone_functor,
+                               random_poset_category)
 
 
 class TestFinCategory:

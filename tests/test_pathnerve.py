@@ -4,27 +4,8 @@ import random
 import pytest
 
 from spankit import fincat, pathnerve as pn, simplex
+from spankit.instances import square_fiber_product
 from spankit.simplex import MonotoneMap
-
-
-def square_fiber_product(X):
-    """Oracle for the level-2 labelled limit: pairs (triangle, square)
-    glued along the composite edge, with the square's two vertical
-    corner restrictions forced to agree (the two corner faces of the
-    indexing square land on the same point of the shape)."""
-    long_edge = MonotoneMap(1, 2, (0, 2))
-    id1 = MonotoneMap.identity(1)
-    id0 = MonotoneMap.identity(0)
-    top = MonotoneMap(0, 1, (1,))
-    bottom = MonotoneMap(0, 1, (0,))
-    squares = [y for y in X.values(1, 1)
-               if all(X.act(side, top, y) == X.act(side, bottom, y)
-                      for side in (bottom, top))]
-    out = []
-    for x in X.values(2, 0):
-        fx = X.act(long_edge, id0, x)
-        out.extend((x, y) for y in squares if X.act(id1, top, y) == fx)
-    return out
 
 
 class TestPathCategory:

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from spankit import pushpull as pp, ratlin
-from spankit.pushpull import FamilyMap, SetMap, Span, VectorFamily
+from spankit.instances import conjugated, point_span, unit_spine
+from spankit.pushpull import FamilyMap, SetMap, VectorFamily
 
 
 def random_setmap(rng, src_size, tgt_size):
@@ -38,12 +39,6 @@ def zero_one(n_rows, n_cols, ones):
     """The n_rows x n_cols matrix with a 1 at each (row, col) in ones."""
     return tuple(tuple(Fraction(int((r, c) in ones)) for c in range(n_cols))
                  for r in range(n_rows))
-
-
-def random_point_span(rng, name, apex_size):
-    apex = tuple("%s%d" % (name, i) for i in range(apex_size))
-    return Span((0,), apex, (0,),
-                tuple((a, 0) for a in apex), tuple((a, 0) for a in apex))
 
 
 class TestBasics:
@@ -224,9 +219,9 @@ class TestTwoMorphisms:
     def test_vertical_dims_are_matrix_product(self):
         rng = random.Random(7)
         for _ in range(30):
-            l = random_point_span(rng, "l", rng.randrange(1, 4))
-            m = random_point_span(rng, "m", rng.randrange(1, 4))
-            n = random_point_span(rng, "n", rng.randrange(1, 4))
+            l = point_span("l", rng.randrange(1, 4))
+            m = point_span("m", rng.randrange(1, 4))
+            n = point_span("n", rng.randrange(1, 4))
             mm = pp.TwoMorphism.from_dims(l, m, lambda t: rng.randrange(0, 3))
             nn = pp.TwoMorphism.from_dims(m, n, lambda t: rng.randrange(0, 3))
             out = pp.compose2_vertical(mm, nn)
@@ -239,8 +234,8 @@ class TestTwoMorphisms:
     def test_vertical_unit_laws(self):
         rng = random.Random(8)
         for _ in range(10):
-            l = random_point_span(rng, "l", rng.randrange(1, 4))
-            m = random_point_span(rng, "m", rng.randrange(1, 4))
+            l = point_span("l", rng.randrange(1, 4))
+            m = point_span("m", rng.randrange(1, 4))
             mm = pp.TwoMorphism.from_dims(l, m, lambda t: rng.randrange(0, 3))
             left = pp.compose2_vertical(pp.vertical_unit(l), mm)
             right = pp.compose2_vertical(mm, pp.vertical_unit(m))
@@ -251,8 +246,8 @@ class TestTwoMorphisms:
     def test_unit_law_iso_is_identity(self):
         rng = random.Random(9)
         for _ in range(5):
-            l = random_point_span(rng, "l", rng.randrange(1, 4))
-            m = random_point_span(rng, "m", rng.randrange(1, 4))
+            l = point_span("l", rng.randrange(1, 4))
+            m = point_span("m", rng.randrange(1, 4))
             mm = pp.TwoMorphism.from_dims(l, m, lambda t: rng.randrange(0, 3))
             composite, iso = pp.vertical_unit_law_iso(mm)
             for x in iso.source.base:
@@ -262,8 +257,8 @@ class TestTwoMorphisms:
     def test_horizontal_dims_multiply(self):
         rng = random.Random(10)
         for _ in range(10):
-            l = random_point_span(rng, "l", 2)
-            m = random_point_span(rng, "m", 2)
+            l = point_span("l", 2)
+            m = point_span("m", 2)
             mm = pp.TwoMorphism.from_dims(l, m, lambda t: rng.randrange(1, 3))
             mp = pp.TwoMorphism.from_dims(l, m, lambda t: rng.randrange(1, 3))
             out = pp.compose2_horizontal(mm, mp)
@@ -292,9 +287,9 @@ class TestThreeMorphisms:
 
     def test_vertical_three_morphism_endpoints(self):
         rng = random.Random(12)
-        l = random_point_span(rng, "l", 2)
-        m = random_point_span(rng, "m", 2)
-        n = random_point_span(rng, "n", 2)
+        l = point_span("l", 2)
+        m = point_span("m", 2)
+        n = point_span("n", 2)
         mm1 = pp.TwoMorphism.from_dims(l, m, lambda t: rng.randrange(1, 3))
         mm2 = pp.TwoMorphism.from_dims(l, m, lambda t: rng.randrange(1, 3))
         nn1 = pp.TwoMorphism.from_dims(m, n, lambda t: rng.randrange(1, 3))
@@ -304,66 +299,6 @@ class TestThreeMorphisms:
         out = pp.compose3_vertical((l, m, n), alpha, beta)
         assert out.source == pp.compose2_vertical(mm1, nn1).payload
         assert out.target == pp.compose2_vertical(mm2, nn2).payload
-
-
-def unit_spine(vertices, club=0):
-    spine = {}
-    spine_vertical = {}
-    for a in range(len(vertices) - 1):
-        base = tuple((x, y) for x in vertices[a] for y in vertices[a + 1])
-        fams = [VectorFamily.unit(base) for _ in range(club + 1)]
-        spine[a] = fams
-        spine_vertical[a] = [FamilyMap.identity(fams[i])
-                             for i in range(club)]
-    return spine, spine_vertical
-
-
-def inverse_family_map(phi):
-    return FamilyMap.build(phi.target, phi.source,
-                           lambda x: ratlin.inverse(phi.mat(x)))
-
-
-def conjugated(rng, d):
-    """Transport the structure maps and the vertical chain maps of d along
-    random invertible maps psi of the non-spine systems (identity on the
-    spine); returns the new diagram and psi."""
-    spine_pairs = {(j, j + 1) for j in range(d.l)}
-    psi = {}
-    for pr in d._pairs():
-        psi[pr] = []
-        for i in range(d.club + 1):
-            if pr in spine_pairs:
-                psi[pr].append(FamilyMap.identity(d.r[pr][i]))
-                continue
-
-            def block(x, fam=d.r[pr][i]):
-                n = fam.dim(x)
-                while True:
-                    m = tuple(tuple(Fraction(rng.randrange(-2, 3))
-                                    for _ in range(n)) for _ in range(n))
-                    if not n or ratlin.is_invertible(m):
-                        return m
-            psi[pr].append(FamilyMap.build(d.r[pr][i], d.r[pr][i], block))
-    phi = {}
-    for s in d._faces():
-        pi = pp._proj(d.vertices, s, (s[0], s[-1]))
-        phi[s] = []
-        for i in range(d.club + 1):
-            seg = None
-            for j in range(len(s) - 1):
-                piece = pp.pullback_map(
-                    pp._proj(d.vertices, s, (s[j], s[j + 1])),
-                    psi[(s[j], s[j + 1])][i])
-                seg = piece if seg is None else pp.tensor_map(seg, piece)
-            long_inv = pp.pullback_map(
-                pi, inverse_family_map(psi[(s[0], s[-1])][i]))
-            phi[s].append(seg.compose(d.phi[s][i]).compose(long_inv))
-    vertical = {pr: [psi[pr][i + 1].compose(v).compose(
-                         inverse_family_map(psi[pr][i]))
-                     for i, v in enumerate(d.vertical[pr])]
-                for pr in d._pairs()}
-    dc = pp.PushPullThetaDiagram(d.vertices, d.club, d.r, vertical, phi)
-    return dc, psi
 
 
 def filling_residual_ok(d1, d2, psi):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from spankit import spans as sp
+from spankit.instances import random_bottom_diagram
 from spankit.simplex import MonotoneMap, PointedMap
 
 
@@ -12,25 +13,6 @@ def random_span(rng, name, apex_size, feet_size):
     return sp.Span(feet, apex, feet,
                    tuple((a, rng.choice(feet)) for a in apex),
                    tuple((a, rng.choice(feet)) for a in apex))
-
-
-def random_bottom_diagram(rng, sigma_levels, theta_levels, width=1,
-                          max_label=3):
-    poset = sp.ProductPoset(sigma_levels, theta_levels)
-    bottom_labels = {}
-    for x in poset.objects:
-        if poset.is_bottom(x):
-            bottom_labels[x] = [
-                ["e%d" % i for i in range(rng.randrange(1, max_label + 1))]
-                for _ in range(width)]
-    bottom_maps = {}
-    for (a, b) in poset.covers:
-        if poset.is_bottom(a):
-            bottom_maps[(a, b)] = [
-                {e: rng.choice(bottom_labels[b][s])
-                 for e in bottom_labels[a][s]}
-                for s in range(width)]
-    return sp.diagram_from_bottom(poset, width, bottom_labels, bottom_maps)
 
 
 class TestSpanComposition:

@@ -72,6 +72,19 @@ class TestExitCodes:
         assert out.returncode == 2
         assert "error" in json.loads(out.stderr)
 
+    @pytest.mark.parametrize("dims", [5, [1], {"a|a": 1.5}, {"a|a": True},
+                                      {"a|a": "1"}])
+    def test_malformed_dims_is_two(self, tmp_path, dims):
+        span = {"left_foot": ["x"], "apex": ["a"], "right_foot": ["y"],
+                "left_map": {"a": "x"}, "right_map": {"a": "y"}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            {"span_source": span, "span_target": span, "dims": dims}))
+        out = run_cli("compose", "--kind", "vertical", str(bad), str(bad))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "error" in json.loads(out.stderr)
+
     def test_bad_level_is_two(self):
         out = run_cli("enumerate", "sigma", "9", "--bound", "3")
         assert out.returncode == 2
