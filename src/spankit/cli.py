@@ -54,6 +54,23 @@ def _load_json(path):
         raise InputError("malformed JSON in %s: %s" % (path, exc))
 
 
+def _check_keys(doc, allowed, what):
+    """Reject a JSON object with a key outside the README format."""
+    if not isinstance(doc, dict):
+        raise InputError("%s must be an object" % what)
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise InputError("%s: unknown keys %r (expected %s)"
+                         % (what, unknown, ", ".join(allowed)))
+
+
+def _int(val, what):
+    """A JSON integer (not a bool, float or string)."""
+    if type(val) is not int:
+        raise InputError("%s: expected an integer, got %r" % (what, val))
+    return val
+
+
 def _rat(s):
     try:
         return Fraction(str(s))
@@ -75,6 +92,9 @@ def _poly_from_json(n_gens, obj):
         if len(mono) != n_gens or any(e < 0 for e in mono):
             raise InputError("monomial %r does not fit %d generators"
                              % (key, n_gens))
+        if isinstance(val, float):
+            raise InputError("monomial %r: float coefficient %r; write an "
+                             "integer or a \"p/q\" string" % (key, val))
         c = _rat(val)
         if c:
             out[mono] = c
@@ -89,21 +109,29 @@ def _generators_from_json(items):
     gens = []
     try:
         for it in items:
+            _check_keys(it, ("name", "parity", "weight"), "generator")
             if not isinstance(it["name"], str):
                 raise InputError("generator name must be a string, got %s"
                                  % type(it["name"]).__name__)
-            gens.append(crw.Generator(it["name"], int(it["parity"]),
-                                      int(it["weight"])))
+            gens.append(crw.Generator(
+                it["name"], _int(it["parity"], "generator parity"),
+                _int(it["weight"], "generator weight")))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad generator entry: %s" % exc)
     return gens
 
 
+def _list(obj, key):
+    if not isinstance(obj[key], list):
+        raise InputError("%s: expected a list, got %s"
+                         % (key, type(obj[key]).__name__))
+    return tuple(obj[key])
+
+
 def _span_from_json(obj):
     try:
-        left_foot = tuple(obj["left_foot"])
-        apex = tuple(obj["apex"])
-        right_foot = tuple(obj["right_foot"])
+        left_foot, apex, right_foot = (_list(obj, k) for k in
+                                       ("left_foot", "apex", "right_foot"))
         left_map = tuple((a, obj["left_map"][a]) for a in apex)
         right_map = tuple((a, obj["right_map"][a]) for a in apex)
     except (KeyError, TypeError) as exc:
@@ -148,6 +176,9 @@ def _two_morphism_from_json(obj):
     missing = [t for t in base if _pair_key(t) not in dims]
     if missing:
         raise InputError("dims missing intersection points %r" % missing)
+    stray = sorted(set(dims) - {_pair_key(t) for t in base})
+    if stray:
+        raise InputError("dims: %r name no intersection point" % stray)
     try:
         return pushpull.TwoMorphism.from_dims(
             src, tgt, lambda t: dims[_pair_key(t)])
@@ -313,6 +344,8 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def _algebra_from_json(doc):
+    _check_keys(doc, ("generators", "relations", "differential"),
+                "presentation")
     try:
         gens = _generators_from_json(doc["generators"])
     except (KeyError, TypeError) as exc:
@@ -362,6 +395,7 @@ def cmd_crw(args):
         if len(args.files) != 1:
             raise InputError("intersect takes one input file")
         doc = _load_json(args.files[0])
+        _check_keys(doc, ("ambient", "eqs1", "eqs2"), "intersection input")
         try:
             ambient = _generators_from_json(doc["ambient"])
             n = len(ambient)

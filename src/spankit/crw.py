@@ -676,33 +676,6 @@ def _chain_map_dimension(module_m, module_n, src_alg, tgt_alg, images):
 # the worked example algebras
 # ---------------------------------------------------------------------------
 
-def _upoly(d):
-    return {k: Fraction(v) for k, v in d.items() if Fraction(v) != 0}
-
-
-def _upoly_mul(p, q):
-    out = {}
-    for a, c in p.items():
-        for b, e in q.items():
-            out[a + b] = out.get(a + b, Fraction(0)) + c * e
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _upoly_str(p):
-    if not p:
-        return "0"
-    parts = []
-    for k in sorted(p):
-        c = p[k]
-        if k == 0:
-            parts.append(str(c))
-        elif k == 1:
-            parts.append("%s*x" % c if c != 1 else "x")
-        else:
-            parts.append("%s*x^%d" % (c, k) if c != 1 else "x^%d" % k)
-    return " + ".join(parts)
-
-
 class MatrixFactorizationAlgebra:
     """Endomorphisms of the rank-(1|1) factorization of the potential
     x^(n+1)/(n+1) into f = x and g = x^n/(n+1).
@@ -716,27 +689,25 @@ class MatrixFactorizationAlgebra:
 
     BASIS = ("e11", "e12", "e21", "e22")
     PARITY = {"e11": 0, "e12": 1, "e21": 1, "e22": 0}
+    GENS = (Generator("x", 0, 1),)  # entries are polynomials in x
 
     def __init__(self, n):
         if n < 2:
             raise ValueError("n must be at least 2")
         self.n = n
-        self.f = _upoly({1: 1})
-        self.g = _upoly({n: Fraction(1, n + 1)})
-        self.potential = _upoly_mul(self.f, self.g)
+        self.f = poly_gen(self.GENS, "x")
+        self.g = {(n,): Fraction(1, n + 1)}
+        self.potential = poly_mul(self.GENS, self.f, self.g)
 
-    # elements: dict basis name -> univariate polynomial
-    def elem(self, **kw):
-        return {k: _upoly(v) for k, v in kw.items() if _upoly(v)}
-
+    # elements: dict basis name -> polynomial in x
     def one(self):
-        return self.elem(e11={0: 1}, e22={0: 1})
+        return {k: poly_const(self.GENS, 1) for k in ("e11", "e22")}
 
     def theta(self):
-        return self.elem(e21={0: 1})
+        return {"e21": poly_const(self.GENS, 1)}
 
     def dtheta_gen(self):
-        return self.elem(e12={0: 1})
+        return {"e12": poly_const(self.GENS, 1)}
 
     def mul(self, a, b):
         table = {("e11", "e11"): "e11", ("e11", "e12"): "e12",
@@ -747,29 +718,19 @@ class MatrixFactorizationAlgebra:
         for ka, pa in a.items():
             for kb, pb in b.items():
                 t = table.get((ka, kb))
-                if t is None:
-                    continue
-                prod = _upoly_mul(pa, pb)
-                acc = out.setdefault(t, {})
-                for k, v in prod.items():
-                    acc[k] = acc.get(k, Fraction(0)) + v
-        return {k: {d: v for d, v in p.items() if v != 0}
-                for k, p in out.items()
-                if any(v != 0 for v in p.values())}
+                if t is not None:
+                    out[t] = poly_add(out.get(t, {}),
+                                      poly_mul(self.GENS, pa, pb))
+        return {k: p for k, p in out.items() if p}
 
     def add(self, a, b):
-        out = {k: dict(p) for k, p in a.items()}
+        out = dict(a)
         for k, p in b.items():
-            acc = out.setdefault(k, {})
-            for d, v in p.items():
-                acc[d] = acc.get(d, Fraction(0)) + v
-        return {k: {d: v for d, v in p.items() if v != 0}
-                for k, p in out.items()
-                if any(v != 0 for v in p.values())}
+            out[k] = poly_add(out.get(k, {}), p)
+        return {k: p for k, p in out.items() if p}
 
     def scale(self, c, a):
-        return {k: {d: Fraction(c) * v for d, v in p.items()}
-                for k, p in a.items()} if c else {}
+        return {k: poly_scale(c, p) for k, p in a.items()} if c else {}
 
     def parity(self, a):
         ps = {self.PARITY[k] for k in a}
@@ -778,14 +739,14 @@ class MatrixFactorizationAlgebra:
         return ps.pop() if ps else 0
 
     def d(self, a):
-        big_d = self.elem(e12=self.f, e21=self.g)
+        big_d = {"e12": self.f, "e21": self.g}
         sign = -1 if self.parity(a) == 0 else 1
         return self.add(self.mul(big_d, a),
                         self.scale(sign, self.mul(a, big_d)))
 
     def d_squared_zero(self):
         for name in self.BASIS:
-            e = {name: _upoly({0: 1})}
+            e = {name: poly_const(self.GENS, 1)}
             if self.d(self.d(e)):
                 return False
         return True
@@ -822,10 +783,10 @@ def build_intro_algebras(n):
         "B_d_squared_zero": True,   # enforced by the constructor
         "A_d_squared_zero": a.d_squared_zero(),
         "A_commutative": a.is_commutative_on_generators(),
-        "A_d_theta": {k: _upoly_str(p) for k, p in d_theta.items()},
-        "A_d_dtheta": {k: _upoly_str(p) for k, p in d_dtheta.items()},
-        "A_d_theta_scalar": _upoly_str(a.f),
-        "A_d_dtheta_scalar": _upoly_str(a.g),
+        "A_d_theta": {k: poly_str(a.GENS, p) for k, p in d_theta.items()},
+        "A_d_dtheta": {k: poly_str(a.GENS, p) for k, p in d_dtheta.items()},
+        "A_d_theta_scalar": poly_str(a.GENS, a.f),
+        "A_d_dtheta_scalar": poly_str(a.GENS, a.g),
         "quoted_d_dtheta": "%d*x^%d" % (n + 1, n),
         "d_dtheta_mismatch_factor": str(Fraction((n + 1) * (n + 1))),
         "A_weight_gradable": False,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .fincat import FinCategory, compatible_families
 from .simplex import MonotoneMap, PointedMap, all_monotone_maps, underlying_monoid
@@ -307,17 +307,12 @@ class SquareOfNerve:
 
     def __init__(self, cat):
         self.cat = cat
-        self._acts = {}  # (alpha, beta, element) -> result; act is pure
 
     def values(self, u, v):
         return square_n(self.cat, (u, v))
 
     def act(self, alpha, beta, element):
-        key = (alpha, beta, element)
-        out = self._acts.get(key)
-        if out is None:
-            out = self._acts[key] = grid_act(self.cat, element, (alpha, beta))
-        return out
+        return grid_act(self.cat, element, (alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -339,25 +334,10 @@ def labelled_limit(X, l):
     maps between nondegenerate simplices.  Returns a list of dicts.
     """
     table = nondegenerate_table(l, bound=l)
-    simplices = []
-    for (u, v), nd in table.items():
-        if u + v <= l:
-            simplices.extend(nd)
+    simplices = [s for (u, v), nd in table.items() if u + v <= l for s in nd]
     # higher dimension first so faces are forced early
     simplices.sort(key=lambda s: (-(s.u + s.v), s.objs, s.chains))
-    index = {s: i for i, s in enumerate(simplices)}
-    # face arrows out of each simplex: (target index, X.act on a face map)
-    out_arrows = [[] for _ in simplices]
-    for s in simplices:
-        for up in range(s.u + 1):
-            for vp in range(s.v + 1):
-                for alpha in _injective_maps(up, s.u):
-                    for beta in _injective_maps(vp, s.v):
-                        t = act(s, alpha, beta)
-                        if t in index and t != s:
-                            out_arrows[index[s]].append(
-                                (index[t], partial(X.act, alpha, beta)))
-    return _families_by_simplex(X, simplices, out_arrows)
+    return _limit_over(X, simplices, _injective_maps, l, l)
 
 
 def labelled_limit_full(X, l, ubound=None, vbound=None):
@@ -366,29 +346,35 @@ def labelled_limit_full(X, l, ubound=None, vbound=None):
     maps between them."""
     ubound = l if ubound is None else ubound
     vbound = l if vbound is None else vbound
-    simplices = []
-    for u in range(ubound + 1):
-        for v in range(vbound + 1):
-            simplices.extend(nerve(l, u, v))
+    simplices = [s for u in range(ubound + 1) for v in range(vbound + 1)
+                 for s in nerve(l, u, v)]
+    return _limit_over(X, simplices, all_monotone_maps, ubound, vbound)
+
+
+def _limit_over(X, simplices, maps, ubound, vbound):
+    """The compatible families over ``simplices``, as dicts keyed by
+    simplex.  Each simplex s has an arrow to every other listed simplex
+    act(s, alpha, beta), for alpha in maps(up, s.u) and beta in
+    maps(vp, s.v) with up <= ubound and vp <= vbound.  Each face
+    (alpha, beta) is one memoized X.act shared by all its simplices, so
+    an inner-loop lookup hashes only the element."""
     index = {s: i for i, s in enumerate(simplices)}
-    out_arrows = [[] for _ in simplices]
-    for s in simplices:
+    faces = {}  # (alpha, beta) -> memoized partial(X.act, alpha, beta)
+    arrows = [[] for _ in simplices]
+    for i, s in enumerate(simplices):
         for up in range(ubound + 1):
             for vp in range(vbound + 1):
-                for alpha in all_monotone_maps(up, s.u):
-                    for beta in all_monotone_maps(vp, s.v):
+                for alpha in maps(up, s.u):
+                    for beta in maps(vp, s.v):
                         t = act(s, alpha, beta)
                         if t in index and t != s:
-                            out_arrows[index[s]].append(
-                                (index[t], partial(X.act, alpha, beta)))
-    return _families_by_simplex(X, simplices, out_arrows)
-
-
-def _families_by_simplex(X, simplices, out_arrows):
-    """The compatible families as dicts keyed by simplex."""
+                            if (alpha, beta) not in faces:
+                                faces[alpha, beta] = cache(
+                                    partial(X.act, alpha, beta))
+                            arrows[i].append((index[t], faces[alpha, beta]))
     values = [X.values(s.u, s.v) for s in simplices]
     return [dict(zip(simplices, fam))
-            for fam in compatible_families(values, out_arrows)]
+            for fam in compatible_families(values, arrows)]
 
 
 def spine_square_simplex(l):
@@ -530,7 +516,6 @@ class TensorGridObject:
         self.Q = Q
         self.tk = tk
         self.n = n
-        self._acts = {}  # (alpha, beta, element) -> result; act is pure
         self._grids = {}  # (beta, grid) -> grid reindexed along beta
 
     def values(self, u, v):
@@ -561,16 +546,11 @@ class TensorGridObject:
         return tuple(out)
 
     def act(self, alpha, beta, element):
-        key = (alpha, beta, element)
-        out = self._acts.get(key)
-        if out is None:
-            if len(element) != self.tk * alpha.target_size:
-                raise ValueError("width mismatch")
-            grids = tuple(self._grid_act(beta, g) for g in element)
-            psi = PointedMap.identity(self.tk).smash(underlying_monoid(alpha))
-            out = self._acts[key] = self.gamma_act(psi, grids,
-                                                   beta.source_size)
-        return out
+        if len(element) != self.tk * alpha.target_size:
+            raise ValueError("width mismatch")
+        grids = tuple(self._grid_act(beta, g) for g in element)
+        psi = PointedMap.identity(self.tk).smash(underlying_monoid(alpha))
+        return self.gamma_act(psi, grids, beta.source_size)
 
 
 def qpow(Q, s, n):

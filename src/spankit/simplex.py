@@ -345,23 +345,3 @@ def face_map(direction, base, fiber_arrow):
             raise ValueError("face-map formula undefined (no element below)")
         vals.append(max(cands))
     return MonotoneMap(len(psi) - 1, len(phi) - 1, tuple(vals))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def poset_to_json(poset):
-    """Stable JSON-ready dump: objects as integer arrays, edges as pairs."""
-    if isinstance(poset, SpanPoset):
-        objects = [list(m.values) for m in poset.objects]
-        flags = poset.lambda_flags
-    else:
-        objects = [list(s) for s in poset.objects]
-        flags = poset.xi_flags
-    return {
-        "level": poset.level,
-        "objects": objects,
-        "edges": [list(e) for e in poset.hasse_edges],
-        "bottom_flags": list(flags),
-    }

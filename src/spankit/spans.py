@@ -375,31 +375,3 @@ def diagram_from_bottom(poset, width, bottom_labels, bottom_maps):
     F = GeneralizedSpanDiagram(poset, width, labels, maps, check=False)
     G, _ = cartesian_replacement(F)
     return G
-
-
-def _obj_key(poset, obj):
-    parts = []
-    for factor, x in zip(poset.factors, obj):
-        if isinstance(factor, SpanPoset):
-            parts.append("i" + ",".join(map(str, x.values)))
-        else:
-            parts.append("s" + ",".join(map(str, x)))
-    return "|".join(parts)
-
-
-def diagram_to_json(F):
-    out = {"sigma_levels": list(F.poset.sigma_levels),
-           "theta_levels": list(F.poset.theta_levels),
-           "width": F.width,
-           "labels": {}, "maps": []}
-    for x in F.poset.objects:
-        out["labels"][_obj_key(F.poset, x)] = [
-            [str(e) for e in s] for s in F.labels[x]]
-    for (a, b) in F.poset.covers:
-        out["maps"].append({
-            "from": _obj_key(F.poset, a),
-            "to": _obj_key(F.poset, b),
-            "slots": [[[str(k), str(v)] for k, v in sorted(d.items(), key=repr)]
-                      for d in F.maps[(a, b)]],
-        })
-    return out

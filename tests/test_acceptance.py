@@ -1,6 +1,7 @@
 """End-to-end acceptance checks: each test states its exactness claim
 and asserts a wall-clock budget alongside it."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -271,3 +272,13 @@ def test_11_kan_and_end_cross_checks():
             wedges = fincat.end(fincat.hom_bifunctor(f, g))
             nats = fincat.nat_transformations(f, g)
             assert len(wedges) == len(nats)
+
+
+def test_12_tensor_pipeline_level3_pinned():
+    # Z/2 at l = 3: 2048 families, in a pinned order
+    with budget(30):
+        Q = pn.FinSymMonCat.from_commutative_monoid([[0, 1], [1, 0]], 0)
+        fams = pn.build_cq(Q, 1, 1, 1, 3)
+        assert len(fams) == 2048
+        assert hashlib.sha256(repr(fams).encode()).hexdigest() == (
+            "e5af5e1dc689a9b3ed37de3e4cb5e9c5d04b687c79d195125b2bdde430586015")

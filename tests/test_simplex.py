@@ -202,8 +202,3 @@ class TestFaceMap:
             MonotoneMap.inert(0, 1, 1))
         out = simplex.face_map("sigma", base, arrow)
         assert out.source_size == 1 and out.target_size == 2
-
-    def test_json_shape(self):
-        data = simplex.poset_to_json(simplex.build_sigma(2))
-        assert len(data["objects"]) == len(simplex.build_sigma(2).objects)
-        assert len(data["bottom_flags"]) == len(data["objects"])

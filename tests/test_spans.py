@@ -193,12 +193,3 @@ class TestDecorations:
         bottom = F.poset.bottom()[0]
         for e, w in E.weights[bottom][0].items():
             assert w == 2  # both slots contribute weight 1
-
-
-class TestSerialization:
-    def test_diagram_to_json_shape(self):
-        rng = random.Random(12)
-        F = random_bottom_diagram(rng, (1,), (1,))
-        data = sp.diagram_to_json(F)
-        assert data["width"] == 1
-        assert len(data["labels"]) == len(F.poset.objects)

@@ -64,6 +64,17 @@ class TestExitCodes:
         {"generators": [{"name": ["x"], "parity": 0, "weight": 1}]},
         {"generators": [{"name": "x", "parity": 0, "weight": 1},
                         {"name": "x", "parity": 0, "weight": 1}]},
+        {"generators": [{"name": "e", "parity": True, "weight": 1}]},
+        {"generators": [{"name": "x", "parity": 0, "weight": 1.7}]},
+        {"generators": [{"name": "x", "parity": "0", "weight": 1}]},
+        {"generators": [{"name": "x", "parity": 0, "weight": 1,
+                         "wieght": 3}]},
+        {"generators": [{"name": "x", "parity": 0, "weight": 1},
+                        {"name": "e", "parity": 1, "weight": 2}],
+         "differential": {"e": {"2,0": 1.0}}},
+        {"generators": [{"name": "x", "parity": 0, "weight": 1},
+                        {"name": "y", "parity": 0, "weight": 1}],
+         "relatons": [{"0,1": "1", "1,0": "-1"}]},
     ])
     def test_malformed_presentation_is_two(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
@@ -73,7 +84,7 @@ class TestExitCodes:
         assert "error" in json.loads(out.stderr)
 
     @pytest.mark.parametrize("dims", [5, [1], {"a|a": 1.5}, {"a|a": True},
-                                      {"a|a": "1"}])
+                                      {"a|a": "1"}, {"a|a": 1, "zz|q": 7}])
     def test_malformed_dims_is_two(self, tmp_path, dims):
         span = {"left_foot": ["x"], "apex": ["a"], "right_foot": ["y"],
                 "left_map": {"a": "x"}, "right_map": {"a": "y"}}
@@ -83,6 +94,32 @@ class TestExitCodes:
         out = run_cli("compose", "--kind", "vertical", str(bad), str(bad))
         assert out.returncode == 2
         assert out.stdout == ""
+        assert "error" in json.loads(out.stderr)
+
+    @pytest.mark.parametrize("key,value", [("left_foot", "xy"),
+                                           ("apex", "a"),
+                                           ("right_foot", "y")])
+    def test_span_sets_must_be_lists(self, tmp_path, key, value):
+        span = {"left_foot": ["x"], "apex": ["a"], "right_foot": ["y"],
+                "left_map": {"a": "x"}, "right_map": {"a": "y"}, key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            {"span_source": span, "span_target": span, "dims": {"a|a": 1}}))
+        out = run_cli("compose", "--kind", "vertical", str(bad), str(bad))
+        assert out.returncode == 2
+        assert key in json.loads(out.stderr)["error"]
+
+    @pytest.mark.parametrize("doc", [
+        {"ambient": [{"name": "x", "parity": 0, "weight": 1}],
+         "eqs2": [{"1": 1.0}]},
+        {"ambient": [{"name": "x", "parity": 0, "weight": 1}],
+         "eqs": [{"1": "1"}]},
+    ])
+    def test_malformed_intersection_is_two(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = run_cli("crw", "intersect", str(bad))
+        assert out.returncode == 2
         assert "error" in json.loads(out.stderr)
 
     def test_bad_level_is_two(self):
