@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -85,11 +86,12 @@ def _poly_from_json(n_gens, obj):
                          % type(obj).__name__)
     out = {}
     for key, val in obj.items():
-        try:
-            mono = tuple(int(p) for p in key.split(","))
-        except ValueError:
-            raise InputError("bad monomial key %r" % key)
-        if len(mono) != n_gens or any(e < 0 for e in mono):
+        parts = key.split(",")
+        if not all(re.fullmatch("[0-9]+", p) for p in parts):
+            raise InputError("bad monomial key %r: exponents must be "
+                             "decimal digits" % key)
+        mono = tuple(int(p) for p in parts)
+        if len(mono) != n_gens:
             raise InputError("monomial %r does not fit %d generators"
                              % (key, n_gens))
         if isinstance(val, float):
@@ -358,6 +360,10 @@ def _algebra_from_json(doc):
     if not isinstance(differential, dict):
         raise InputError("differential must be an object")
     relations = [_poly_from_json(n, r) for r in relations]
+    names = [g.name for g in gens]
+    for name in differential:
+        if name not in names:
+            raise InputError("differential: unknown generator %r" % name)
     differential = {name: _poly_from_json(n, p)
                     for name, p in differential.items()}
     try:

@@ -13,7 +13,6 @@ weight with exact ranks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,6 +171,7 @@ class GradedDGAlgebra:
                              (differential or {}).items()}
         for g in self.gens:
             self.differential.setdefault(g.name, {})
+        self._monomials = {}  # weight -> monomials_of_weight(weight)
         self._check()
 
     # -- normal form --------------------------------------------------
@@ -288,23 +288,25 @@ class GradedDGAlgebra:
     # -- graded bases --------------------------------------------------
 
     def monomials_of_weight(self, w):
-        caps = []
-        for g in self.gens:
-            if g.parity == 1:
-                cap = 1
-            elif g.name in self.power_rules:
-                cap = self.power_rules[g.name][0] - 1
-            else:
-                cap = w // g.weight
-            if g.weight:
-                cap = min(cap, w // g.weight)
-            caps.append(cap)
-        out = []
-        for m in itertools.product(*[range(c + 1) for c in caps]):
-            if mono_weight(self.gens, m) == w:
-                out.append(m)
-        out.sort()
-        return out
+        """The normal-form monomials of weight w in increasing exponent
+        order, built once per weight.  Generators are added from the
+        last: tails[r] holds the monomials in those added so far that
+        have weight r."""
+        if w not in self._monomials:
+            tails = [[()]] + [[] for _ in range(w)]
+            for g in reversed(self.gens):
+                if g.parity:
+                    cap = 1
+                elif g.name in self.power_rules:
+                    cap = self.power_rules[g.name][0] - 1
+                else:
+                    cap = w
+                tails = [[(e,) + t for e in range(cap + 1)
+                          if e * g.weight <= r
+                          for t in tails[r - e * g.weight]]
+                         for r in range(w + 1)]
+            self._monomials[w] = tuple(tails[w])
+        return self._monomials[w]
 
     def graded_dims(self, bound):
         table = []
@@ -697,7 +699,6 @@ class MatrixFactorizationAlgebra:
         self.n = n
         self.f = poly_gen(self.GENS, "x")
         self.g = {(n,): Fraction(1, n + 1)}
-        self.potential = poly_mul(self.GENS, self.f, self.g)
 
     # elements: dict basis name -> polynomial in x
     def one(self):

@@ -1,12 +1,14 @@
 """Small exact linear algebra over the rationals.
 
 Matrices are tuples of tuples of Fractions (rows).  Everything here is
-deterministic and exact; no floats.
+deterministic and exact; no floats.  Elimination runs in one kernel,
+``_reduce``, on sparse rows of integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def mat(rows):
@@ -91,38 +93,70 @@ def permutation_matrix(perm):
     return tuple(tuple(row) for row in out)
 
 
+def _primitive(row):
+    """The sparse integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _eliminate(row, pivot_row, col):
+    """pv*row - f*pivot_row with pv, f the two entries at col (divided by
+    their gcd first), so the result is zero at col; then made primitive."""
+    f, pv = row[col], pivot_row[col]
+    g = gcd(f, pv)
+    f, pv = f // g, pv // g
+    out = {j: pv * x for j, x in row.items()}
+    for j, y in pivot_row.items():
+        out[j] = out.get(j, 0) - f * y
+    return _primitive({j: x for j, x in out.items() if x})
+
+
+def _reduce(a, full):
+    """Fraction-free echelon form of a: (rows, pivots), one sparse
+    {column: int} row per pivot column, in increasing pivot order.
+
+    Each row of a is scaled once by the lcm of its denominators.  From
+    then on rows stay integer and primitive: a row whose leading column
+    already has a pivot row is replaced by pv*row - f*pivot_row over the
+    gcd of its entries, until it leads in a new column or vanishes.
+    With full, the entries above each pivot are cleared too
+    (Gauss-Jordan), so row i divided by its pivot is row i of the
+    reduced echelon form."""
+    by_lead = {}
+    for row in a:
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        den = lcm(*(x.denominator for _, x in nonzero))
+        v = _primitive({j: x.numerator * (den // x.denominator)
+                        for j, x in nonzero})
+        while v:
+            lead = min(v)
+            p = by_lead.get(lead)
+            if p is None:
+                by_lead[lead] = v
+                break
+            v = _eliminate(v, p, lead)
+    pivots = sorted(by_lead)
+    if full:
+        for k in range(len(pivots) - 1, 0, -1):
+            col = pivots[k]
+            for c in pivots[:k]:
+                if col in by_lead[c]:
+                    by_lead[c] = _eliminate(by_lead[c], by_lead[col], col)
+    return [by_lead[c] for c in pivots], pivots
+
+
 def rref(a):
     """Reduced row echelon form; returns (R, pivot column list)."""
     r, c = shape(a)
-    m = [list(row) for row in a]
-    pivots = []
-    pr = 0
-    for pc in range(c):
-        pivot_row = None
-        for i in range(pr, r):
-            if m[i][pc] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        pv = m[pr][pc]
-        m[pr] = [x / pv for x in m[pr]]
-        for i in range(r):
-            if i != pr and m[i][pc] != 0:
-                f = m[i][pc]
-                m[i] = [x - f * y for x, y in zip(m[i], m[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == r:
-            break
-    return tuple(tuple(row) for row in m), pivots
+    rows, pivots = _reduce(a, True)
+    zero = Fraction(0)
+    out = tuple(tuple(Fraction(row[j], row[p]) if j in row else zero
+                      for j in range(c)) for row, p in zip(rows, pivots))
+    return out + ((zero,) * c,) * (r - len(pivots)), pivots
 
 
 def rank(a):
-    if shape(a)[0] == 0 or shape(a)[1] == 0:
-        return 0
-    return len(rref(a)[1])
+    return len(_reduce(a, False)[1])
 
 
 def is_invertible(a):

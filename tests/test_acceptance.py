@@ -3,9 +3,11 @@ and asserts a wall-clock budget alongside it."""
 
 import hashlib
 import itertools
+import math
 import random
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 from spankit import crw, fincat, pathnerve as pn, pushpull as pp, ratlin
 from spankit import simplex, spans as sp
@@ -282,3 +284,66 @@ def test_12_tensor_pipeline_level3_pinned():
         assert len(fams) == 2048
         assert hashlib.sha256(repr(fams).encode()).hexdigest() == (
             "e5af5e1dc689a9b3ed37de3e4cb5e9c5d04b687c79d195125b2bdde430586015")
+
+
+def rank_mod_p(a, p=1000003):
+    """Rank of an integer matrix over Z/p: a lower bound for its rank
+    over Q, because a minor that is non-zero mod p is non-zero."""
+    m = [[x % p for x in row] for row in a]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_13_dense_rank_80():
+    # a dense random 80 x 80 integer matrix, and a product of random
+    # 80 x 60 and 60 x 80 factors: ranks 80 and 60, certified mod p
+    rng = random.Random(80)
+    full = [[rng.randint(-9, 9) for _ in range(80)] for _ in range(80)]
+    left = [[rng.randint(-9, 9) for _ in range(60)] for _ in range(80)]
+    right = [[rng.randint(-9, 9) for _ in range(80)] for _ in range(60)]
+    low = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+           for row in left]
+    assert (rank_mod_p(full), rank_mod_p(low)) == (80, 60)
+    with budget(3):
+        assert ratlin.rank(ratlin.mat(full)) == 80
+        assert ratlin.rank(ratlin.mat(low)) == 60
+
+
+def test_14_koszul_cohomology_weight_8_pinned():
+    # four quadrics in four even weight-1 generators, to weight 8; the
+    # regular sequence has Hilbert series (1 + t)^4 and no odd part, the
+    # second sequence (its last quadric is 3 q1 + q2) was tabulated with
+    # the Fraction Gauss-Jordan elimination
+    G = crw.Generator
+    gens = [G("x%d" % i, 0, 1) for i in range(4)]
+
+    def quadric(*terms):
+        return {m: Fraction(c) for c, m in terms}
+    regular = [quadric((1, (2, 0, 0, 0)), (1, (0, 1, 1, 0))),
+               quadric((1, (0, 2, 0, 0)), (-1, (0, 0, 1, 1))),
+               quadric((1, (0, 0, 2, 0)), (2, (1, 0, 0, 1))),
+               quadric((1, (0, 0, 0, 2)), (-1, (1, 1, 0, 0)),
+                       (1, (0, 1, 0, 1)))]
+    q1 = quadric((1, (1, 1, 0, 0)), (1, (0, 0, 1, 1)))
+    q2 = quadric((1, (1, 0, 1, 0)), (-1, (0, 1, 0, 1)))
+    dependent = [q1, q2, quadric((1, (2, 0, 0, 0)), (2, (0, 0, 2, 0))),
+                 quadric((3, (1, 1, 0, 0)), (3, (0, 0, 1, 1)),
+                         (1, (1, 0, 1, 0)), (-1, (0, 1, 0, 1)))]
+    with budget(6):
+        assert crw.cohomology(crw.koszul_intersection(gens, [], regular),
+                              8) == [(w, math.comb(4, w), 0) for w in range(9)]
+        assert crw.cohomology(crw.koszul_intersection(gens, [], dependent),
+                              8) == [(0, 1, 0), (1, 4, 0), (2, 7, 1),
+                                     (3, 8, 4), (4, 8, 7), (5, 8, 8),
+                                     (6, 8, 8), (7, 8, 8), (8, 8, 8)]

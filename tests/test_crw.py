@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,6 +106,30 @@ class TestAlgebra:
         alg = crw.GradedDGAlgebra([G("x", 0, 1), G("y", 0, 1)])
         assert alg.graded_dims(3) == [(0, 1, 0), (1, 2, 0), (2, 3, 0),
                                       (3, 4, 0)]
+
+    def test_monomials_match_filtered_product(self):
+        # every exponent tuple within the caps, kept if its weight is w
+        rng = random.Random(3)
+        for _ in range(60):
+            gens = []
+            for i in range(rng.randint(1, 5)):
+                parity = rng.randint(0, 1)
+                gens.append(G("g%d" % i, parity, rng.randint(1 - parity, 3)))
+            rules = {g.name: (rng.randint(2, 4), {}) for g in gens
+                     if g.parity == 0 and rng.random() < 0.3}
+            alg = crw.GradedDGAlgebra(gens, rules)
+            for w in range(8):
+                caps = [1 if g.parity else
+                        rules[g.name][0] - 1 if g.name in rules else w
+                        for g in gens]
+                want = [m for m in itertools.product(
+                            *[range(c + 1) for c in caps])
+                        if crw.mono_weight(gens, m) == w]
+                assert list(alg.monomials_of_weight(w)) == want
+
+    def test_monomials_built_once_per_weight(self):
+        alg = crw.GradedDGAlgebra([G("x", 0, 1), G("e", 1, 2)])
+        assert alg.monomials_of_weight(4) is alg.monomials_of_weight(4)
 
 
 class TestCohomology:

@@ -1,9 +1,39 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from spankit import ratlin
+
+
+def oracle_rref(a):
+    """Gauss-Jordan on dense Fraction rows: the elimination ratlin used
+    before its integer kernel, kept as an independent reference."""
+    r, c = ratlin.shape(a)
+    m = [list(row) for row in a]
+    pivots = []
+    pr = 0
+    for pc in range(c):
+        pivot_row = None
+        for i in range(pr, r):
+            if m[i][pc] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        pv = m[pr][pc]
+        m[pr] = [x / pv for x in m[pr]]
+        for i in range(r):
+            if i != pr and m[i][pc] != 0:
+                f = m[i][pc]
+                m[i] = [x - f * y for x, y in zip(m[i], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == r:
+            break
+    return tuple(tuple(row) for row in m), pivots
 
 
 def matrices(rows=3, cols=3):
@@ -14,6 +44,30 @@ def matrices(rows=3, cols=3):
             lambda c: st.lists(
                 st.lists(entry, min_size=c, max_size=c),
                 min_size=r, max_size=r).map(ratlin.mat)))
+
+
+@st.composite
+def oracle_matrices(draw, max_dim=5):
+    """Matrices with zero rows or columns allowed, entries with
+    denominators up to 10^6, and half of them of low rank: a product of
+    an r x k and a k x c factor with k at most 2."""
+    r, c = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        st.builds(Fraction, st.integers(-10**6, 10**6),
+                  st.integers(1, 10**6)))
+
+    def block(rows, cols):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 2))
+        left, right = block(r, k), block(k, c)
+        return tuple(tuple(sum((left[i][t] * right[t][j] for t in range(k)),
+                               Fraction(0)) for j in range(c))
+                     for i in range(r))
+    return ratlin.mat(block(r, c))
 
 
 def square_matrices(n=3):
@@ -113,3 +167,35 @@ class TestEchelon:
             assert r[row][col] == 1
             assert all(r[other][col] == 0
                        for other in range(len(r)) if other != row)
+
+
+def _built_on_rref(a, b):
+    """nullspace, solve against b and against a itself, and inverse (None
+    when singular or not square) of a, all computed through ratlin.rref."""
+    r, c = ratlin.shape(a)
+    try:
+        inv = ratlin.inverse(a) if r == c else None
+    except ValueError:
+        inv = None
+    return ratlin.nullspace(a), ratlin.solve(a, b), ratlin.solve(a, a), inv
+
+
+class TestAgainstOracle:
+    """The integer kernel against the Fraction Gauss-Jordan it replaced:
+    rref must agree exactly, and solve, nullspace and inverse, which are
+    built on rref, must give what they give on top of the oracle."""
+
+    @given(oracle_matrices(), st.data())
+    def test_matches_fraction_gauss_jordan(self, a, data):
+        r, c = ratlin.shape(a)
+        want_r, want_pivots = oracle_rref(a)
+        assert ratlin.rref(a) == (want_r, want_pivots)
+        assert ratlin.rank(a) == len(want_pivots)
+        assert ratlin.is_invertible(a) == (r == c and len(want_pivots) == r)
+        b = ratlin.mat(data.draw(st.lists(
+            st.lists(st.fractions(min_value=-9, max_value=9,
+                                  max_denominator=10**6),
+                     min_size=1, max_size=1), min_size=r, max_size=r)))
+        got = _built_on_rref(a, b)
+        with mock.patch.object(ratlin, "rref", oracle_rref):
+            assert got == _built_on_rref(a, b)

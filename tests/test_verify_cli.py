@@ -83,6 +83,30 @@ class TestExitCodes:
         assert out.returncode == 2
         assert "error" in json.loads(out.stderr)
 
+    @pytest.mark.parametrize("key", ["1_0", " 2", "+1"])
+    def test_monomial_exponents_are_digits(self, tmp_path, key):
+        # int() would read these as 10, 2 and 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            {"generators": [{"name": "x", "parity": 0, "weight": 1}],
+             "relations": [{key: "1"}]}))
+        out = run_cli("crw", "cohomology", str(bad))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert repr(key) in json.loads(out.stderr)["error"]
+
+    @pytest.mark.parametrize("relations", [[], [{"2": "1"}]])
+    def test_differential_of_unknown_generator_is_named(self, tmp_path,
+                                                        relations):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            {"generators": [{"name": "x", "parity": 0, "weight": 1}],
+             "relations": relations, "differential": {"zz": {"1": "1"}}}))
+        out = run_cli("crw", "cohomology", str(bad))
+        assert out.returncode == 2
+        assert json.loads(out.stderr)["error"] == (
+            "differential: unknown generator 'zz'")
+
     @pytest.mark.parametrize("dims", [5, [1], {"a|a": 1.5}, {"a|a": True},
                                       {"a|a": "1"}, {"a|a": 1, "zz|q": 7}])
     def test_malformed_dims_is_two(self, tmp_path, dims):
