@@ -301,8 +301,9 @@ class GradedDGAlgebra:
                     cap = self.power_rules[g.name][0] - 1
                 else:
                     cap = w
-                tails = [[(e,) + t for e in range(cap + 1)
-                          if e * g.weight <= r
+                tails = [[(e,) + t
+                          for e in range(min(cap, r // g.weight) + 1
+                                         if g.weight else cap + 1)
                           for t in tails[r - e * g.weight]]
                          for r in range(w + 1)]
             self._monomials[w] = tuple(tails[w])
@@ -375,17 +376,13 @@ def _classify_relation(gens, p):
     """Split a relation polynomial into (generator index, power, rhs)
     for the supported substitution / power-rewrite shapes; raises for
     anything else.  Substitution form is preferred when available."""
-    max_e = max((max(m) for m in p), default=0)
-    for k in range(1, max_e + 1):
-        for i, g in enumerate(gens):
-            lead = [0] * len(gens)
-            lead[i] = k
-            lead = tuple(lead)
-            if lead not in p:
-                continue
-            rest = {m: -c / p[lead] for m, c in p.items() if m != lead}
-            if all(m[i] == 0 for m in rest):
-                return i, k, rest
+    # the pure powers x_i^k that occur in p, in (k, i) order
+    leads = sorted((m[i], i, m) for m in p for i in range(len(m))
+                   if m[i] and not any(m[:i] + m[i + 1:]))
+    for k, i, lead in leads:
+        rest = {m: -c / p[lead] for m, c in p.items() if m != lead}
+        if all(m[i] == 0 for m in rest):
+            return i, k, rest
     raise ValueError(
         "unsupported relation %s: only substitutions (x - f) and "
         "power rewrites (x^k - f) are handled" % poly_str(gens, p))

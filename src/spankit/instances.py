@@ -155,12 +155,9 @@ def conjugated(rng, d):
         pi = pushpull._proj(d.vertices, s, (s[0], s[-1]))
         phi[s] = []
         for i in range(d.club + 1):
-            seg = None
-            for j in range(len(s) - 1):
-                piece = pushpull.pullback_map(
-                    pushpull._proj(d.vertices, s, (s[j], s[j + 1])),
-                    psi[(s[j], s[j + 1])][i])
-                seg = piece if seg is None else pushpull.tensor_map(seg, piece)
+            seg = pushpull._edge_tensor(d.vertices, s, lambda e: psi[e][i],
+                                        pushpull.pullback_map,
+                                        pushpull.tensor_map)
             long_inv = pushpull.pullback_map(
                 pi, inverse_family_map(psi[(s[0], s[-1])][i]))
             phi[s].append(seg.compose(d.phi[s][i]).compose(long_inv))

@@ -163,7 +163,7 @@ def pushforward_map(f, phi):
 
     def block(y):
         # assembled by hand: a zero-row block still contributes its
-        # column count, which block_diag cannot recover from the tuples
+        # column count, which the row tuples alone cannot carry
         fib = f.fiber(y)
         rows = sum(phi.target.dim(x) for x in fib)
         cols = sum(phi.source.dim(x) for x in fib)

@@ -54,21 +54,6 @@ def vstack(blocks):
     return tuple(row for b in blocks for row in b)
 
 
-def block_diag(blocks):
-    rows = sum(shape(b)[0] for b in blocks)
-    cols = sum(shape(b)[1] for b in blocks)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    ro = co = 0
-    for b in blocks:
-        br, bc = shape(b)
-        for i in range(br):
-            for j in range(bc):
-                out[ro + i][co + j] = b[i][j]
-        ro += br
-        co += bc
-    return tuple(tuple(row) for row in out)
-
-
 def kron(a, b):
     """Kronecker product; basis order (i, j) with the first factor major."""
     ra, ca = shape(a)
@@ -81,15 +66,6 @@ def kron(a, b):
             for p in range(rb):
                 for q in range(cb):
                     out[i * rb + p][j * cb + q] = a[i][j] * b[p][q]
-    return tuple(tuple(row) for row in out)
-
-
-def permutation_matrix(perm):
-    """Matrix sending basis vector e_j to e_{perm[j]}."""
-    n = len(perm)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for j, i in enumerate(perm):
-        out[i][j] = Fraction(1)
     return tuple(tuple(row) for row in out)
 
 

@@ -206,22 +206,19 @@ class SpanPoset:
             raise ValueError("negative level")
         self.level = level
         self.objects = []
-        self._index = {}
+        index = {}
         for i in range(level + 1):           # source size
             for o in range(level - i + 1):   # offset
                 m = MonotoneMap.inert(o, i, level)
-                self._index[(i, o)] = len(self.objects)
+                index[(i, o)] = len(self.objects)
                 self.objects.append(m)
         self.lambda_flags = [m.source_size <= 1 for m in self.objects]
         self.hasse_edges = []
         for idx, m in enumerate(self.objects):
             i, o = m.source_size, m.values[0]
             if i >= 1:
-                self.hasse_edges.append((idx, self._index[(i - 1, o)]))
-                self.hasse_edges.append((idx, self._index[(i - 1, o + 1)]))
-
-    def index_of(self, obj):
-        return self._index[(obj.source_size, obj.values[0])]
+                self.hasse_edges.append((idx, index[(i - 1, o)]))
+                self.hasse_edges.append((idx, index[(i - 1, o + 1)]))
 
     def leq(self, a, b):
         """True iff there is an arrow a -> b (b is a subinterval of a)."""
@@ -248,15 +245,11 @@ class SubsetPoset:
             objs.extend(itertools.combinations(range(level + 1), r))
         objs.sort()
         self.objects = objs
-        self._index = {s: i for i, s in enumerate(objs)}
         self.xi_flags = [len(s) == 1 for s in objs]
         self.order = [(i, j) for i, s in enumerate(objs) for j, t in enumerate(objs)
                       if i != j and set(t) < set(s)]
         self.hasse_edges = [(i, j) for (i, j) in self.order
                             if len(objs[i]) == len(objs[j]) + 1]
-
-    def index_of(self, obj):
-        return self._index[tuple(obj)]
 
     def leq(self, a, b):
         """True iff there is an arrow a -> b (b a subset of a)."""

@@ -66,6 +66,12 @@ def compose_spans(s1, s2):
 # the indexing product poset
 # ---------------------------------------------------------------------------
 
+def _is_small(factor, x):
+    """True for the factor's bottom layer: intervals of length <= 1 and
+    singleton subsets."""
+    return (x.source_size if isinstance(factor, SpanPoset) else len(x)) <= 1
+
+
 class ProductPoset:
     """Product of interval pyramids (sigma factors) and subset posets
     (theta factors).  Objects are tuples of factor objects; arrows go
@@ -78,35 +84,39 @@ class ProductPoset:
                         + [build_theta(l) for l in theta_levels])
         self.objects = [tuple(o) for o in
                         itertools.product(*[f.objects for f in self.factors])]
-        self._index = {o: i for i, o in enumerate(self.objects)}
-        self.covers = []
-        for obj in self.objects:
-            for fi, factor in enumerate(self.factors):
-                a = factor.index_of(obj[fi])
-                for (i, j) in factor.hasse_edges:
-                    if i == a:
-                        tgt = list(obj)
-                        tgt[fi] = factor.objects[j]
-                        self.covers.append((obj, tuple(tgt)))
+        # objects run through the product of the factor objects in order,
+        # so a product of per-factor lists zips with them.  _up[a]: the
+        # cover targets out of a, one factor stepping down a Hasse edge
+        steps = []
+        for f in self.factors:
+            step = [[] for _ in f.objects]
+            for (i, j) in f.hasse_edges:
+                step[i].append(f.objects[j])
+            steps.append(step)
+        self._up = {a: [a[:fi] + (y,) + a[fi + 1:]
+                        for fi, ys in enumerate(downs) for y in ys]
+                    for a, downs in zip(self.objects,
+                                        itertools.product(*steps))}
+        self.covers = [(a, b) for a in self.objects for b in self._up[a]]
+        # _slices[x]: the bottom objects under x, in bottom() order; the
+        # bottom layer is the product of the factors' bottom layers, so a
+        # slice is the product of the factor slices
+        under = []
+        for f in self.factors:
+            small = [y for y in f.objects if _is_small(f, y)]
+            under.append([[y for y in small if f.leq(x, y)]
+                          for x in f.objects])
+        self._slices = dict(zip(self.objects, (
+            list(itertools.product(*us)) for us in itertools.product(*under))))
 
     def leq(self, a, b):
         return all(f.leq(x, y) for f, x, y in zip(self.factors, a, b))
 
     def is_bottom(self, obj):
-        for factor, x in zip(self.factors, obj):
-            if isinstance(factor, SpanPoset):
-                if x.source_size > 1:
-                    return False
-            else:
-                if len(x) > 1:
-                    return False
-        return True
+        return all(_is_small(f, x) for f, x in zip(self.factors, obj))
 
     def bottom(self):
         return [o for o in self.objects if self.is_bottom(o)]
-
-    def index_of(self, obj):
-        return self._index[obj]
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +162,9 @@ class GeneralizedSpanDiagram:
                 if a == b or not self.poset.leq(a, b):
                     continue
                 composites = []
-                for (x, m) in self.poset.covers:
-                    if x == a and (m == b or self.poset.leq(m, b)):
-                        step = self.maps[(a, m)]
-                        rest = ([{k: k for k in self.labels[b][s]}
-                                 for s in range(self.width)]
-                                if m == b else self.get_map(m, b))
+                for m in self.poset._up[a]:
+                    if self.poset.leq(m, b):
+                        step, rest = self.maps[(a, m)], self.get_map(m, b)
                         composites.append([_compose_dicts(rest[s], step[s])
                                            for s in range(self.width)])
                 for c in composites[1:]:
@@ -174,8 +181,8 @@ class GeneralizedSpanDiagram:
             return self._path_cache[key]
         if not self.poset.leq(a, b):
             raise ValueError("no arrow between the given objects")
-        for (x, m) in self.poset.covers:
-            if x == a and (m == b or self.poset.leq(m, b)):
+        for m in self.poset._up[a]:
+            if self.poset.leq(m, b):
                 step = self.maps[(a, m)]
                 rest = self.get_map(m, b)
                 out = [_compose_dicts(rest[s], step[s]) for s in range(self.width)]
@@ -184,24 +191,19 @@ class GeneralizedSpanDiagram:
         raise ValueError("no cover path found")
 
 
-def _slice_objects(F, x):
-    return [y for y in F.poset.bottom() if F.poset.leq(x, y)]
-
-
-def _slice_limit(F, x, slot):
-    """Families over the bottom objects under x, compatible with all
-    maps between them; returned as value tuples in slice order."""
-    objs = _slice_objects(F, x)
+def _slice_limit(F, objs, slot):
+    """Families over the bottom objects objs under some x, compatible
+    with all maps between them; returned as value tuples in slice order."""
     arrows = [[(j, F.get_map(y, z)[slot].__getitem__)
                for j, z in enumerate(objs) if i != j and F.poset.leq(y, z)]
               for i, y in enumerate(objs)]
     domains = [F.labels[y][slot] for y in objs]
-    return objs, compatible_families(domains, arrows)
+    return compatible_families(domains, arrows)
 
 
 def comparison_map(F, x, slot):
     """The canonical map from the label at x into its slice limit."""
-    objs = _slice_objects(F, x)
+    objs = F.poset._slices[x]
     return {e: tuple(F.get_map(x, y)[slot][e] for y in objs)
             for e in F.labels[x][slot]}
 
@@ -210,10 +212,10 @@ def is_cartesian(F):
     """True iff every comparison into the slice limit is a bijection.
     Returns (flag, witness); witness is (object, slot) on failure."""
     for x in F.poset.objects:
+        objs = F.poset._slices[x]
         for s in range(F.width):
-            _, fams = _slice_limit(F, x, s)
-            comp = comparison_map(F, x, s)
-            image = list(comp.values())
+            fams = _slice_limit(F, objs, s)
+            image = list(comparison_map(F, x, s).values())
             if len(set(image)) != len(image) or set(image) != set(fams):
                 return False, (x, s)
     return True, None
@@ -227,15 +229,9 @@ def cartesian_replacement(F):
     canonical map from F's label into G's.
     """
     poset = F.poset
-    new_labels = {}
-    slices = {}
-    for x in poset.objects:
-        slots = []
-        for s in range(F.width):
-            objs, fams = _slice_limit(F, x, s)
-            slots.append(fams)
-        slices[x] = _slice_objects(F, x)
-        new_labels[x] = slots
+    slices = poset._slices
+    new_labels = {x: [_slice_limit(F, slices[x], s) for s in range(F.width)]
+                  for x in poset.objects}
     new_maps = {}
     for (a, b) in poset.covers:
         sub = [slices[a].index(y) for y in slices[b]]

@@ -29,13 +29,6 @@ def _random_monotone_map(rng, m, n):
     return simplex.MonotoneMap(m, n, tuple(vals))
 
 
-def _random_point_span(rng, name, size):
-    apex = tuple("%s%d" % (name, i) for i in range(size))
-    pt = ("*",)
-    leg = tuple((a, "*") for a in apex)
-    return spans.Span(pt, apex, pt, leg, leg)
-
-
 def _random_fincat(rng, max_objects):
     """A random finite category: the nerve source for tests — either a
     chain, a poset, or a small commutative monoid."""
@@ -310,9 +303,9 @@ def check_decoration_additive(rng, bound):
 
 def check_vertical_dims(rng, bound):
     for _ in range(20):
-        l = _random_point_span(rng, "l", rng.randrange(1, 4))
-        m = _random_point_span(rng, "m", rng.randrange(1, 4))
-        n = _random_point_span(rng, "n", rng.randrange(1, 4))
+        l = instances.point_span("l", rng.randrange(1, 4))
+        m = instances.point_span("m", rng.randrange(1, 4))
+        n = instances.point_span("n", rng.randrange(1, 4))
         mm = pushpull.TwoMorphism.from_dims(
             l, m, lambda t: rng.randrange(0, 3))
         nn = pushpull.TwoMorphism.from_dims(
@@ -331,8 +324,8 @@ def check_vertical_dims(rng, bound):
 
 def check_vertical_units(rng, bound):
     for _ in range(10):
-        l = _random_point_span(rng, "l", rng.randrange(1, 4))
-        m = _random_point_span(rng, "m", rng.randrange(1, 4))
+        l = instances.point_span("l", rng.randrange(1, 4))
+        m = instances.point_span("m", rng.randrange(1, 4))
         mm = pushpull.TwoMorphism.from_dims(
             l, m, lambda t: rng.randrange(0, 3))
         left = pushpull.compose2_vertical(pushpull.vertical_unit(l), mm)
@@ -346,8 +339,8 @@ def check_vertical_units(rng, bound):
 
 def check_unit_law_isomorphism(rng, bound):
     for _ in range(5):
-        l = _random_point_span(rng, "l", rng.randrange(1, 4))
-        m = _random_point_span(rng, "m", rng.randrange(1, 4))
+        l = instances.point_span("l", rng.randrange(1, 4))
+        m = instances.point_span("m", rng.randrange(1, 4))
         mm = pushpull.TwoMorphism.from_dims(
             l, m, lambda t: rng.randrange(0, 3))
         composite, iso = pushpull.vertical_unit_law_iso(mm)

@@ -92,23 +92,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             ratlin.matmul(ratlin.identity(2), ratlin.zeros(3, 1))
 
-    def test_block_diag(self):
-        out = ratlin.block_diag([ratlin.identity(1),
-                                 ratlin.mat([[2, 3]])])
-        assert out == ratlin.mat([[1, 0, 0], [0, 2, 3]])
-
     def test_kron_first_factor_major(self):
         a = ratlin.mat([[0, 1], [1, 0]])
         b = ratlin.identity(2)
         k = ratlin.kron(a, b)
         assert ratlin.shape(k) == (4, 4)
         assert k[0][2] == 1 and k[0][0] == 0
-
-    def test_permutation_matrix(self):
-        # sends basis vector e_j to e_{perm[j]}
-        p = ratlin.permutation_matrix([2, 0, 1])
-        v = ratlin.mat([[10], [20], [30]])
-        assert ratlin.matmul(p, v) == ratlin.mat([[20], [30], [10]])
 
     def test_stacking(self):
         a = ratlin.mat([[1, 2]])

@@ -87,6 +87,20 @@ class TestCartesian:
         assert not ok
         assert witness[0] == top
 
+    def test_non_functorial_diagram_rejected(self):
+        # [0,2] reaches the point {1} through [0,1] and through [1,2];
+        # move one value on the first route only
+        F = random_bottom_diagram(random.Random(0), (2,), ())
+        top = (MonotoneMap(2, 2, (0, 1, 2)),)
+        left = (MonotoneMap(1, 2, (0, 1)),)
+        point = (MonotoneMap(0, 2, (1,)),)
+        assert F.labels[top][0] and len(F.labels[point][0]) > 1
+        y = F.maps[(top, left)][0][F.labels[top][0][0]]
+        down = F.maps[(left, point)][0]
+        down[y] = next(z for z in F.labels[point][0] if z != down[y])
+        with pytest.raises(ValueError, match="not functorial"):
+            sp.GeneralizedSpanDiagram(F.poset, F.width, F.labels, F.maps)
+
     def test_replacement_fixes_and_is_idempotent(self):
         rng = random.Random(3)
         F = random_bottom_diagram(rng, (2,), (1,))

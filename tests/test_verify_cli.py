@@ -3,6 +3,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -160,6 +161,20 @@ class TestExitCodes:
         assert out.returncode == 2
         assert out.stdout == ""
         assert "bound" in json.loads(out.stderr)["error"]
+
+    def test_huge_exponent_is_fast(self, tmp_path, capsys):
+        # x^3000000000 = 0: the work must not grow with the exponent
+        doc = {"generators": [{"name": "x", "parity": 0, "weight": 1}],
+               "relations": [{"3000000000": "1"}]}
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code = cli.main(["crw", "cohomology", str(f), "--bound", "2",
+                         "--format", "csv"])
+        assert time.perf_counter() - t0 < 2
+        assert code == 0
+        assert capsys.readouterr().out == ("weight,even_dim,odd_dim\n"
+                                           "0,1,0\n1,1,0\n2,1,0\n")
 
 
 class TestDeterminism:
