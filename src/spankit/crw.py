@@ -172,6 +172,7 @@ class GradedDGAlgebra:
         for g in self.gens:
             self.differential.setdefault(g.name, {})
         self._monomials = {}  # weight -> monomials_of_weight(weight)
+        self._by_parity = {}  # weight -> monomials_by_parity(weight)
         self._check()
 
     # -- normal form --------------------------------------------------
@@ -309,12 +310,21 @@ class GradedDGAlgebra:
             self._monomials[w] = tuple(tails[w])
         return self._monomials[w]
 
+    def monomials_by_parity(self, w):
+        """(even, odd): the monomials of weight w split by parity, each in
+        monomials_of_weight order, built once per weight."""
+        if w not in self._by_parity:
+            split = ([], [])
+            for m in self.monomials_of_weight(w):
+                split[mono_parity(self.gens, m)].append(m)
+            self._by_parity[w] = tuple(map(tuple, split))
+        return self._by_parity[w]
+
     def graded_dims(self, bound):
         table = []
         for w in range(bound + 1):
-            monos = self.monomials_of_weight(w)
-            even = sum(1 for m in monos if mono_parity(self.gens, m) == 0)
-            table.append((w, even, len(monos) - even))
+            even, odd = self.monomials_by_parity(w)
+            table.append((w, len(even), len(odd)))
         return table
 
     def to_json(self):
@@ -332,10 +342,8 @@ class GradedDGAlgebra:
 
 def d_matrix(algebra, w, parity):
     """Matrix of d from (weight w, parity) to (weight w, 1 - parity)."""
-    src = [m for m in algebra.monomials_of_weight(w)
-           if mono_parity(algebra.gens, m) == parity]
-    tgt = [m for m in algebra.monomials_of_weight(w)
-           if mono_parity(algebra.gens, m) == 1 - parity]
+    split = algebra.monomials_by_parity(w)
+    src, tgt = split[parity], split[1 - parity]
     pos = {m: i for i, m in enumerate(tgt)}
     cols = []
     for m in src:
@@ -614,9 +622,8 @@ def _chain_map_dimension(module_m, module_n, src_alg, tgt_alg, images):
             w = weight - g.weight
             if w < 0:
                 continue
-            for mono in a.monomials_of_weight(w):
-                if (mono_parity(a.gens, mono) + g.parity) % 2 == parity % 2:
-                    out.append((gi, mono))
+            out.extend((gi, mono) for mono in
+                       a.monomials_by_parity(w)[(parity - g.parity) % 2])
         return out
 
     unknowns = []

@@ -98,19 +98,23 @@ class ProductPoset:
                     for a, downs in zip(self.objects,
                                         itertools.product(*steps))}
         self.covers = [(a, b) for a in self.objects for b in self._up[a]]
-        # _slices[x]: the bottom objects under x, in bottom() order; the
-        # bottom layer is the product of the factors' bottom layers, so a
-        # slice is the product of the factor slices
-        under = []
+        # _down[a]: the objects under a, in object order, as the keys of a
+        # dict (an ordered set); _slices[x]: the bottom objects under x, in
+        # bottom() order.  Both are products of per-factor down-sets, and
+        # the bottom layer is the product of the factors' bottom layers
+        downs, under = [], []
         for f in self.factors:
-            small = [y for y in f.objects if _is_small(f, y)]
-            under.append([[y for y in small if f.leq(x, y)]
-                          for x in f.objects])
+            down = [[y for y in f.objects if f.leq(x, y)] for x in f.objects]
+            downs.append(down)
+            under.append([[y for y in ys if _is_small(f, y)] for ys in down])
+        self._down = dict(zip(self.objects, (
+            dict.fromkeys(itertools.product(*ds))
+            for ds in itertools.product(*downs))))
         self._slices = dict(zip(self.objects, (
             list(itertools.product(*us)) for us in itertools.product(*under))))
 
     def leq(self, a, b):
-        return all(f.leq(x, y) for f, x, y in zip(self.factors, a, b))
+        return b in self._down[a]
 
     def is_bottom(self, obj):
         return all(_is_small(f, x) for f, x in zip(self.factors, obj))
@@ -156,56 +160,73 @@ class GeneralizedSpanDiagram:
                     raise ValueError("map not total on its label set")
                 if not set(d.values()) <= set(self.labels[b][s]):
                     raise ValueError("map lands outside its target label set")
-        # all cover paths with the same endpoints give the same composite
+        # all cover paths with the same endpoints give the same composite:
+        # the first steps a -> m above b must all lead to one composite
+        up, down = self.poset._up, self.poset._down
         for a in self.poset.objects:
-            for b in self.poset.objects:
-                if a == b or not self.poset.leq(a, b):
+            steps = [(down[m], m, self.maps[(a, m)]) for m in up[a]]
+            for b in down[a]:
+                routes = [(m, step) for below, m, step in steps if b in below]
+                if len(routes) < 2:
                     continue
-                composites = []
-                for m in self.poset._up[a]:
-                    if self.poset.leq(m, b):
-                        step, rest = self.maps[(a, m)], self.get_map(m, b)
-                        composites.append([_compose_dicts(rest[s], step[s])
-                                           for s in range(self.width)])
-                for c in composites[1:]:
-                    if c != composites[0]:
-                        raise ValueError("diagram not functorial at %r -> %r"
-                                         % (a, b))
+                first, *others = [[_compose_dicts(r, d) for r, d in
+                                   zip(self.get_map(m, b), step)]
+                                  for m, step in routes]
+                if any(c != first for c in others):
+                    raise ValueError("diagram not functorial at %r -> %r"
+                                     % (a, b))
 
     def get_map(self, a, b):
         """The composite map along any cover path from a to b."""
+        out = self._path_cache.get((a, b))
+        if out is not None:
+            return out
         if a == b:
             return [{k: k for k in self.labels[a][s]} for s in range(self.width)]
-        key = (a, b)
-        if key in self._path_cache:
-            return self._path_cache[key]
-        if not self.poset.leq(a, b):
+        down = self.poset._down
+        if b not in down[a]:
             raise ValueError("no arrow between the given objects")
         for m in self.poset._up[a]:
-            if self.poset.leq(m, b):
-                step = self.maps[(a, m)]
+            if b in down[m]:
                 rest = self.get_map(m, b)
-                out = [_compose_dicts(rest[s], step[s]) for s in range(self.width)]
-                self._path_cache[key] = out
+                out = [_compose_dicts(r, d)
+                       for r, d in zip(rest, self.maps[(a, m)])]
+                self._path_cache[(a, b)] = out
                 return out
         raise ValueError("no cover path found")
 
 
 def _slice_limit(F, objs, slot):
-    """Families over the bottom objects objs under some x, compatible
-    with all maps between them; returned as value tuples in slice order."""
-    arrows = [[(j, F.get_map(y, z)[slot].__getitem__)
-               for j, z in enumerate(objs) if i != j and F.poset.leq(y, z)]
-              for i, y in enumerate(objs)]
-    domains = [F.labels[y][slot] for y in objs]
-    return compatible_families(domains, arrows)
+    """Families over the bottom slice objs under some x, compatible with
+    all maps between its objects; returned as value tuples in slice
+    order, sorted by the positions of their values in the label lists
+    (the lexicographic order of solving in slice order).
+
+    The solver sees the objects in a forcing order: by the number of
+    objects under each one, most first (stable), so every object comes
+    before the objects it maps to and an arrow sets the value at its
+    target instead of checking a value chosen freely there.  A slice
+    holds every object under each of its objects.
+    """
+    down = F.poset._down
+    order = sorted(objs, key=lambda y: -len(down[y]))
+    at = {y: p for p, y in enumerate(order)}
+    arrows = [[(at[z], F.get_map(y, z)[slot].__getitem__)
+               for z in down[y] if z != y]
+              for y in order]
+    domains = [F.labels[y][slot] for y in order]
+    back = [at[y] for y in objs]
+    ranks = [{v: r for r, v in enumerate(F.labels[y][slot])} for y in objs]
+    families = [tuple(fam[p] for p in back)
+                for fam in compatible_families(domains, arrows)]
+    families.sort(key=lambda fam: [r[v] for r, v in zip(ranks, fam)])
+    return families
 
 
 def comparison_map(F, x, slot):
     """The canonical map from the label at x into its slice limit."""
-    objs = F.poset._slices[x]
-    return {e: tuple(F.get_map(x, y)[slot][e] for y in objs)
-            for e in F.labels[x][slot]}
+    legs = [F.get_map(x, y)[slot] for y in F.poset._slices[x]]
+    return {e: tuple(leg[e] for leg in legs) for e in F.labels[x][slot]}
 
 
 def is_cartesian(F):

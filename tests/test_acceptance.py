@@ -89,6 +89,18 @@ def direct_value_count(F, k, x, slot):
     return out
 
 
+def fixed_size_bottom(rng, sigma_levels, theta_levels, size):
+    """Arguments of ``diagram_from_bottom`` (width 1): ``size`` labels at
+    every bottom object and a random map along every cover out of the
+    bottom layer."""
+    poset = sp.ProductPoset(sigma_levels, theta_levels)
+    labels = {x: [["e%d" % i for i in range(size)]]
+              for x in poset.objects if poset.is_bottom(x)}
+    maps = {(a, b): [{e: rng.choice(labels[b][0]) for e in labels[a][0]}]
+            for (a, b) in poset.covers if poset.is_bottom(a)}
+    return poset, 1, labels, maps
+
+
 def unit_spine(vertices, dim_fn):
     spine = {}
     for a in range(len(vertices) - 1):
@@ -347,3 +359,30 @@ def test_14_koszul_cohomology_weight_8_pinned():
                               8) == [(0, 1, 0), (1, 4, 0), (2, 7, 1),
                                      (3, 8, 4), (4, 8, 7), (5, 8, 8),
                                      (6, 8, 8), (7, 8, 8), (8, 8, 8)]
+
+
+def test_15_cartesian_replacement_sigma4_theta3_pinned():
+    # two labels at every bottom object of Sigma^4 x Theta^3; the labels
+    # of the generated diagram are pinned from a solve of each slice in
+    # slice order (6.9 s for both steps there)
+    bottom = fixed_size_bottom(random.Random(15), (4,), (3,), 2)
+    with budget(2):
+        G = sp.diagram_from_bottom(*bottom)
+        ok, witness = sp.is_cartesian(G)
+    assert ok, witness
+    assert hashlib.sha256(repr([(x, G.labels[x]) for x in G.poset.objects])
+                          .encode()).hexdigest() == (
+        "751ef88bc91faf1f6444e3a496c9681a07baf517ec30f82d902af2c07ff6726e")
+
+
+def test_16_cartesian_replacement_sigma3_theta3_three_labels():
+    # three labels at every bottom object of Sigma^3 x Theta^3: every
+    # value is the iterated pullback and product count
+    bottom = fixed_size_bottom(random.Random(16), (3,), (3,), 3)
+    with budget(3):
+        G = sp.diagram_from_bottom(*bottom)
+        ok, witness = sp.is_cartesian(G)
+    assert ok, witness
+    for x in G.poset.objects:
+        assert len(G.labels[x][0]) == direct_value_count(G, 3, x, 0), x
+    assert max(len(G.labels[x][0]) for x in G.poset.objects) > 27

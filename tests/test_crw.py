@@ -130,6 +130,16 @@ class TestAlgebra:
     def test_monomials_built_once_per_weight(self):
         alg = crw.GradedDGAlgebra([G("x", 0, 1), G("e", 1, 2)])
         assert alg.monomials_of_weight(4) is alg.monomials_of_weight(4)
+        assert alg.monomials_by_parity(4) is alg.monomials_by_parity(4)
+
+    def test_parity_split_keeps_basis_order(self):
+        alg = crw.GradedDGAlgebra([G("x", 0, 1), G("e", 1, 1), G("f", 1, 2),
+                                   G("y", 0, 2)])
+        for w in range(6):
+            monos = alg.monomials_of_weight(w)
+            assert alg.monomials_by_parity(w) == tuple(
+                tuple(m for m in monos if crw.mono_parity(alg.gens, m) == p)
+                for p in (0, 1))
 
 
 class TestCohomology:

@@ -3,8 +3,25 @@ import random
 import pytest
 
 from spankit import spans as sp
+from spankit.fincat import compatible_families
 from spankit.instances import random_bottom_diagram
 from spankit.simplex import MonotoneMap, PointedMap
+
+
+def factor_leq(poset, a, b):
+    """The product order taken factor by factor."""
+    return all(f.leq(x, y) for f, x, y in zip(poset.factors, a, b))
+
+
+def oracle_slice_limit(F, objs, slot):
+    """The slice limit solved in slice order, with the order relation
+    taken factor by factor: the families come out in the lexicographic
+    order of their values' positions in the label lists."""
+    arrows = [[(j, F.get_map(y, z)[slot].__getitem__)
+               for j, z in enumerate(objs)
+               if i != j and factor_leq(F.poset, y, z)]
+              for i, y in enumerate(objs)]
+    return compatible_families([F.labels[y][slot] for y in objs], arrows)
 
 
 def random_span(rng, name, apex_size, feet_size):
@@ -61,6 +78,18 @@ class TestProductPoset:
             changed = sum(1 for x, y in zip(a, b) if x != y)
             assert changed == 1
 
+    def test_order_relation_is_the_product_of_factor_orders(self):
+        shapes = ([((k,), (l,)) for k in range(4) for l in range(4)]
+                  + [((1, 1), (1,)), ((1,), (2, 1))])
+        for levels in shapes:
+            p = sp.ProductPoset(*levels)
+            for a in p.objects:
+                want = [b for b in p.objects if factor_leq(p, a, b)]
+                assert list(p._down[a]) == want, (levels, a)
+                below = set(want)
+                for b in p.objects:
+                    assert p.leq(a, b) == (b in below), (levels, a, b)
+
 
 class TestCartesian:
     def test_bottom_generated_diagrams_are_cartesian(self):
@@ -101,6 +130,29 @@ class TestCartesian:
         with pytest.raises(ValueError, match="not functorial"):
             sp.GeneralizedSpanDiagram(F.poset, F.width, F.labels, F.maps)
 
+    def test_paths_disagreeing_across_factors_rejected(self):
+        # in the square Sigma^1 x Theta^1 each factor has one path from
+        # its top to a point; the two paths from the top corner to
+        # (point 0, {0}) step the factors in the two orders
+        p = sp.ProductPoset((1,), (1,))
+        bottom_labels = {x: [["u", "v"]] for x in p.objects if p.is_bottom(x)}
+        bottom_maps = {(a, b): [{"u": "u", "v": "v"}]
+                       for (a, b) in p.covers if p.is_bottom(a)}
+        F = sp.diagram_from_bottom(p, 1, bottom_labels, bottom_maps)
+        top = (MonotoneMap(1, 1, (0, 1)), (0, 1))
+        via_sigma = (MonotoneMap(0, 1, (0,)), (0, 1))
+        corner = (MonotoneMap(0, 1, (0,)), (0,))
+        assert (top, via_sigma) in p.covers and (via_sigma, corner) in p.covers
+        assert len(F.labels[top][0]) == 4
+        maps = dict(F.maps)
+        u, v = F.labels[corner][0]
+        swap = {u: v, v: u}
+        maps[(via_sigma, corner)] = [
+            {fam: swap[y] for fam, y in maps[(via_sigma, corner)][0].items()}]
+        with pytest.raises(ValueError, match="not functorial at") as err:
+            sp.GeneralizedSpanDiagram(p, 1, F.labels, maps)
+        assert repr(corner) in str(err.value)
+
     def test_replacement_fixes_and_is_idempotent(self):
         rng = random.Random(3)
         F = random_bottom_diagram(rng, (2,), (1,))
@@ -121,6 +173,60 @@ class TestCartesian:
         for x in G.poset.objects:
             assert [len(s) for s in H.labels[x]] == \
                 [len(s) for s in G.labels[x]]
+
+
+class TestSliceLimit:
+    """The forcing order inside ``_slice_limit`` changes how the solver
+    walks a slice, never which families it returns or their order."""
+
+    SHAPES = ([((k,), (l,)) for k in range(3) for l in range(3)]
+              + [((1, 1), (1,))])
+
+    @staticmethod
+    def shuffled(rng, levels, variant):
+        """A bottom-generated diagram with every bottom label list
+        shuffled.  ``top`` then doubles the first value of the top label
+        and ``extra`` gives a minimal object a value that no map reaches,
+        which breaks cartesianness wherever those labels take part."""
+        F = random_bottom_diagram(rng, *levels, width=rng.randint(1, 2))
+        p = F.poset
+        labels = {x: [list(s) for s in F.labels[x]] for x in p.objects}
+        maps = {e: [dict(d) for d in F.maps[e]] for e in p.covers}
+        for x in p.bottom():
+            for s in labels[x]:
+                rng.shuffle(s)
+        if variant == "top":
+            top = max(p.objects, key=lambda x: len(p._down[x]))
+            if labels[top][0]:
+                labels[top][0].append(("extra",))
+                for (a, b) in p.covers:
+                    if a == top:
+                        maps[(a, b)][0][("extra",)] = \
+                            maps[(a, b)][0][labels[top][0][0]]
+        elif variant == "extra":
+            sources = {a for (a, _) in p.covers}
+            x = rng.choice([y for y in p.objects if y not in sources])
+            labels[x][0].insert(rng.randint(0, len(labels[x][0])),
+                                ("extra",))
+        return sp.GeneralizedSpanDiagram(p, F.width, labels, maps,
+                                         check=False)
+
+    def test_matches_solving_in_slice_order(self):
+        rng = random.Random(12)
+        reordered = broken = 0
+        for levels in self.SHAPES:
+            for variant in ("bottom", "top", "extra") * 4:
+                F = self.shuffled(rng, levels, variant)
+                broken += not sp.is_cartesian(F)[0]
+                for x in F.poset.objects:
+                    objs = F.poset._slices[x]
+                    for s in range(F.width):
+                        want = oracle_slice_limit(F, objs, s)
+                        assert sp._slice_limit(F, objs, s) == want, \
+                            (levels, variant, x, s)
+                        reordered += want != sorted(want)
+        # the shuffles make the label order differ from the value order
+        assert reordered > 100 and broken > 30, (reordered, broken)
 
 
 class TestReindexing:
