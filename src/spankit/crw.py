@@ -48,10 +48,6 @@ def _generators(items):
     return gens
 
 
-def poly_zero():
-    return {}
-
-
 def poly_const(gens, c):
     c = Fraction(c)
     if c == 0:
@@ -341,20 +337,14 @@ class GradedDGAlgebra:
 
 
 def d_matrix(algebra, w, parity):
-    """Matrix of d from (weight w, parity) to (weight w, 1 - parity)."""
+    """d from (weight w, parity) to (weight w, 1 - parity) as sparse rows
+    for ``ratlin.sparse_rank``: one {target index: coefficient} row per
+    source monomial, in basis order.  This is the transpose of the matrix
+    of d, which has the same rank."""
     split = algebra.monomials_by_parity(w)
-    src, tgt = split[parity], split[1 - parity]
-    pos = {m: i for i, m in enumerate(tgt)}
-    cols = []
-    for m in src:
-        dm = algebra.d({m: Fraction(1)})
-        col = [Fraction(0)] * len(tgt)
-        for mm, c in dm.items():
-            col[pos[mm]] = c
-        cols.append(tuple(col))
-    if not src:
-        return ratlin.zeros(len(tgt), 0)
-    return ratlin.transpose(tuple(cols))
+    pos = {m: i for i, m in enumerate(split[1 - parity])}
+    return [{pos[mm]: c for mm, c in algebra.d({m: Fraction(1)}).items()}
+            for m in split[parity]]
 
 
 def cohomology(algebra, weight_bound):
@@ -364,7 +354,7 @@ def cohomology(algebra, weight_bound):
     dimensions lose r0 + r1."""
     table = []
     for w, even, odd in algebra.graded_dims(weight_bound):
-        lost = sum(ratlin.rank(d_matrix(algebra, w, p)) for p in (0, 1))
+        lost = sum(ratlin.sparse_rank(d_matrix(algebra, w, p)) for p in (0, 1))
         table.append((w, even - lost, odd - lost))
     return table
 
@@ -513,7 +503,7 @@ class DGModule:
                 pa = a.parity_of(p)
                 if not a.is_homogeneous(p):
                     raise ValueError("differential entry not homogeneous")
-                if w + gi.weight != gj.weight and w is not None:
+                if w + gi.weight != gj.weight:
                     # weights: d preserves weight, so entry weight must
                     # equal weight(gen j) - weight(gen i)
                     raise ValueError("differential entry breaks weights")
@@ -637,11 +627,11 @@ def _chain_map_dimension(module_m, module_n, src_alg, tgt_alg, images):
             return a.normalize(dict(p))
         return _apply_map(src_alg, tgt_alg, images, p)
 
-    rows = {}
+    rows = {}  # equation (j, k, monomial) -> {unknown: coefficient}
 
     def add_coeff(eq_key, var, coeff):
-        rows.setdefault(eq_key, {})[var] = rows.setdefault(
-            eq_key, {}).get(var, Fraction(0)) + coeff
+        row = rows.setdefault(eq_key, {})
+        row[var] = row.get(var, 0) + coeff
 
     # constraint per module_m generator j:  d_N(F_j) = sum_i phi(D^M_ij) F_i
     for j, g in enumerate(m_gens):
@@ -662,20 +652,11 @@ def _chain_map_dimension(module_m, module_n, src_alg, tgt_alg, images):
             if not coefp:
                 continue
             for (gi, mono) in component_basis(gm.weight, gm.parity):
-                var = index.get((i, (gi, mono)))
-                if var is None:
-                    continue
+                var = index[(i, (gi, mono))]
                 prod = a.mul(coefp, {mono: Fraction(1)})
                 for mm, c in prod.items():
                     add_coeff((j, gi, mm), var, -c)
-    if not unknowns:
-        return 0
-    eq_keys = sorted(rows.keys(), key=repr)
-    mat = tuple(tuple(rows[k].get(v, Fraction(0))
-                      for v in range(len(unknowns))) for k in eq_keys)
-    if not mat:
-        return len(unknowns)
-    return len(unknowns) - ratlin.rank(mat)
+    return len(unknowns) - ratlin.sparse_rank(rows.values())
 
 
 # ---------------------------------------------------------------------------

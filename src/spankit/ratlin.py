@@ -2,7 +2,9 @@
 
 Matrices are tuples of tuples of Fractions (rows).  Everything here is
 deterministic and exact; no floats.  Elimination runs in one kernel,
-``_reduce``, on sparse rows of integers.
+``_reduce``, on sparse rows: callers that build their equations sparsely
+hand ``sparse_rank`` one {column: rational} dict per row, and the dense
+``rank`` and ``rref`` convert their tuples to such rows at their boundary.
 """
 
 from __future__ import annotations
@@ -87,23 +89,23 @@ def _eliminate(row, pivot_row, col):
     return _primitive({j: x for j, x in out.items() if x})
 
 
-def _reduce(a, full):
-    """Fraction-free echelon form of a: (rows, pivots), one sparse
-    {column: int} row per pivot column, in increasing pivot order.
+def _reduce(rows, full):
+    """Fraction-free echelon form of the sparse {column: rational} rows
+    (zero values allowed): (rows, pivots), one sparse {column: int} row
+    per pivot column, in increasing pivot order.
 
-    Each row of a is scaled once by the lcm of its denominators.  From
-    then on rows stay integer and primitive: a row whose leading column
+    Each row is scaled once by the lcm of its denominators.  From then
+    on rows stay integer and primitive: a row whose leading column
     already has a pivot row is replaced by pv*row - f*pivot_row over the
     gcd of its entries, until it leads in a new column or vanishes.
     With full, the entries above each pivot are cleared too
     (Gauss-Jordan), so row i divided by its pivot is row i of the
     reduced echelon form."""
     by_lead = {}
-    for row in a:
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
-        den = lcm(*(x.denominator for _, x in nonzero))
+    for row in rows:
+        den = lcm(*(x.denominator for x in row.values() if x))
         v = _primitive({j: x.numerator * (den // x.denominator)
-                        for j, x in nonzero})
+                        for j, x in row.items() if x})
         while v:
             lead = min(v)
             p = by_lead.get(lead)
@@ -121,10 +123,16 @@ def _reduce(a, full):
     return [by_lead[c] for c in pivots], pivots
 
 
+def sparse_rank(rows):
+    """Rank of the matrix with the given rows, each a {column: rational}
+    dict; zero values are allowed and the row order does not matter."""
+    return len(_reduce(rows, False)[1])
+
+
 def rref(a):
     """Reduced row echelon form; returns (R, pivot column list)."""
     r, c = shape(a)
-    rows, pivots = _reduce(a, True)
+    rows, pivots = _reduce((dict(enumerate(row)) for row in a), True)
     zero = Fraction(0)
     out = tuple(tuple(Fraction(row[j], row[p]) if j in row else zero
                       for j in range(c)) for row, p in zip(rows, pivots))
@@ -132,7 +140,7 @@ def rref(a):
 
 
 def rank(a):
-    return len(_reduce(a, False)[1])
+    return len(_reduce((dict(enumerate(row)) for row in a), False)[1])
 
 
 def is_invertible(a):

@@ -391,24 +391,35 @@ def check_base_change_invertible(rng, bound):
     return None
 
 
+def _canonical_filling(l):
+    """The filling synthesized from unit systems on vertices that
+    alternate between one and two points."""
+    vertices = [("a", "b")[:1 + (a % 2)] for a in range(l + 1)]
+    spine, _ = instances.unit_spine(vertices)
+    return pushpull.synthesize_filling(vertices, 0, spine)
+
+
 def check_canonical_filling(rng, bound):
     for l in (2, 3):
-        vertices = [("a", "b")[:1 + (a % 2)] for a in range(l + 1)]
-        spine, _ = instances.unit_spine(vertices)
-        d = pushpull.synthesize_filling(vertices, 0, spine)
-        if not pushpull.is_pushpull(d):
+        if not pushpull.is_pushpull(_canonical_filling(l)):
             return "synthesized level-%d filling fails the invertibility " \
                 "condition" % l
     return None
 
 
 def check_filling_uniqueness(rng, bound):
-    vertices = [("a",), ("a", "b"), ("a",)]
-    spine, _ = instances.unit_spine(vertices)
-    d1 = pushpull.synthesize_filling(vertices, 0, spine)
-    d2 = pushpull.synthesize_filling(vertices, 0, spine)
-    if not pushpull.fillings_isomorphic(d1, d2):
-        return "two syntheses of the same spine are not isomorphic"
+    """The canonical filling against a conjugate by a random psi fixing
+    the spine: the solve must find psi, and only it."""
+    for l in range(2, min(bound, 3) + 1):
+        d = _canonical_filling(l)
+        dc, psi = instances.conjugated(rng, d)
+        got, dof = pushpull.filling_iso_solutions(d, dc)
+        if dof != 0:
+            return "level-%d filling and its conjugate: the solve " \
+                "leaves dof %d" % (l, dof)
+        if got != psi:
+            return "level-%d filling and its conjugate: the solve misses " \
+                "the planted psi" % l
     return None
 
 

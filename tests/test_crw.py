@@ -4,10 +4,74 @@ from fractions import Fraction
 
 import pytest
 
-from spankit import crw
+from spankit import crw, ratlin
 from spankit.crw import Generator as G
 
 ONE = Fraction(1)
+
+
+def oracle_d_matrix(algebra, w, parity):
+    """The dense Fraction matrix of d from (weight w, parity) to
+    (weight w, 1 - parity), target x source, filled column by column: an
+    independent reference for the sparse rows of crw.d_matrix."""
+    split = algebra.monomials_by_parity(w)
+    src, tgt = split[parity], split[1 - parity]
+    pos = {m: i for i, m in enumerate(tgt)}
+    cols = []
+    for m in src:
+        dm = algebra.d({m: Fraction(1)})
+        col = [Fraction(0)] * len(tgt)
+        for mm, c in dm.items():
+            col[pos[mm]] = c
+        cols.append(tuple(col))
+    if not src:
+        return ratlin.zeros(len(tgt), 0)
+    return ratlin.transpose(tuple(cols))
+
+
+def random_koszul_intersection(rng):
+    """A Koszul intersection with random small data: even ambient
+    generators and sometimes an odd one, power rewrites x_i^k -> (a
+    polynomial in later generators) cutting the ambient ring, and
+    equations with coefficients p/q, some of them constants (odd
+    generators of weight 0)."""
+    gens = [G("x%d" % i, 0, rng.randint(1, 2))
+            for i in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        gens.append(G("t", 1, rng.randint(1, 2)))
+
+    def coeff():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+    def poly(w, parity, avoid=None):
+        # a random polynomial of weight w and the given parity in the
+        # generators after avoid (in all of them when avoid is None)
+        free = [g if avoid is None or i > avoid else None
+                for i, g in enumerate(gens)]
+        caps = [0 if g is None else 1 if g.parity else w for g in free]
+        monos = [m for m in itertools.product(*[range(c + 1) for c in caps])
+                 if crw.mono_weight(gens, m) == w
+                 and crw.mono_parity(gens, m) == parity]
+        return {m: coeff() for m in rng.sample(monos, min(len(monos), 2))}
+
+    eqs1 = []
+    for i, g in enumerate(gens):
+        if g.parity == 0 and rng.random() < 0.4:
+            k = rng.randint(2, 3)
+            power = tuple(k if j == i else 0 for j in range(len(gens)))
+            # no pure power below k on the right, so that x_i^k stays
+            # the term the relation rewrites
+            rhs = {m: -c for m, c in poly(k * g.weight, 0, avoid=i).items()
+                   if sum(map(bool, m)) > 1 or max(m) >= k}
+            rhs[power] = ONE
+            eqs1.append(rhs)
+    eqs2 = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.2:
+            eqs2.append({(0,) * len(gens): coeff()})
+        else:
+            eqs2.append(poly(rng.randint(1, 3), 0) or {(0,) * len(gens): ONE})
+    return crw.koszul_intersection(gens, eqs1, eqs2)
 
 
 class TestGenerators:
@@ -163,6 +227,16 @@ class TestCohomology:
         alg = crw.GradedDGAlgebra([G("x", 0, 1), G("eps", 1, 1)])
         table = crw.cohomology(alg, 3)
         assert table == [(0, 1, 0), (1, 1, 1), (2, 1, 1), (3, 1, 1)]
+
+    def test_sparse_d_rows_rank_like_the_dense_matrix(self):
+        # the sparse rows of d against the dense matrix, rank by rank
+        rng = random.Random(11)
+        for _ in range(40):
+            alg = random_koszul_intersection(rng)
+            for w in range(6):
+                for p in (0, 1):
+                    assert ratlin.sparse_rank(crw.d_matrix(alg, w, p)) == \
+                        ratlin.rank(oracle_d_matrix(alg, w, p))
 
     def test_csv_format(self):
         out = crw.cohomology_csv([(0, 1, 0), (1, 2, 3)])

@@ -8,6 +8,7 @@ import pytest
 from spankit import pushpull as pp, ratlin
 from spankit.instances import conjugated, point_span, unit_spine
 from spankit.pushpull import FamilyMap, SetMap, VectorFamily
+from spankit.spans import Span
 
 
 def random_setmap(rng, src_size, tgt_size):
@@ -24,6 +25,27 @@ def random_family_map(rng, src, tgt):
     return FamilyMap.build(src, tgt, lambda x: tuple(
         tuple(Fraction(rng.randrange(-3, 4)) for _ in range(src.dim(x)))
         for _ in range(tgt.dim(x))))
+
+
+def random_span(rng, name, left_foot, right_foot):
+    apex = tuple("%s%d" % (name, i) for i in range(rng.randrange(1, 4)))
+    return Span(left_foot, apex, right_foot,
+                tuple((a, rng.choice(left_foot)) for a in apex),
+                tuple((a, rng.choice(right_foot)) for a in apex))
+
+
+def horizontal_pairs(rng, count):
+    """count 2-morphisms over a random pair of spans X <- . -> Y and count
+    over a random pair Y <- . -> Z, dimensions 0-2; Y has two points, so
+    some points of the composite intersection lie off the image of the
+    paired intersections."""
+    x, y, z = (0,), ("y0", "y1"), (0,)
+    left = [random_span(rng, n, x, y) for n in "lm"]
+    right = [random_span(rng, n, y, z) for n in "pq"]
+    return ([pp.TwoMorphism.from_dims(*left, lambda t: rng.randrange(0, 3))
+             for _ in range(count)],
+            [pp.TwoMorphism.from_dims(*right, lambda t: rng.randrange(0, 3))
+             for _ in range(count)])
 
 
 def offsets(fam, points):
@@ -284,6 +306,34 @@ class TestThreeMorphisms:
         out = pp.compose3_transversal(alpha, beta)
         assert out.mat(base[0]) == ratlin.matmul(
             beta.mat(base[0]), alpha.mat(base[0]))
+
+    def test_horizontal_interchange_law(self):
+        # (a2 . a1) * (b2 . b1) = (a2 * b2) . (a1 * b1), with * the
+        # horizontal and . the transversal composite
+        rng = random.Random(14)
+        for _ in range(20):
+            mm, mp = horizontal_pairs(rng, 3)
+            a1, a2 = (random_family_map(rng, mm[k].payload, mm[k + 1].payload)
+                      for k in (0, 1))
+            b1, b2 = (random_family_map(rng, mp[k].payload, mp[k + 1].payload)
+                      for k in (0, 1))
+            whole = pp.compose3_horizontal(
+                mm[0], mm[2], mp[0], mp[2],
+                pp.compose3_transversal(a1, a2),
+                pp.compose3_transversal(b1, b2))
+            assert whole == pp.compose3_transversal(
+                pp.compose3_horizontal(mm[0], mm[1], mp[0], mp[1], a1, b1),
+                pp.compose3_horizontal(mm[1], mm[2], mp[1], mp[2], a2, b2))
+
+    def test_horizontal_preserves_identities(self):
+        rng = random.Random(15)
+        for _ in range(20):
+            (mm,), (mp,) = horizontal_pairs(rng, 1)
+            out = pp.compose3_horizontal(mm, mm, mp, mp,
+                                         FamilyMap.identity(mm.payload),
+                                         FamilyMap.identity(mp.payload))
+            assert out == FamilyMap.identity(
+                pp.compose2_horizontal(mm, mp).payload)
 
     def test_vertical_three_morphism_endpoints(self):
         rng = random.Random(12)

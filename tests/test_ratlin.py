@@ -188,3 +188,29 @@ class TestAgainstOracle:
         got = _built_on_rref(a, b)
         with mock.patch.object(ratlin, "rref", oracle_rref):
             assert got == _built_on_rref(a, b)
+
+
+@st.composite
+def sparse_rows(draw, max_dim=5):
+    """Sparse {column: rational} rows as the crw equation builders make
+    them: keys in any order, explicit zero values (terms that cancelled),
+    empty rows, and no rows at all; with the number of columns."""
+    c = draw(st.integers(0, max_dim))
+    entry = st.one_of(
+        st.just(0), st.just(Fraction(0)), st.integers(-4, 4),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    col = st.integers(0, c - 1) if c else st.nothing()
+    rows = draw(st.lists(st.dictionaries(col, entry, max_size=c),
+                         max_size=max_dim))
+    return rows, c
+
+
+class TestSparseRows:
+    @given(sparse_rows())
+    def test_sparse_rank_is_dense_rank(self, drawn):
+        rows, c = drawn
+        dense = tuple(tuple(Fraction(row.get(j, 0)) for j in range(c))
+                      for row in rows)
+        want = len(oracle_rref(dense)[1])
+        assert ratlin.sparse_rank(rows) == ratlin.rank(dense) == want
+        assert ratlin.sparse_rank(reversed(rows)) == want

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from spankit import cli, verify
+from spankit import cli, pushpull, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SPANKIT = shutil.which("spankit")
@@ -25,6 +26,24 @@ class TestVerifySuites:
         results = verify.run_suite("all", seed=0, bound=3)
         failures = [(s, p, d) for s, p, ok, d in results if not ok]
         assert not failures, failures
+
+    def test_filling_uniqueness_recovers_the_conjugation(self):
+        for seed in range(5):
+            assert verify.check_filling_uniqueness(random.Random(seed),
+                                                   3) is None
+
+    def test_filling_uniqueness_rejects_a_wrong_psi(self, monkeypatch):
+        # a solver that answers (d, conjugate) with the identities of
+        # (d, d), or with a psi of spare degrees of freedom, must fail
+        solve = pushpull.filling_iso_solutions
+        monkeypatch.setattr(pushpull, "filling_iso_solutions",
+                            lambda d1, d2: solve(d1, d1))
+        assert "misses the planted psi" in verify.check_filling_uniqueness(
+            random.Random(0), 3)
+        monkeypatch.setattr(pushpull, "filling_iso_solutions",
+                            lambda d1, d2: (solve(d1, d2)[0], 1))
+        assert "leaves dof 1" in verify.check_filling_uniqueness(
+            random.Random(0), 3)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(KeyError):
@@ -201,6 +220,9 @@ class TestDeterminism:
          ["crw", "intro", "--n", "2", "--format", "csv"]),
         ("crw_intro_3.csv",
          ["crw", "intro", "--n", "3", "--format", "csv"]),
+        ("crw_intersect_dependent_6.json",
+         ["crw", "intersect", str(GOLDEN / "crw_intersect_dependent.json"),
+          "--bound", "6"]),
     ])
     def test_matches_golden(self, name, argv):
         out = run_cli(*argv)
