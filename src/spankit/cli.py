@@ -27,6 +27,14 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors, so they
+    exit 2 with a JSON error like any other malformed input."""
+
+    def error(self, message):
+        raise InputError("%s: %s" % (self.prog, message))
+
+
 # ---------------------------------------------------------------------------
 # serialization helpers
 # ---------------------------------------------------------------------------
@@ -393,14 +401,10 @@ def cmd_crw(args):
         payload = {"action": "intro", "n": args.n, "report": report,
                    "critical_locus_presentation": _algebra_to_json(algebra)}
     elif args.action == "cohomology":
-        if len(args.files) != 1:
-            raise InputError("cohomology takes one presentation file")
-        algebra = _algebra_from_json(_load_json(args.files[0]))
+        algebra = _algebra_from_json(_load_json(args.file))
         payload = {"action": "cohomology"}
     else:  # intersect
-        if len(args.files) != 1:
-            raise InputError("intersect takes one input file")
-        doc = _load_json(args.files[0])
+        doc = _load_json(args.file)
         _check_keys(doc, ("ambient", "eqs1", "eqs2"), "intersection input")
         try:
             ambient = _generators_from_json(doc["ambient"])
@@ -430,7 +434,7 @@ def cmd_crw(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spankit",
         description="exact-arithmetic span calculus and derived "
                     "intersection toolkit")
@@ -460,21 +464,29 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
+    # one parser per crw action, so that its flags may stand before or
+    # after its file
     p = sub.add_parser("crw", help="derived intersections and cohomology")
-    p.add_argument("action", choices=["intersect", "cohomology", "intro"])
-    p.add_argument("files", nargs="*")
-    p.add_argument("--n", type=int)
-    p.add_argument("--bound", type=int, default=6)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_crw)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action, help_text in (
+            ("intersect", "Koszul model of a derived intersection"),
+            ("cohomology", "cohomology of an algebra presentation"),
+            ("intro", "the worked example and its report")):
+        a = actions.add_parser(action, help=help_text)
+        if action == "intro":
+            a.add_argument("--n", type=int)
+        else:
+            a.add_argument("file")
+        a.add_argument("--bound", type=int, default=6)
+        a.add_argument("--format", choices=["json", "csv"], default="json")
+        a.add_argument("--out")
+        a.set_defaults(func=cmd_crw)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "bound", 0) < 0:
             raise InputError("--bound must be non-negative, got %d"
                              % args.bound)

@@ -13,6 +13,7 @@ weight with exact ranks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,6 +113,44 @@ def poly_mul(gens, p, q):
     return out
 
 
+def _poly_pow(gens, p, e):
+    """p^e by repeated squaring."""
+    out = poly_const(gens, 1)
+    while e:
+        if e & 1:
+            out = poly_mul(gens, out, p)
+        e >>= 1
+        if e:
+            p = poly_mul(gens, p, p)
+    return out
+
+
+def _rewrite(gens, rules, p):
+    """p with the power rules [(generator index, k, rhs)] applied until
+    none applies: x^(qk + r) times a monomial without x becomes
+    rhs^q x^r times it.  Values are Fractions; zero terms are dropped."""
+    out = {}
+    work = list(p.items())
+    while work:
+        m, c = work.pop()
+        if not c:
+            continue
+        for i, k, rhs in rules:
+            if m[i] >= k:
+                q, r = divmod(m[i], k)
+                rest = m[:i] + (r,) + m[i + 1:]
+                work.extend(poly_mul(gens, {rest: c},
+                                     _poly_pow(gens, rhs, q)).items())
+                break
+        else:
+            c = out.get(m, 0) + c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return {m: Fraction(c) for m, c in out.items()}
+
+
 def mono_weight(gens, m):
     return sum(e * g.weight for e, g in zip(m, gens))
 
@@ -167,6 +206,22 @@ class GradedDGAlgebra:
                              (differential or {}).items()}
         for g in self.gens:
             self.differential.setdefault(g.name, {})
+        self._rules = [(self.names.index(name), k, rhs)
+                       for name, (k, rhs) in self.power_rules.items()]
+        self._odd = [i for i, g in enumerate(self.gens) if g.parity]
+        # d of each generator as (term, coefficient, odd indices of the
+        # term): plain int coefficients where integral, odd squares dropped
+        self._dgen = []
+        for g in self.gens:
+            terms = []
+            for t, c in self.differential[g.name].items():
+                c = Fraction(c)
+                odd = [j for j in self._odd if t[j]]
+                if c and all(t[j] == 1 for j in odd):
+                    terms.append((t, c.numerator if c.denominator == 1
+                                  else c, odd))
+            self._dgen.append(terms)
+        self._dfree = {(0,) * len(self.gens): {}}  # monomial -> free d
         self._monomials = {}  # weight -> monomials_of_weight(weight)
         self._by_parity = {}  # weight -> monomials_by_parity(weight)
         self._check()
@@ -174,27 +229,7 @@ class GradedDGAlgebra:
     # -- normal form --------------------------------------------------
 
     def normalize(self, p):
-        out = {}
-        work = list(p.items())
-        while work:
-            m, c = work.pop()
-            if c == 0:
-                continue
-            rewritten = False
-            for name, (k, rhs) in self.power_rules.items():
-                i = self.names.index(name)
-                if m[i] >= k:
-                    rest = list(m)
-                    rest[i] -= k
-                    tail = poly_mul(self.gens, {tuple(rest): c}, rhs)
-                    work.extend(tail.items())
-                    rewritten = True
-                    break
-            if not rewritten:
-                out[m] = out.get(m, Fraction(0)) + c
-                if out[m] == 0:
-                    del out[m]
-        return out
+        return _rewrite(self.gens, self._rules, p)
 
     def mul(self, p, q):
         return self.normalize(poly_mul(self.gens, p, q))
@@ -224,31 +259,55 @@ class GradedDGAlgebra:
     def d(self, p):
         out = {}
         for m, c in p.items():
-            out = poly_add(out, poly_scale(c, self._d_mono(m)))
+            if c.denominator == 1:  # int arithmetic up to normalize
+                c = c.numerator
+            for mm, cc in self._d_mono(m).items():
+                out[mm] = out.get(mm, 0) + c * cc
         return self.normalize(out)
 
     def _d_mono(self, m):
-        if all(e == 0 for e in m):
+        """d(m) in the free algebra, where odd squares vanish and no power
+        rule applies, memoized per monomial.  With x the first generator
+        of m, e its exponent and m' the rest of m, the Leibniz rule gives
+        d(m) = e d(x) x^(e-1) m' + (-1)^(e|x|) x^e d(m'), where d(m') has
+        a lower weight or degree and comes from the memo.  Each product
+        is a monomial times a polynomial; coefficients stay int where the
+        generator differentials are integral."""
+        out = self._dfree.get(m)
+        if out is not None:
+            return out
+        if any(m[j] > 1 for j in self._odd):
+            self._dfree[m] = {}
             return {}
         i = next(j for j, e in enumerate(m) if e)
-        g = self.gens[i]
         e = m[i]
-        head_rest = list(m)
-        head_rest[i] = 0
-        rest = tuple(head_rest)
-        # d(x^e) for the leading generator
-        xe_minus = list((0,) * len(m))
-        xe_minus[i] = e - 1
-        d_head = poly_mul(self.gens, {tuple(xe_minus): Fraction(e)},
-                          self.differential[g.name])
-        term1 = poly_mul(self.gens, d_head, {rest: Fraction(1)})
-        head = [0] * len(m)
-        head[i] = e
-        head_poly = {tuple(head): Fraction(1)}
-        term2 = poly_mul(self.gens, head_poly, self._d_mono(rest))
-        if (g.parity * e) % 2:
-            term2 = poly_scale(-1, term2)
-        return poly_add(term1, term2)
+        rest = m[:i] + (0,) + m[i + 1:]
+        sub = self._d_mono(rest)
+        if self.gens[i].parity:
+            # x odd, so e = 1: the sign (-1)^|x| times the Koszul sign of
+            # moving x past the odd factors of s that come before it
+            out = {}
+            for s, c in sub.items():
+                if not s[i]:
+                    flips = 1 + sum(s[j] for j in self._odd if j < i)
+                    out[s[:i] + (1,) + s[i + 1:]] = -c if flips % 2 else c
+        else:
+            out = {s[:i] + (s[i] + e,) + s[i + 1:]: c for s, c in sub.items()}
+        lower = m[:i] + (e - 1,) + m[i + 1:]
+        lower_odd = [j for j in self._odd if lower[j]]
+        for t, c, t_odd in self._dgen[i]:
+            if any(lower[j] for j in t_odd):
+                continue
+            # t lower: each odd factor of lower passes those of t after it
+            flips = sum(1 for a in t_odd for b in lower_odd if b < a)
+            mm = tuple(map(operator.add, t, lower))
+            c = out.get(mm, 0) + (-e * c if flips % 2 else e * c)
+            if c:
+                out[mm] = c
+            else:
+                del out[mm]
+        self._dfree[m] = out
+        return out
 
     # -- validation ---------------------------------------------------
 
@@ -277,6 +336,18 @@ class GradedDGAlgebra:
                         "generator weights making it homogeneous")
                 if mono_parity(self.gens, m) != 1 - g.parity:
                     raise ValueError("differential must flip parity")
+        # d descends to the quotient only if it maps each relation into
+        # the ideal, that is to 0 in normal form
+        for i, k, rhs in self._rules:
+            power = tuple(k if j == i else 0 for j in range(len(self.gens)))
+            rel = poly_add({power: Fraction(1)}, poly_scale(-1, rhs))
+            drel = self.d(rel)
+            if drel:
+                raise ValueError(
+                    "d does not preserve the power rule on generator %r: "
+                    "d(%s) = %s in the quotient, not 0"
+                    % (self.names[i], poly_str(self.gens, rel),
+                       poly_str(self.gens, drel)))
         for name in self.names:
             dd = self.d(self.d(self.gen(name)))
             if dd:
@@ -389,60 +460,74 @@ def _classify_relation(gens, p):
 def quotient_algebra(gens, relations, differential=None):
     """Quotient of the free graded-commutative algebra on ``gens`` by
     the given relation polynomials (substitution or power-rewrite
-    form)."""
+    form).
+
+    Relations are read in turn, each after the substitutions and power
+    rules found so far are applied to it.  A rule that a later relation
+    displaces, a power rule on a generator then substituted or a higher
+    power of a generator given a lower one, is read again the same way,
+    so every generator ends with at most one rule in any relation
+    order."""
     gens = _generators(gens)
     names = [g.name for g in gens]
-    relations = [dict(r) for r in relations]
     differential = {n: dict(p) for n, p in (differential or {}).items()}
-    subs = {}
-    power_rules = {}
-    for rel in relations:
-        i, k, rhs = _classify_relation(gens, rel)
+    subs = {}         # generator index -> the polynomial it equals
+    power_rules = {}  # generator index -> (k, rhs)
+    # each relation with the generator it was written for
+    queue = [(dict(r), _classify_relation(gens, dict(r))[0])
+             for r in relations]
+
+    def substitute(p):
+        # in the order found: a right-hand side holds no generator
+        # substituted before it, only ones substituted after it
+        for i, rhs in subs.items():
+            done = {}
+            for m, c in p.items():
+                if m[i]:
+                    # m = head x^e tail in generator order
+                    head = m[:i] + (0,) * (len(m) - i)
+                    tail = (0,) * (i + 1) + m[i + 1:]
+                    term = poly_mul(gens, poly_mul(
+                        gens, {head: c}, _poly_pow(gens, rhs, m[i])),
+                        {tail: 1})
+                else:
+                    term = {m: c}
+                for mm, cc in term.items():
+                    done[mm] = done.get(mm, 0) + cc
+            p = {m: c for m, c in done.items() if c}
+        return p
+
+    while queue:
+        rel, owner = queue.pop(0)
+        rel = _rewrite(gens, [(i, k, rhs) for i, (k, rhs)
+                              in power_rules.items()], substitute(rel))
+        if not rel:
+            continue
+        try:
+            i, k, rhs = _classify_relation(gens, rel)
+        except ValueError:
+            raise ValueError(
+                "the relations on generator %r combine to %s, which is "
+                "neither a substitution nor a power rewrite"
+                % (names[owner], poly_str(gens, rel))) from None
+        if i in power_rules:
+            old_k, old_rhs = power_rules.pop(i)
+            power = tuple(old_k if j == i else 0 for j in range(len(gens)))
+            queue.append((poly_add({power: Fraction(1)},
+                                   poly_scale(-1, old_rhs)), i))
         if k == 1:
-            subs[names[i]] = rhs
+            subs[i] = rhs
         else:
-            power_rules[names[i]] = (k, rhs)
-    # eliminate substituted generators everywhere
-    keep = [g for g in gens if g.name not in subs]
-    keep_idx = [i for i, g in enumerate(gens) if g.name not in subs]
-    eliminated = [i for i, g in enumerate(gens) if g.name in subs]
-    # a right-hand side may hold a generator eliminated by another
-    # relation; substitution ends when no such chain comes back round
-    reach = {name: {names[j] for m in rhs for j in eliminated if m[j]}
-             for name, rhs in subs.items()}
-    for _ in subs:
-        reach = {name: r.union(*(reach[o] for o in r))
-                 for name, r in reach.items()}
-    if any(name in r for name, r in reach.items()):
-        raise ValueError("cyclic substitutions among the relations")
+            power_rules[i] = (k, rhs)
+    keep_idx = [i for i in range(len(gens)) if i not in subs]
 
     def project(p):
-        # substitute eliminated generators until none is left, then
-        # restrict exponents
-        work = dict(p)
-        while True:
-            for name, rhs in subs.items():
-                i = names.index(name)
-                done = {}
-                for m, c in work.items():
-                    if m[i] == 0:
-                        done[m] = done.get(m, Fraction(0)) + c
-                        continue
-                    base = list(m)
-                    e = base[i]
-                    base[i] = 0
-                    term = {tuple(base): c}
-                    for _ in range(e):
-                        term = poly_mul(gens, term, rhs)
-                    for mm, cc in term.items():
-                        done[mm] = done.get(mm, Fraction(0)) + cc
-                work = {m: c for m, c in done.items() if c != 0}
-            if not any(m[i] for m in work for i in eliminated):
-                return {tuple(m[i] for i in keep_idx): c
-                        for m, c in work.items()}
+        return {tuple(m[i] for i in keep_idx): c
+                for m, c in substitute(p).items()}
 
-    new_rules = {name: (k, project(rhs))
-                 for name, (k, rhs) in power_rules.items()}
+    keep = [gens[i] for i in keep_idx]
+    new_rules = {names[i]: (k, project(rhs))
+                 for i, (k, rhs) in power_rules.items()}
     new_diff = {g.name: project(differential.get(g.name, {})) for g in keep}
     return GradedDGAlgebra(keep, new_rules, new_diff)
 

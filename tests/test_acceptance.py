@@ -332,11 +332,10 @@ def test_13_dense_rank_80():
         assert ratlin.rank(ratlin.mat(low)) == 60
 
 
-def test_14_koszul_cohomology_weight_8_pinned():
-    # four quadrics in four even weight-1 generators, to weight 8; the
-    # regular sequence has Hilbert series (1 + t)^4 and no odd part, the
-    # second sequence (its last quadric is 3 q1 + q2) was tabulated with
-    # the Fraction Gauss-Jordan elimination
+def koszul_quadrics():
+    """Four even weight-1 generators and two lists of four quadrics in
+    them: a regular sequence, and a dependent one whose last quadric is
+    3 q1 + q2."""
     G = crw.Generator
     gens = [G("x%d" % i, 0, 1) for i in range(4)]
 
@@ -352,6 +351,14 @@ def test_14_koszul_cohomology_weight_8_pinned():
     dependent = [q1, q2, quadric((1, (2, 0, 0, 0)), (2, (0, 0, 2, 0))),
                  quadric((3, (1, 1, 0, 0)), (3, (0, 0, 1, 1)),
                          (1, (1, 0, 1, 0)), (-1, (0, 1, 0, 1)))]
+    return gens, regular, dependent
+
+
+def test_14_koszul_cohomology_weight_8_pinned():
+    # to weight 8; the regular sequence has Hilbert series (1 + t)^4 and
+    # no odd part, the dependent one was tabulated with the Fraction
+    # Gauss-Jordan elimination
+    gens, regular, dependent = koszul_quadrics()
     with budget(6):
         assert crw.cohomology(crw.koszul_intersection(gens, [], regular),
                               8) == [(w, math.comb(4, w), 0) for w in range(9)]
@@ -386,3 +393,15 @@ def test_16_cartesian_replacement_sigma3_theta3_three_labels():
     for x in G.poset.objects:
         assert len(G.labels[x][0]) == direct_value_count(G, 3, x, 0), x
     assert max(len(G.labels[x][0]) for x in G.poset.objects) > 27
+
+
+def test_17_dependent_koszul_cohomology_weight_12_pinned():
+    # the dependent intersection of test 14 to weight 12, tabulated with
+    # d recomputed by the Leibniz rule on every monomial without a memo
+    # (3.5 s there); from weight 5 on every weight gives (8, 8)
+    gens, _regular, dependent = koszul_quadrics()
+    with budget(2):
+        table = crw.cohomology(crw.koszul_intersection(gens, [], dependent),
+                               12)
+    assert table == [(0, 1, 0), (1, 4, 0), (2, 7, 1), (3, 8, 4),
+                     (4, 8, 7)] + [(w, 8, 8) for w in range(5, 13)]

@@ -10,16 +10,46 @@ from spankit.crw import Generator as G
 ONE = Fraction(1)
 
 
+def oracle_d(algebra, p):
+    """d(p) by the Leibniz recursion without a memo, on whole polynomials
+    through poly_mul: d(x^e m') = e x^(e-1) d(x) m' + (-1)^(e|x|) x^e d(m')
+    with x the first generator of the monomial, then the normal form.
+    An independent reference for GradedDGAlgebra.d."""
+    gens = algebra.gens
+
+    def d_mono(m):
+        if not any(m):
+            return {}
+        i = next(j for j, e in enumerate(m) if e)
+        e = m[i]
+        rest = m[:i] + (0,) + m[i + 1:]
+        lower = tuple(e - 1 if j == i else 0 for j in range(len(m)))
+        d_head = crw.poly_mul(gens, {lower: Fraction(e)},
+                              algebra.differential[gens[i].name])
+        term1 = crw.poly_mul(gens, d_head, {rest: ONE})
+        head = tuple(e if j == i else 0 for j in range(len(m)))
+        term2 = crw.poly_mul(gens, {head: ONE}, d_mono(rest))
+        if (gens[i].parity * e) % 2:
+            term2 = crw.poly_scale(-1, term2)
+        return crw.poly_add(term1, term2)
+
+    out = {}
+    for m, c in p.items():
+        out = crw.poly_add(out, crw.poly_scale(c, d_mono(m)))
+    return algebra.normalize(out)
+
+
 def oracle_d_matrix(algebra, w, parity):
     """The dense Fraction matrix of d from (weight w, parity) to
-    (weight w, 1 - parity), target x source, filled column by column: an
-    independent reference for the sparse rows of crw.d_matrix."""
+    (weight w, 1 - parity), target x source, filled column by column
+    from oracle_d: an independent reference for the sparse rows of
+    crw.d_matrix."""
     split = algebra.monomials_by_parity(w)
     src, tgt = split[parity], split[1 - parity]
     pos = {m: i for i, m in enumerate(tgt)}
     cols = []
     for m in src:
-        dm = algebra.d({m: Fraction(1)})
+        dm = oracle_d(algebra, {m: ONE})
         col = [Fraction(0)] * len(tgt)
         for mm, c in dm.items():
             col[pos[mm]] = c
@@ -27,6 +57,66 @@ def oracle_d_matrix(algebra, w, parity):
     if not src:
         return ratlin.zeros(len(tgt), 0)
     return ratlin.transpose(tuple(cols))
+
+
+def d_mismatches(algebra, weights):
+    """The monomials of the given weights on which algebra.d differs from
+    oracle_d, in a key, a value or the Fraction type of a value."""
+    bad = []
+    for w in weights:
+        for m in algebra.monomials_of_weight(w):
+            got, want = algebra.d({m: ONE}), oracle_d(algebra, {m: ONE})
+            if got != want or any(type(c) is not Fraction
+                                  for c in got.values()):
+                bad.append(m)
+    return bad
+
+
+def _coeff(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+
+def _monomials(gens, allowed, w, parity):
+    """The normal-form monomials of weight w and the given parity in the
+    generators with an index in allowed."""
+    caps = [0 if i not in allowed else 1 if g.parity else w // g.weight
+            for i, g in enumerate(gens)]
+    return [m for m in itertools.product(*[range(c + 1) for c in caps])
+            if crw.mono_weight(gens, m) == w
+            and crw.mono_parity(gens, m) == parity]
+
+
+def random_dg_algebra(rng):
+    """A DG algebra with random small data whose odd generators, some of
+    weight 0 and not all last, have differentials with odd terms, so the
+    Leibniz rule meets every Koszul sign.  Generators get their
+    differentials in a random order: d(g) is d(q) for a random q in the
+    generators done before g, plus a multiple of a monomial in
+    generators with d = 0, so d^2 = 0 holds by construction.  Power
+    rules x^k -> 0 sit on even generators with d = 0."""
+    gens = []
+    for i in range(rng.randint(2, 5)):
+        parity = rng.randint(0, 1)
+        gens.append(G("g%d" % i, parity, rng.randint(1 - parity, 2)))
+    order = list(range(len(gens)))
+    rng.shuffle(order)
+    differential, cycles = {}, []
+    for pos, i in enumerate(order):
+        g = gens[i]
+        so_far = crw.GradedDGAlgebra(gens, differential=differential)
+        monos = _monomials(gens, order[:pos], g.weight, g.parity)
+        q = {m: _coeff(rng) for m in rng.sample(monos, min(len(monos), 2))}
+        dg = oracle_d(so_far, q)
+        monos = _monomials(gens, cycles, g.weight, 1 - g.parity)
+        if monos and rng.random() < 0.7:
+            dg = crw.poly_add(dg, {rng.choice(monos): _coeff(rng)})
+        if dg:
+            differential[g.name] = dg
+        else:
+            cycles.append(i)
+    rules = {gens[i].name: (rng.randint(2, 3), {}) for i in cycles
+             if gens[i].parity == 0 and rng.random() < 0.4}
+    return crw.GradedDGAlgebra(gens, rules, differential)
 
 
 def random_koszul_intersection(rng):
@@ -40,19 +130,12 @@ def random_koszul_intersection(rng):
     if rng.random() < 0.5:
         gens.append(G("t", 1, rng.randint(1, 2)))
 
-    def coeff():
-        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
-
-    def poly(w, parity, avoid=None):
+    def poly(w, parity, avoid=-1):
         # a random polynomial of weight w and the given parity in the
-        # generators after avoid (in all of them when avoid is None)
-        free = [g if avoid is None or i > avoid else None
-                for i, g in enumerate(gens)]
-        caps = [0 if g is None else 1 if g.parity else w for g in free]
-        monos = [m for m in itertools.product(*[range(c + 1) for c in caps])
-                 if crw.mono_weight(gens, m) == w
-                 and crw.mono_parity(gens, m) == parity]
-        return {m: coeff() for m in rng.sample(monos, min(len(monos), 2))}
+        # generators after avoid (in all of them by default)
+        monos = _monomials(gens, range(avoid + 1, len(gens)), w, parity)
+        return {m: _coeff(rng)
+                for m in rng.sample(monos, min(len(monos), 2))}
 
     eqs1 = []
     for i, g in enumerate(gens):
@@ -68,7 +151,7 @@ def random_koszul_intersection(rng):
     eqs2 = []
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.2:
-            eqs2.append({(0,) * len(gens): coeff()})
+            eqs2.append({(0,) * len(gens): _coeff(rng)})
         else:
             eqs2.append(poly(rng.randint(1, 3), 0) or {(0,) * len(gens): ONE})
     return crw.koszul_intersection(gens, eqs1, eqs2)
@@ -196,6 +279,49 @@ class TestAlgebra:
         assert alg.monomials_of_weight(4) is alg.monomials_of_weight(4)
         assert alg.monomials_by_parity(4) is alg.monomials_by_parity(4)
 
+    def test_d_matches_the_oracle(self):
+        # on every normal monomial up to weight 5, keys and values, for
+        # random DG algebras and random Koszul intersections; and on a
+        # combination with rational coefficients
+        rng = random.Random(12)
+        for _ in range(40):
+            for alg in (random_dg_algebra(rng),
+                        random_koszul_intersection(rng)):
+                assert d_mismatches(alg, range(6)) == []
+                p = {m: _coeff(rng) for m in alg.monomials_of_weight(3)}
+                assert alg.d(p) == oracle_d(alg, p)
+
+    def test_planted_memo_faults_fail_the_oracle_check(self):
+        # d(eps0) is memoized and reused for x*eps0 and y*eps0; a sign
+        # flip in it, or an entry left from another differential, must
+        # show against the oracle
+        def koszul(scale):
+            return crw.koszul_intersection(
+                [G("x", 0, 1), G("y", 0, 1)], [],
+                [{(2, 0): Fraction(scale), (1, 1): Fraction(3, 2)},
+                 {(0, 2): ONE}])
+        eps0 = (0, 0, 1, 0)
+        assert d_mismatches(koszul(1), range(5)) == []
+        for plant in ("sign", "stale"):
+            alg = koszul(1)
+            memo = alg._d_mono(eps0)
+            alg._dfree[eps0] = ({m: -c for m, c in memo.items()}
+                                if plant == "sign"
+                                else koszul(2)._d_mono(eps0))
+            bad = d_mismatches(alg, range(5))
+            assert eps0 in bad and (1, 0, 1, 0) in bad
+
+    def test_power_rule_must_be_preserved_by_d(self):
+        # d(x^2) = 2*x*z is not 0, so d does not descend to K[x]/(x^2)
+        with pytest.raises(ValueError, match="power rule on generator 'x'"):
+            crw.GradedDGAlgebra([G("x", 0, 1), G("z", 1, 1)],
+                                power_rules={"x": (2, {})},
+                                differential={"x": {(0, 1): ONE}})
+        # with d(x) = 0 and d(z) = x^2 the rule is preserved
+        crw.GradedDGAlgebra([G("x", 0, 1), G("z", 1, 2)],
+                            power_rules={"x": (2, {})},
+                            differential={"z": {(2, 0): ONE}})
+
     def test_parity_split_keeps_basis_order(self):
         alg = crw.GradedDGAlgebra([G("x", 0, 1), G("e", 1, 1), G("f", 1, 2),
                                    G("y", 0, 2)])
@@ -232,11 +358,12 @@ class TestCohomology:
         # the sparse rows of d against the dense matrix, rank by rank
         rng = random.Random(11)
         for _ in range(40):
-            alg = random_koszul_intersection(rng)
-            for w in range(6):
-                for p in (0, 1):
-                    assert ratlin.sparse_rank(crw.d_matrix(alg, w, p)) == \
-                        ratlin.rank(oracle_d_matrix(alg, w, p))
+            for alg in (random_koszul_intersection(rng),
+                        random_dg_algebra(rng)):
+                for w in range(6):
+                    for p in (0, 1):
+                        assert ratlin.sparse_rank(crw.d_matrix(alg, w, p)) \
+                            == ratlin.rank(oracle_d_matrix(alg, w, p))
 
     def test_csv_format(self):
         out = crw.cohomology_csv([(0, 1, 0), (1, 2, 3)])
@@ -277,6 +404,39 @@ class TestQuotients:
             tables.append(crw.cohomology(alg, 4))
         assert tables[0] == tables[1] == [(0, 1, 0), (1, 1, 0), (2, 0, 0),
                                           (3, 0, 0), (4, 0, 0)]
+
+    def test_substitution_and_power_rule_on_one_generator(self):
+        # x = y and x^2 = 0 give K[y]/(y^2) in either order
+        gens = [G("x", 0, 1), G("y", 0, 1)]
+        x_y = {(1, 0): ONE, (0, 1): -ONE}
+        for rels in ([x_y, {(2, 0): ONE}], [{(2, 0): ONE}, x_y]):
+            alg = crw.quotient_algebra(gens, rels)
+            assert [g.name for g in alg.gens] == ["y"]
+            assert alg.power_rules == {"y": (2, {})}
+
+    def test_two_powers_of_one_generator(self):
+        # K[x]/(x^2, x^3) = K[x]/(x^2): no rule overwrites another
+        for rels in ([{(2,): ONE}, {(3,): ONE}], [{(3,): ONE}, {(2,): ONE}]):
+            alg = crw.quotient_algebra([G("x", 0, 1)], rels)
+            assert crw.cohomology(alg, 3) == [(0, 1, 0), (1, 1, 0),
+                                              (2, 0, 0), (3, 0, 0)]
+
+    def test_unsupported_combination_names_the_generator(self):
+        # x^3 = y^3 reduced by x^2 = y^2 leaves x*y^2 - y^3
+        gens = [G("x", 0, 1), G("y", 0, 1)]
+        cube = {(3, 0): ONE, (0, 3): -ONE}
+        square = {(2, 0): ONE, (0, 2): -ONE}
+        for rels in ([cube, square], [square, cube]):
+            with pytest.raises(ValueError, match="generator 'x' combine"):
+                crw.quotient_algebra(gens, rels)
+
+    def test_odd_substitution_keeps_the_koszul_sign(self):
+        # with a = c, d(x) = a*b + b*c = c*b + b*c = 0
+        gens = [G("a", 1, 1), G("b", 1, 1), G("c", 1, 1), G("x", 1, 2)]
+        alg = crw.quotient_algebra(
+            gens, [{(1, 0, 0, 0): ONE, (0, 0, 1, 0): -ONE}],
+            {"x": {(1, 1, 0, 0): ONE, (0, 1, 1, 0): ONE}})
+        assert alg.differential["x"] == {}
 
     def test_cyclic_substitutions_rejected(self):
         gens = [G("x", 0, 1), G("y", 0, 1)]

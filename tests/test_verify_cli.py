@@ -181,6 +181,28 @@ class TestExitCodes:
         assert out.stdout == ""
         assert "bound" in json.loads(out.stderr)["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "nerve", "--bound", "x"],
+        ["enumerate", "nerve"],
+        ["crw", "cohomology"],
+        ["crw", "intro", "--n", "2", "extra.json"],
+        ["nonsense"],
+        [],
+    ])
+    def test_usage_error_is_two_with_a_json_error(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert list(json.loads(out.err)) == ["error"]
+
+    @pytest.mark.parametrize("argv", [["--help"],
+                                      ["crw", "cohomology", "--help"]])
+    def test_help_is_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
     def test_huge_exponent_is_fast(self, tmp_path, capsys):
         # x^3000000000 = 0: the work must not grow with the exponent
         doc = {"generators": [{"name": "x", "parity": 0, "weight": 1}],
@@ -315,6 +337,46 @@ class TestCrwCommand:
             outs.append(out.stdout)
         assert outs[0] == outs[1] == ("weight,even_dim,odd_dim\n"
                                       "0,1,0\n1,1,0\n2,0,0\n3,0,0\n")
+
+    def test_flags_may_stand_before_the_file(self, tmp_path, capsys):
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps(
+            {"generators": [{"name": "x", "parity": 0, "weight": 1}],
+             "relations": [{"2": "1"}]}))
+        outs = []
+        for argv in (["--bound", "3", str(f)], [str(f), "--bound", "3"]):
+            assert cli.main(["crw", "cohomology", *argv,
+                             "--format", "csv"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == ("weight,even_dim,odd_dim\n"
+                                      "0,1,0\n1,1,0\n2,0,0\n3,0,0\n")
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_substitution_and_power_rule_on_one_generator(self, tmp_path,
+                                                         capsys, order):
+        # x = y and x^2 = 0 present K[y]/(y^2)
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps(
+            {"generators": [{"name": n, "parity": 0, "weight": 1}
+                            for n in "xy"],
+             "relations": [{"1,0": "1", "0,1": "-1"}, {"2,0": "1"}][::order]}))
+        assert cli.main(["crw", "cohomology", str(f), "--bound", "3",
+                         "--format", "csv"]) == 0
+        assert capsys.readouterr().out == ("weight,even_dim,odd_dim\n"
+                                           "0,1,0\n1,1,0\n2,0,0\n3,0,0\n")
+
+    def test_power_rule_that_d_breaks_is_two(self, tmp_path):
+        # d(x^2) = 2*x*z, so d is not defined on K[x, z]/(x^2)
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps(
+            {"generators": [{"name": "x", "parity": 0, "weight": 1},
+                            {"name": "z", "parity": 1, "weight": 1}],
+             "relations": [{"2,0": "1"}],
+             "differential": {"x": {"0,1": "1"}}}))
+        out = run_cli("crw", "cohomology", str(f))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "generator 'x'" in json.loads(out.stderr)["error"]
 
     def test_intro_requires_n(self):
         out = run_cli("crw", "intro")
