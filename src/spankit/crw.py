@@ -462,20 +462,22 @@ def quotient_algebra(gens, relations, differential=None):
     the given relation polynomials (substitution or power-rewrite
     form).
 
-    Relations are read in turn, each after the substitutions and power
-    rules found so far are applied to it.  A rule that a later relation
-    displaces, a power rule on a generator then substituted or a higher
-    power of a generator given a lower one, is read again the same way,
-    so every generator ends with at most one rule in any relation
-    order."""
+    Relations are read in turn.  A relation gives a rule as it stands or
+    after the substitutions found so far, when that rule is a
+    substitution or a power rule on a generator that has none.  Else the
+    power rules found so far reduce it first, and its rule may displace
+    one on the same generator.  A power rule is read again when it is
+    displaced, or when a generator in its right-hand side gets
+    substituted.  So every generator ends with at most one rule, and no
+    rule mentions a substituted generator.  A relation of neither shape
+    waits for the next new rule; it is an error only once none comes."""
     gens = _generators(gens)
-    names = [g.name for g in gens]
     differential = {n: dict(p) for n, p in (differential or {}).items()}
     subs = {}         # generator index -> the polynomial it equals
-    power_rules = {}  # generator index -> (k, rhs)
-    # each relation with the generator it was written for
-    queue = [(dict(r), _classify_relation(gens, dict(r))[0])
-             for r in relations]
+    # generator index -> (k, rhs, the relation to read again if it goes)
+    power_rules = {}
+    relations = [dict(r) for r in relations]
+    queue = list(enumerate(relations))
 
     def substitute(p):
         # in the order found: a right-hand side holds no generator
@@ -497,28 +499,54 @@ def quotient_algebra(gens, relations, differential=None):
             p = {m: c for m, c in done.items() if c}
         return p
 
+    stuck = []  # relations of no supported shape until a new rule comes
     while queue:
-        rel, owner = queue.pop(0)
-        rel = _rewrite(gens, [(i, k, rhs) for i, (k, rhs)
-                              in power_rules.items()], substitute(rel))
-        if not rel:
-            continue
-        try:
-            i, k, rhs = _classify_relation(gens, rel)
-        except ValueError:
-            raise ValueError(
-                "the relations on generator %r combine to %s, which is "
-                "neither a substitution nor a power rewrite"
-                % (names[owner], poly_str(gens, rel))) from None
-        if i in power_rules:
-            old_k, old_rhs = power_rules.pop(i)
-            power = tuple(old_k if j == i else 0 for j in range(len(gens)))
-            queue.append((poly_add({power: Fraction(1)},
-                                   poly_scale(-1, old_rhs)), i))
+        pos, rel = queue.pop(0)
+        flat = substitute(rel)
+        rule = None
+        # the relation as given, then with the substitutions made, may
+        # give a rule on a generator that has none
+        for p in (rel, flat):
+            try:
+                i, k, rhs = _classify_relation(gens, p)
+            except ValueError:
+                continue
+            rhs = substitute(rhs)
+            if i not in subs and all(m[i] < k for m in rhs) \
+                    and (k == 1 or i not in power_rules):
+                rule = (i, k, rhs, (pos, rel))
+                break
+        if rule is None:
+            # else the power rules found so far reduce it first, and the
+            # rule it gives may displace one on the same generator
+            reduced = _rewrite(gens, [(i, k, rhs) for i, (k, rhs, _)
+                                      in power_rules.items()], flat)
+            if not reduced:
+                continue
+            try:
+                i, k, rhs = _classify_relation(gens, reduced)
+            except ValueError:
+                stuck.append((pos, rel, reduced))
+                continue
+            power = tuple(k if j == i else 0 for j in range(len(gens)))
+            rule = (i, k, rhs, (pos, poly_add({power: Fraction(1)},
+                                              poly_scale(-1, rhs))))
+        i, k, rhs, source = rule
+        queue.extend((pos, rel) for pos, rel, _ in stuck)
+        stuck = []
+        for j in [j for j, (_, old, _) in power_rules.items()
+                  if j == i or k == 1 and any(m[i] for m in old)]:
+            queue.append(power_rules.pop(j)[2])
         if k == 1:
             subs[i] = rhs
         else:
-            power_rules[i] = (k, rhs)
+            power_rules[i] = (k, rhs, source)
+    if stuck:
+        pos, _, reduced = min(stuck, key=lambda s: s[0])
+        raise ValueError(
+            "relation %d, %s, reduces by the others to %s, which is neither "
+            "a substitution nor a power rewrite"
+            % (pos, poly_str(gens, relations[pos]), poly_str(gens, reduced)))
     keep_idx = [i for i in range(len(gens)) if i not in subs]
 
     def project(p):
@@ -526,8 +554,8 @@ def quotient_algebra(gens, relations, differential=None):
                 for m, c in substitute(p).items()}
 
     keep = [gens[i] for i in keep_idx]
-    new_rules = {names[i]: (k, project(rhs))
-                 for i, (k, rhs) in power_rules.items()}
+    new_rules = {gens[i].name: (k, project(rhs))
+                 for i, (k, rhs, _) in power_rules.items()}
     new_diff = {g.name: project(differential.get(g.name, {})) for g in keep}
     return GradedDGAlgebra(keep, new_rules, new_diff)
 

@@ -72,6 +72,30 @@ def d_mismatches(algebra, weights):
     return bad
 
 
+def oracle_quotient_dims(gens, relations, bound):
+    """Rows (weight, even_dim, odd_dim) of the free graded-commutative
+    algebra on gens (positive weights) modulo the ideal of the given
+    even relations: per weight and parity, the free monomials less the
+    rank of the relations' multiples by free monomials.  It rewrites
+    nothing, so it is an independent reference for quotient_algebra."""
+    every = range(len(gens))
+    rows = []
+    for w in range(bound + 1):
+        dims = []
+        for parity in (0, 1):
+            basis = _monomials(gens, every, w, parity)
+            pos = {m: i for i, m in enumerate(basis)}
+            eqs = [{pos[mm]: c for mm, c in
+                    crw.poly_mul(gens, {m: ONE}, r).items()}
+                   for r in relations
+                   for m in _monomials(
+                       gens, every, w - crw.mono_weight(gens, next(iter(r))),
+                       parity)]
+            dims.append(len(basis) - ratlin.sparse_rank(eqs))
+        rows.append((w,) + tuple(dims))
+    return rows
+
+
 def _coeff(rng):
     return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
 
@@ -84,6 +108,25 @@ def _monomials(gens, allowed, w, parity):
     return [m for m in itertools.product(*[range(c + 1) for c in caps])
             if crw.mono_weight(gens, m) == w
             and crw.mono_parity(gens, m) == parity]
+
+
+def random_relation(rng, gens):
+    """An even relation on gens: mostly x^k - f for an even generator x,
+    k in 1..3 and f of up to two terms free of x, sometimes up to three
+    arbitrary terms of one weight."""
+    every = range(len(gens))
+    monos = _monomials(gens, every, rng.randint(1, 3), 0)
+    if monos and rng.random() < 0.2:
+        return {m: _coeff(rng)
+                for m in rng.sample(monos, min(len(monos), 3))}
+    i = rng.choice([i for i, g in enumerate(gens) if g.parity == 0])
+    k = rng.choice((1, 1, 2, 2, 3))
+    monos = _monomials(gens, [j for j in every if j != i],
+                       k * gens[i].weight, 0)
+    rel = {tuple(k if j == i else 0 for j in every): ONE}
+    for m in rng.sample(monos, min(len(monos), rng.randint(0, 2))):
+        rel[m] = _coeff(rng)
+    return rel
 
 
 def random_dg_algebra(rng):
@@ -421,14 +464,89 @@ class TestQuotients:
             assert crw.cohomology(alg, 3) == [(0, 1, 0), (1, 1, 0),
                                               (2, 0, 0), (3, 0, 0)]
 
-    def test_unsupported_combination_names_the_generator(self):
+    def test_unsupported_combination_names_the_relation(self):
         # x^3 = y^3 reduced by x^2 = y^2 leaves x*y^2 - y^3
         gens = [G("x", 0, 1), G("y", 0, 1)]
         cube = {(3, 0): ONE, (0, 3): -ONE}
         square = {(2, 0): ONE, (0, 2): -ONE}
-        for rels in ([cube, square], [square, cube]):
-            with pytest.raises(ValueError, match="generator 'x' combine"):
+        for pos, rels in ((0, [cube, square]), (1, [square, cube])):
+            with pytest.raises(ValueError, match=r"relation %d, -y\^3 \+ "
+                               r"x\^3, reduces by the others to -y\^3 \+ "
+                               r"x\*y\^2, which is neither" % pos):
                 crw.quotient_algebra(gens, rels)
+
+    @pytest.mark.parametrize("relations, table", [
+        # K[a, c, d]/(a^2 - c^2, a^2 - d^2)
+        ([{(2, 0, 0, 0): ONE, (0, 2, 0, 0): -ONE},
+          {(0, 1, 0, 0): ONE, (0, 0, 1, 0): -ONE},
+          {(2, 0, 0, 0): ONE, (0, 0, 0, 2): -ONE}],
+         [(0, 1, 0), (1, 3, 0), (2, 4, 0), (3, 4, 0), (4, 4, 0)]),
+        # K[a, c]/(a^2 - c^2)
+        ([{(2, 0, 0): ONE, (0, 1, 1): -ONE},
+          {(0, 1, 0): ONE, (0, 0, 1): -ONE},
+          {(2, 0, 0): ONE, (0, 0, 2): -ONE}],
+         [(0, 1, 0), (1, 2, 0), (2, 2, 0), (3, 2, 0), (4, 2, 0)]),
+    ])
+    def test_power_rules_through_a_later_substitution(self, relations,
+                                                      table):
+        # b = c comes after a power rule whose right-hand side holds b
+        gens = [G(n, 0, 1) for n in "abcd"[:len(next(iter(relations[0])))]]
+        for rels in itertools.permutations(relations):
+            alg = crw.quotient_algebra(gens, list(rels))
+            assert "b" not in alg.names
+            assert crw.cohomology(alg, 4) == table
+
+    @pytest.mark.parametrize("weights, relations", [
+        # x2^3 -> x0*x2 once x1 = -3/2*x2: a power rule whose right-hand
+        # side holds a lower power of its own generator
+        ((2, 1, 1), [{(0, 0, 1): ONE, (0, 1, 0): Fraction(2, 3)},
+                     {(0, 0, 3): ONE, (1, 1, 0): Fraction(2, 3)}]),
+        # x1^2 -> -x0*x2 and x2^3 -> -2*x0*x1^2, the second as given:
+        # reduced by the first it is of neither shape
+        ((1, 1, 1), [{(0, 2, 0): ONE, (1, 0, 1): ONE},
+                     {(0, 0, 3): ONE, (1, 2, 0): 2 * ONE}]),
+    ])
+    def test_power_rule_as_given(self, weights, relations):
+        gens = [G("x%d" % i, 0, w) for i, w in enumerate(weights)]
+        want = oracle_quotient_dims(gens, relations, 6)
+        for rels in (relations, relations[::-1]):
+            alg = crw.quotient_algebra(gens, rels)
+            assert alg.graded_dims(6) == want
+
+    def test_relation_of_no_shape_waits_for_a_later_rule(self):
+        # x*y = 0 is neither shape until x = 0 is known
+        gens = [G("x", 0, 1), G("y", 0, 1)]
+        for rels in ([{(1, 1): ONE}, {(1, 0): ONE}],
+                     [{(1, 0): ONE}, {(1, 1): ONE}]):
+            alg = crw.quotient_algebra(gens, rels)
+            assert alg.names == ["y"] and alg.power_rules == {}
+
+    def test_quotients_match_the_ideal_oracle_in_every_order(self):
+        # random relations, mostly x^k - f with f free of x: a quotient
+        # that is built has the graded dimensions of the free algebra
+        # modulo the ideal, and whether it is built does not depend on
+        # the relation order
+        rng = random.Random(5)
+        seen = {"built": 0, "unsupported": 0}
+        for _ in range(60):
+            gens = [G("x%d" % i, int(i > 0 and rng.random() < 0.25),
+                      rng.choice((1, 1, 2)))
+                    for i in range(rng.randint(2, 4))]
+            relations = [random_relation(rng, gens)
+                         for _ in range(rng.randint(2, 3))]
+            want = oracle_quotient_dims(gens, relations, 4)
+            outcomes = set()
+            for rels in itertools.permutations(relations):
+                try:
+                    alg = crw.quotient_algebra(gens, list(rels))
+                except ValueError:
+                    outcomes.add("unsupported")
+                    continue
+                outcomes.add("built")
+                assert alg.graded_dims(4) == want
+            assert len(outcomes) == 1
+            seen[outcomes.pop()] += 1
+        assert min(seen.values()) >= 5, seen
 
     def test_odd_substitution_keeps_the_koszul_sign(self):
         # with a = c, d(x) = a*b + b*c = c*b + b*c = 0
