@@ -14,14 +14,23 @@ Modules
 ``verify``    the property suites behind the ``verify`` command
 ``instances`` seeded random instances and oracles for ``verify`` and tests
 ``cli``       command-line front end
+
+``import spankit`` loads none of them: each submodule is imported on
+first use, as ``spankit.crw``, ``from spankit import crw`` or
+``from spankit import *``.  So a cold ``python -m spankit.cli`` run
+loads only the modules its command calls, and does not find ``cli``
+already imported.
 """
 
-# ``cli`` is left out so that ``python -m spankit.cli`` does not find it
-# already imported; ``from spankit import cli`` still works.
-from . import crw, fincat, pathnerve, pushpull, ratlin, simplex, spans
-from . import instances, verify
+import importlib
 
 __all__ = ["cli", "crw", "fincat", "instances", "pathnerve", "pushpull",
            "ratlin", "simplex", "spans", "verify"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

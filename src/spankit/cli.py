@@ -18,9 +18,9 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
-from . import crw, pathnerve, pushpull, simplex, verify
+# Each command imports the spankit modules it calls, so a cold run loads
+# no other, and a usage error loads nothing beyond this module.
 
 
 class InputError(Exception):
@@ -81,6 +81,7 @@ def _int(val, what):
 
 
 def _rat(s):
+    from fractions import Fraction
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
@@ -116,6 +117,7 @@ def _poly_to_json(p):
 
 
 def _generators_from_json(items):
+    from . import crw
     gens = []
     try:
         for it in items:
@@ -182,6 +184,7 @@ def _two_morphism_from_json(obj):
     bad = sorted(k for k, v in dims.items() if type(v) is not int)
     if bad:
         raise InputError("dims: expected integers at %r" % bad)
+    from . import pushpull
     base = pushpull.intersection(src, tgt)
     missing = [t for t in base if _pair_key(t) not in dims]
     if missing:
@@ -214,6 +217,7 @@ def cmd_enumerate(args):
         raise InputError("level %d exceeds bound %d (raise with --bound)"
                          % (args.level, args.bound))
     if args.kind == "sigma":
+        from . import simplex
         p = simplex.build_sigma(args.level)
         rows = [{"offset": o.values[0], "length": o.source_size,
                  "bottom": bool(f)}
@@ -225,6 +229,7 @@ def cmd_enumerate(args):
         csv_rows = [("offset", "length", "bottom")] + [
             (r["offset"], r["length"], int(r["bottom"])) for r in rows]
     elif args.kind == "theta":
+        from . import simplex
         p = simplex.build_theta(args.level)
         rows = [{"subset": list(o), "bottom": bool(f)}
                 for o, f in zip(p.objects, p.xi_flags)]
@@ -236,6 +241,7 @@ def cmd_enumerate(args):
             (" ".join(map(str, r["subset"])), int(r["bottom"]))
             for r in rows]
     elif args.kind == "path":
+        from . import pathnerve
         cat = pathnerve.build_path(args.level)
         rows = []
         for i in range(args.level + 1):
@@ -246,6 +252,7 @@ def cmd_enumerate(args):
         csv_rows = [("source", "target", "hom_size")] + [
             (r["source"], r["target"], r["hom_size"]) for r in rows]
     else:  # nerve
+        from . import pathnerve
         table = pathnerve.nondegenerate_table(args.level, bound=args.bound)
         counts = {(u, v): len(cells) for (u, v), cells in table.items()}
         rows = [{"u": u, "v": v, "nondegenerate": c}
@@ -293,6 +300,7 @@ def _compose_dispatch(args, docs):
             raise InputError("2-morphisms not composable: the target span "
                              "of the first differs from the source span of "
                              "the second")
+        from . import pushpull
         out = pushpull.compose2_vertical(mm, nn)
         payload = {
             "kind": "vertical", "result": _two_morphism_to_json(out),
@@ -311,6 +319,7 @@ def _compose_dispatch(args, docs):
         if mm.span_source.right_foot != mp.span_source.left_foot:
             raise InputError("2-morphisms not composable side by side: "
                              "the feet in the middle differ")
+        from . import pushpull
         out = pushpull.compose2_horizontal(mm, mp)
         payload = {
             "kind": "horizontal",
@@ -328,6 +337,7 @@ def _compose_dispatch(args, docs):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args):
+    from . import verify
     results = verify.run_suite(args.suite, seed=args.seed, bound=args.bound)
     failed = [r for r in results if not r[2]]
     if args.format == "csv":
@@ -354,6 +364,7 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def _algebra_from_json(doc):
+    from . import crw
     _check_keys(doc, ("generators", "relations", "differential"),
                 "presentation")
     try:
@@ -394,6 +405,7 @@ def _algebra_to_json(a):
 
 
 def cmd_crw(args):
+    from . import crw
     if args.action == "intro":
         if args.n is None or args.n < 2:
             raise InputError("intro requires --n with n >= 2")

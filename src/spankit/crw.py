@@ -460,7 +460,8 @@ def _classify_relation(gens, p):
 def quotient_algebra(gens, relations, differential=None):
     """Quotient of the free graded-commutative algebra on ``gens`` by
     the given relation polynomials (substitution or power-rewrite
-    form).
+    form).  Each relation must be weight- and parity-homogeneous, so
+    that the quotient stays graded; any other raises ``ValueError``.
 
     Relations are read in turn.  A relation gives a rule as it stands or
     after the substitutions found so far, when that rule is a
@@ -473,10 +474,17 @@ def quotient_algebra(gens, relations, differential=None):
     waits for the next new rule; it is an error only once none comes."""
     gens = _generators(gens)
     differential = {n: dict(p) for n, p in (differential or {}).items()}
+    relations = [dict(r) for r in relations]
+    for pos, rel in enumerate(relations):
+        for grade, what in ((mono_weight, "weight"), (mono_parity, "parity")):
+            if len({grade(gens, m) for m, c in rel.items() if c}) > 1:
+                raise ValueError(
+                    "relation %d, %s, is not %s-homogeneous; declare "
+                    "generator weights and parities making it homogeneous"
+                    % (pos, poly_str(gens, rel), what))
     subs = {}         # generator index -> the polynomial it equals
     # generator index -> (k, rhs, the relation to read again if it goes)
     power_rules = {}
-    relations = [dict(r) for r in relations]
     queue = list(enumerate(relations))
 
     def substitute(p):

@@ -4,6 +4,10 @@ Each suite is an ordered list of named checks.  A check takes a seeded
 random generator and a size bound and returns ``None`` on success or a
 string describing the counterexample.  Output order is the declaration
 order, so reports are reproducible for a fixed (seed, bound).
+
+Each check imports the spankit modules it calls, so a run of one suite
+loads only what that suite needs: ``verify crw`` loads ``crw`` and
+``ratlin`` alone.
 """
 
 from __future__ import annotations
@@ -11,20 +15,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import crw, fincat, instances, pathnerve, pushpull, ratlin, simplex
-from . import spans
-
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
 
-def _random_pointed_map(rng, m, n):
+def _random_pointed_map(simplex, rng, m, n):
     return simplex.PointedMap(
         m, n, tuple(rng.randrange(0, n + 1) for _ in range(m)))
 
 
-def _random_monotone_map(rng, m, n):
+def _random_monotone_map(simplex, rng, m, n):
     vals = sorted(rng.randrange(0, n + 1) for _ in range(m + 1))
     return simplex.MonotoneMap(m, n, tuple(vals))
 
@@ -32,6 +33,7 @@ def _random_monotone_map(rng, m, n):
 def _random_fincat(rng, max_objects):
     """A random finite category: the nerve source for tests — either a
     chain, a poset, or a small commutative monoid."""
+    from . import fincat, instances
     kind = rng.randrange(3)
     if kind == 0:
         return fincat.FinCategory.chain(rng.randrange(1, max_objects + 1))
@@ -48,6 +50,7 @@ def _random_fincat(rng, max_objects):
 # ---------------------------------------------------------------------------
 
 def check_sigma_counts(rng, bound):
+    from . import simplex
     for n in range(0, min(bound, 5) + 1):
         p = simplex.build_sigma(n)
         want = (n + 1) * (n + 2) // 2
@@ -63,6 +66,7 @@ def check_sigma_counts(rng, bound):
 
 
 def check_theta_counts(rng, bound):
+    from . import simplex
     for n in range(0, min(bound, 5) + 1):
         p = simplex.build_theta(n)
         want = 2 ** (n + 1) - 1
@@ -77,12 +81,13 @@ def check_theta_counts(rng, bound):
 
 
 def check_pushforward_functorial(rng, bound):
+    from . import simplex
     for _ in range(50):
         m = rng.randrange(1, 5)
         n = rng.randrange(1, 5)
         p = rng.randrange(1, 5)
-        alpha = _random_monotone_map(rng, m, n)
-        beta = _random_monotone_map(rng, n, p)
+        alpha = _random_monotone_map(simplex, rng, m, n)
+        beta = _random_monotone_map(simplex, rng, n, p)
         comp = beta.compose(alpha)
         sp = simplex.build_sigma(m)
         for phi in sp.objects:
@@ -100,12 +105,13 @@ def check_pushforward_functorial(rng, bound):
 
 
 def check_underlying_monoid_functorial(rng, bound):
+    from . import simplex
     for _ in range(100):
         m = rng.randrange(1, 5)
         n = rng.randrange(1, 5)
         p = rng.randrange(1, 5)
-        alpha = _random_monotone_map(rng, m, n)
-        beta = _random_monotone_map(rng, n, p)
+        alpha = _random_monotone_map(simplex, rng, m, n)
+        beta = _random_monotone_map(simplex, rng, n, p)
         one = simplex.underlying_monoid(beta.compose(alpha))
         two = simplex.underlying_monoid(alpha).compose(
             simplex.underlying_monoid(beta))
@@ -116,6 +122,7 @@ def check_underlying_monoid_functorial(rng, bound):
 
 
 def check_smash_segal(rng, bound):
+    from . import simplex
     for n in range(1, 4):
         for k in range(1, 4):
             for i in range(1, n + 1):
@@ -135,6 +142,7 @@ def check_smash_segal(rng, bound):
 # ---------------------------------------------------------------------------
 
 def check_path_hom_sizes(rng, bound):
+    from . import pathnerve
     for l in range(0, min(bound, 5) + 1):
         cat = pathnerve.build_path(l)
         for i in range(l + 1):
@@ -148,6 +156,7 @@ def check_path_hom_sizes(rng, bound):
 
 
 def check_nondegenerate_range(rng, bound):
+    from . import pathnerve
     for l in range(0, min(bound, 4) + 1):
         table = pathnerve.nondegenerate_table(l, bound=l)
         for (u, v), cells in table.items():
@@ -158,6 +167,7 @@ def check_nondegenerate_range(rng, bound):
 
 
 def check_level2_counts(rng, bound):
+    from . import pathnerve
     table = pathnerve.nondegenerate_table(2, bound=2)
     want = {(0, 0): 3, (1, 0): 4, (2, 0): 1, (1, 1): 1, (0, 1): 0}
     for k, w in want.items():
@@ -169,6 +179,7 @@ def check_level2_counts(rng, bound):
 
 
 def check_limit_closed_forms(rng, bound):
+    from . import instances, pathnerve
     for _ in range(5):
         cat = _random_fincat(rng, 4)
         X = pathnerve.SquareOfNerve(cat)
@@ -185,6 +196,7 @@ def check_limit_closed_forms(rng, bound):
 
 
 def check_truncated_vs_full_limit(rng, bound):
+    from . import pathnerve
     Q = pathnerve.FinSymMonCat.from_commutative_monoid(
         [[0, 1], [1, 0]], 0)
     for l in range(0, min(bound, 2) + 1):
@@ -198,6 +210,7 @@ def check_truncated_vs_full_limit(rng, bound):
 
 
 def check_cq_closed_forms(rng, bound):
+    from . import instances, pathnerve
     Q = pathnerve.FinSymMonCat.from_commutative_monoid([[0, 1], [1, 0]], 0)
     sizes = [len(pathnerve.build_cq(Q, 1, 1, 1, l)) for l in range(3)]
     if sizes[0] != 1:
@@ -216,6 +229,7 @@ def check_cq_closed_forms(rng, bound):
 # ---------------------------------------------------------------------------
 
 def check_span_identity_compose(rng, bound):
+    from . import spans
     for _ in range(20):
         apex = tuple(range(rng.randrange(1, 5)))
         feet = tuple(range(rng.randrange(1, 4)))
@@ -235,6 +249,7 @@ def check_span_identity_compose(rng, bound):
 
 
 def check_bottom_diagram_cartesian(rng, bound):
+    from . import instances, spans
     for _ in range(5):
         F = instances.random_bottom_diagram(rng, (2,), ())
         ok, witness = spans.is_cartesian(F)
@@ -249,6 +264,7 @@ def check_bottom_diagram_cartesian(rng, bound):
 
 
 def check_replacement_idempotent(rng, bound):
+    from . import instances, spans
     for _ in range(5):
         F = instances.random_bottom_diagram(rng, (2,), (1,))
         G, _ = spans.cartesian_replacement(F)
@@ -263,14 +279,15 @@ def check_replacement_idempotent(rng, bound):
 
 
 def check_reindex_preserves_cartesian(rng, bound):
+    from . import instances, simplex, spans
     for _ in range(5):
         F = instances.random_bottom_diagram(rng, (2,), (), width=2)
-        psi = _random_pointed_map(rng, 2, 2)
+        psi = _random_pointed_map(simplex, rng, 2, 2)
         G = spans.gamma_act(psi, F)
         ok, witness = spans.is_cartesian(G)
         if not ok:
             return "label reindexing broke cartesianness at %r" % (witness,)
-        alpha = _random_monotone_map(rng, 2, 2)
+        alpha = _random_monotone_map(simplex, rng, 2, 2)
         H = spans.delta_act(F, 0, alpha)
         ok, witness = spans.is_cartesian(H)
         if not ok:
@@ -280,6 +297,7 @@ def check_reindex_preserves_cartesian(rng, bound):
 
 
 def check_decoration_additive(rng, bound):
+    from . import instances, simplex, spans
     for _ in range(5):
         F = instances.random_bottom_diagram(rng, (1,), ())
         weights = {x: [{e: rng.randrange(0, 4) for e in s}
@@ -289,7 +307,7 @@ def check_decoration_additive(rng, bound):
             D = spans.DecoratedSpanDiagram(F, weights)
         except ValueError:
             return "decoration rejected a cartesian diagram"
-        psi = _random_pointed_map(rng, 1, 2)
+        psi = _random_pointed_map(simplex, rng, 1, 2)
         E = D.gamma_act(psi)
         for x in E.diagram.poset.objects:
             if any(w < 0 for d in E.weights[x] for w in d.values()):
@@ -302,6 +320,7 @@ def check_decoration_additive(rng, bound):
 # ---------------------------------------------------------------------------
 
 def check_vertical_dims(rng, bound):
+    from . import instances, pushpull
     for _ in range(20):
         l = instances.point_span("l", rng.randrange(1, 4))
         m = instances.point_span("m", rng.randrange(1, 4))
@@ -323,6 +342,7 @@ def check_vertical_dims(rng, bound):
 
 
 def check_vertical_units(rng, bound):
+    from . import instances, pushpull
     for _ in range(10):
         l = instances.point_span("l", rng.randrange(1, 4))
         m = instances.point_span("m", rng.randrange(1, 4))
@@ -338,6 +358,7 @@ def check_vertical_units(rng, bound):
 
 
 def check_unit_law_isomorphism(rng, bound):
+    from . import instances, pushpull, ratlin
     for _ in range(5):
         l = instances.point_span("l", rng.randrange(1, 4))
         m = instances.point_span("m", rng.randrange(1, 4))
@@ -353,6 +374,7 @@ def check_unit_law_isomorphism(rng, bound):
 
 
 def check_adjunction_roundtrips(rng, bound):
+    from . import pushpull
     for _ in range(10):
         src = tuple(range(rng.randrange(1, 5)))
         tgt = tuple(range(rng.randrange(1, 4)))
@@ -374,6 +396,7 @@ def check_adjunction_roundtrips(rng, bound):
 
 
 def check_base_change_invertible(rng, bound):
+    from . import pushpull
     for _ in range(10):
         xs = tuple(range(rng.randrange(1, 4)))
         ys = tuple(range(rng.randrange(1, 4)))
@@ -394,12 +417,14 @@ def check_base_change_invertible(rng, bound):
 def _canonical_filling(l):
     """The filling synthesized from unit systems on vertices that
     alternate between one and two points."""
+    from . import instances, pushpull
     vertices = [("a", "b")[:1 + (a % 2)] for a in range(l + 1)]
     spine, _ = instances.unit_spine(vertices)
     return pushpull.synthesize_filling(vertices, 0, spine)
 
 
 def check_canonical_filling(rng, bound):
+    from . import pushpull
     for l in (2, 3):
         if not pushpull.is_pushpull(_canonical_filling(l)):
             return "synthesized level-%d filling fails the invertibility " \
@@ -410,6 +435,7 @@ def check_canonical_filling(rng, bound):
 def check_filling_uniqueness(rng, bound):
     """The canonical filling against a conjugate by a random psi fixing
     the spine: the solve must find psi, and only it."""
+    from . import instances, pushpull
     for l in range(2, min(bound, 3) + 1):
         d = _canonical_filling(l)
         dc, psi = instances.conjugated(rng, d)
@@ -428,6 +454,7 @@ def check_filling_uniqueness(rng, bound):
 # ---------------------------------------------------------------------------
 
 def check_koszul_examples(rng, bound):
+    from . import crw
     G = crw.Generator
     one = Fraction(1)
     a = crw.koszul_intersection(
@@ -448,6 +475,7 @@ def check_koszul_examples(rng, bound):
 
 
 def check_critical_locus(rng, bound):
+    from . import crw
     n = max(2, min(bound, 5))
     for k in range(2, n + 1):
         a, b, report = crw.build_intro_algebras(k)
@@ -463,6 +491,7 @@ def check_critical_locus(rng, bound):
 
 
 def check_module_adjunction(rng, bound):
+    from . import crw
     G = crw.Generator
     r = crw.GradedDGAlgebra([G("x", 0, 1)])
     s = crw.GradedDGAlgebra([G("x", 0, 1)], power_rules={"x": (3, {})})
@@ -481,6 +510,7 @@ def check_module_adjunction(rng, bound):
 
 
 def check_d_squared(rng, bound):
+    from . import crw
     G = crw.Generator
     for k in range(2, 5):
         b = crw.GradedDGAlgebra(

@@ -433,6 +433,23 @@ class TestQuotients:
         with pytest.raises(ValueError):
             crw.quotient_algebra(gens, [mixed])
 
+    @pytest.mark.parametrize("gens, rel, what", [
+        # x = y + 1: no grading survives the substitution
+        ([G("x", 0, 1), G("y", 0, 1)],
+         {(1, 0): ONE, (0, 1): -ONE, (0, 0): -ONE}, "weight"),
+        # x^2 = y: weights 2 and 1
+        ([G("x", 0, 1), G("y", 0, 1)], {(2, 0): ONE, (0, 1): -ONE},
+         "weight"),
+        # x = e with x even, e odd, both of weight 1
+        ([G("x", 0, 1), G("e", 1, 1)], {(1, 0): ONE, (0, 1): -ONE},
+         "parity"),
+    ])
+    def test_inhomogeneous_relation_rejected(self, gens, rel, what):
+        with pytest.raises(ValueError,
+                           match="relation 0, .* is not %s-homogeneous"
+                           % what):
+            crw.quotient_algebra(gens, [rel])
+
     def test_chained_substitutions_ignore_relation_order(self):
         # y = z is applied after x = y has brought y back into d(eps)
         gens = [G("x", 0, 1), G("y", 0, 1), G("z", 0, 1), G("eps", 1, 2)]

@@ -365,6 +365,20 @@ class TestCrwCommand:
         assert capsys.readouterr().out == ("weight,even_dim,odd_dim\n"
                                            "0,1,0\n1,1,0\n2,0,0\n3,0,0\n")
 
+    def test_inhomogeneous_substitution_is_two(self, tmp_path, capsys):
+        # x = y + 1 does not present a weight-graded quotient
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps(
+            {"generators": [{"name": n, "parity": 0, "weight": 1}
+                            for n in "xy"],
+             "relations": [{"1,0": 1, "0,1": -1, "0,0": -1}]}))
+        assert cli.main(["crw", "cohomology", str(f)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        error = json.loads(out.err)
+        assert list(error) == ["error"]
+        assert "not weight-homogeneous" in error["error"]
+
     def test_power_rule_that_d_breaks_is_two(self, tmp_path):
         # d(x^2) = 2*x*z, so d is not defined on K[x, z]/(x^2)
         f = tmp_path / "alg.json"
