@@ -43,8 +43,11 @@ def _emit(args, text):
     if not text.endswith("\n"):
         text += "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (args.out, exc))
     else:
         sys.stdout.write(text)
 
@@ -53,31 +56,71 @@ def _emit_json(args, payload):
     _emit(args, json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_json(path):
+# The README formats.  A schema is a JSON leaf (str, int, or a tuple of
+# them; an int is never a bool), a one-element list (a list of that
+# schema), {"*": s} (an object whose values fit s), or a record {key: s}
+# in which a key ending in "?" is optional.  Feet elements and the values
+# of the legs are strings or integers; apex elements are strings, because
+# they key the legs.
+_LABEL = (str, int)
+_SPAN = {"left_foot": [_LABEL], "apex": [str], "right_foot": [_LABEL],
+         "left_map": {"*": _LABEL}, "right_map": {"*": _LABEL}}
+_GENERATORS = [{"name": str, "parity": int, "weight": int}]
+_POLY = {"*": (int, str)}   # comma-joined exponents -> integer or "p/q"
+SCHEMAS = {
+    "span": _SPAN,
+    "2-morphism": {"span_source": _SPAN, "span_target": _SPAN,
+                   "dims": {"*": int}},
+    "presentation": {"generators": _GENERATORS, "relations?": [_POLY],
+                     "differential?": {"*": _POLY}},
+    "intersection input": {"ambient": _GENERATORS, "eqs1?": [_POLY],
+                           "eqs2?": [_POLY]},
+}
+_NAMES = {str: "a string", int: "an integer"}
+
+
+def _check(schema, doc, path):
+    """Raise an InputError naming the JSON path of the first part of doc
+    that does not fit schema."""
+    if isinstance(schema, list):
+        if type(doc) is not list:
+            raise InputError("%s: expected a list" % path)
+        for i, item in enumerate(doc):
+            _check(schema[0], item, "%s[%d]" % (path, i))
+    elif isinstance(schema, dict):
+        if type(doc) is not dict:
+            raise InputError("%s: expected an object" % path)
+        if "*" in schema:
+            for key, item in doc.items():
+                _check(schema["*"], item, "%s[%s]" % (path, json.dumps(key)))
+            return
+        unknown = sorted(set(doc) - {key.rstrip("?") for key in schema})
+        if unknown:
+            raise InputError("%s: unknown keys %r" % (path, unknown))
+        for key, sub in schema.items():
+            name = key.rstrip("?")
+            if name in doc:
+                _check(sub, doc[name], "%s.%s" % (path, name))
+            elif name == key:
+                raise InputError("%s: missing key %r" % (path, name))
+    else:
+        leaves = schema if isinstance(schema, tuple) else (schema,)
+        if type(doc) not in leaves:
+            raise InputError("%s: expected %s" % (
+                path, " or ".join(_NAMES[t] for t in leaves)))
+
+
+def _load_json(path, kind):
+    """The document in the file at path, checked against SCHEMAS[kind]."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise InputError("malformed JSON in %s: %s" % (path, exc))
-
-
-def _check_keys(doc, allowed, what):
-    """Reject a JSON object with a key outside the README format."""
-    if not isinstance(doc, dict):
-        raise InputError("%s must be an object" % what)
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise InputError("%s: unknown keys %r (expected %s)"
-                         % (what, unknown, ", ".join(allowed)))
-
-
-def _int(val, what):
-    """A JSON integer (not a bool, float or string)."""
-    if type(val) is not int:
-        raise InputError("%s: expected an integer, got %r" % (what, val))
-    return val
+    _check(SCHEMAS[kind], doc, kind)
+    return doc
 
 
 def _rat(s):
@@ -90,9 +133,6 @@ def _rat(s):
 
 def _poly_from_json(n_gens, obj):
     """{"e1,e2,...": "p/q"} -> exponent-tuple polynomial."""
-    if not isinstance(obj, dict):
-        raise InputError("polynomial must be an object, got %s"
-                         % type(obj).__name__)
     out = {}
     for key, val in obj.items():
         parts = key.split(",")
@@ -103,9 +143,6 @@ def _poly_from_json(n_gens, obj):
         if len(mono) != n_gens:
             raise InputError("monomial %r does not fit %d generators"
                              % (key, n_gens))
-        if isinstance(val, float):
-            raise InputError("monomial %r: float coefficient %r; write an "
-                             "integer or a \"p/q\" string" % (key, val))
         c = _rat(val)
         if c:
             out[mono] = c
@@ -118,41 +155,19 @@ def _poly_to_json(p):
 
 def _generators_from_json(items):
     from . import crw
-    gens = []
-    try:
-        for it in items:
-            _check_keys(it, ("name", "parity", "weight"), "generator")
-            if not isinstance(it["name"], str):
-                raise InputError("generator name must be a string, got %s"
-                                 % type(it["name"]).__name__)
-            gens.append(crw.Generator(
-                it["name"], _int(it["parity"], "generator parity"),
-                _int(it["weight"], "generator weight")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("bad generator entry: %s" % exc)
-    return gens
+    return [crw.Generator(g["name"], g["parity"], g["weight"]) for g in items]
 
 
-def _list(obj, key):
-    if not isinstance(obj[key], list):
-        raise InputError("%s: expected a list, got %s"
-                         % (key, type(obj[key]).__name__))
-    return tuple(obj[key])
-
-
-def _span_from_json(obj):
-    try:
-        left_foot, apex, right_foot = (_list(obj, k) for k in
-                                       ("left_foot", "apex", "right_foot"))
-        left_map = tuple((a, obj["left_map"][a]) for a in apex)
-        right_map = tuple((a, obj["right_map"][a]) for a in apex)
-    except (KeyError, TypeError) as exc:
-        raise InputError("bad span data: %s" % exc)
+def _span_from_json(obj, path):
+    for leg in ("left_map", "right_map"):
+        if set(obj[leg]) != set(obj["apex"]):
+            raise InputError("%s.%s: keys %r are not the apex %r" % (
+                path, leg, sorted(obj[leg]), sorted(set(obj["apex"]))))
     from .spans import Span
-    try:
-        return Span(left_foot, apex, right_foot, left_map, right_map)
-    except ValueError as exc:
-        raise InputError("bad span data: %s" % exc)
+    return Span(tuple(obj["left_foot"]), tuple(obj["apex"]),
+                tuple(obj["right_foot"]),
+                tuple((a, obj["left_map"][a]) for a in obj["apex"]),
+                tuple((a, obj["right_map"][a]) for a in obj["apex"]))
 
 
 def _elt(x):
@@ -173,30 +188,21 @@ def _pair_key(t):
 
 
 def _two_morphism_from_json(obj):
-    try:
-        src = _span_from_json(obj["span_source"])
-        tgt = _span_from_json(obj["span_target"])
-        dims = obj["dims"]
-    except (KeyError, TypeError) as exc:
-        raise InputError("bad 2-morphism data: %s" % exc)
-    if not isinstance(dims, dict):
-        raise InputError("dims: expected an object")
-    bad = sorted(k for k, v in dims.items() if type(v) is not int)
-    if bad:
-        raise InputError("dims: expected integers at %r" % bad)
+    src, tgt = (_span_from_json(obj[k], "2-morphism." + k)
+                for k in ("span_source", "span_target"))
+    dims = obj["dims"]
     from . import pushpull
     base = pushpull.intersection(src, tgt)
     missing = [t for t in base if _pair_key(t) not in dims]
     if missing:
-        raise InputError("dims missing intersection points %r" % missing)
+        raise InputError("2-morphism.dims: missing intersection points %r"
+                         % missing)
     stray = sorted(set(dims) - {_pair_key(t) for t in base})
     if stray:
-        raise InputError("dims: %r name no intersection point" % stray)
-    try:
-        return pushpull.TwoMorphism.from_dims(
-            src, tgt, lambda t: dims[_pair_key(t)])
-    except (ValueError, TypeError) as exc:
-        raise InputError("bad 2-morphism data: %s" % exc)
+        raise InputError("2-morphism.dims: %r name no intersection point"
+                         % stray)
+    return pushpull.TwoMorphism.from_dims(src, tgt,
+                                          lambda t: dims[_pair_key(t)])
 
 
 def _two_morphism_to_json(mm):
@@ -272,62 +278,54 @@ def cmd_enumerate(args):
 # ---------------------------------------------------------------------------
 
 def cmd_compose(args):
-    docs = [_load_json(p) for p in args.files]
+    kind = "span" if args.kind == "span" else "2-morphism"
+    first, second = (_load_json(p, kind) for p in args.files)
     try:
-        return _compose_dispatch(args, docs)
+        if args.kind == "span":
+            from .spans import compose_spans
+            s1, s2 = _span_from_json(first, kind), _span_from_json(second, kind)
+            if s1.right_foot != s2.left_foot:
+                raise InputError("spans not composable: middle feet differ "
+                                 "(%r vs %r)" % (s1.right_foot, s2.left_foot))
+            out = compose_spans(s1, s2)
+            payload = {"kind": "span", "result": _span_to_json(out),
+                       "witness": {"pullback_pairs": [list(a)
+                                                      for a in out.apex]}}
+        elif args.kind == "vertical":
+            mm = _two_morphism_from_json(first)
+            nn = _two_morphism_from_json(second)
+            if mm.span_target != nn.span_source:
+                raise InputError("2-morphisms not composable: the target "
+                                 "span of the first differs from the source "
+                                 "span of the second")
+            from . import pushpull
+            out = pushpull.compose2_vertical(mm, nn)
+            payload = {
+                "kind": "vertical", "result": _two_morphism_to_json(out),
+                "witness": {
+                    "first_intersection": [_pair_key(t)
+                                           for t in mm.payload.base],
+                    "second_intersection": [_pair_key(t)
+                                            for t in nn.payload.base],
+                    "formula": "pushforward along the outer intersection of "
+                               "the tensor of the two pulled-back payloads"}}
+        else:  # horizontal
+            mm = _two_morphism_from_json(first)
+            mp = _two_morphism_from_json(second)
+            if mm.span_source.right_foot != mp.span_source.left_foot:
+                raise InputError("2-morphisms not composable side by side: "
+                                 "the feet in the middle differ")
+            from . import pushpull
+            out = pushpull.compose2_horizontal(mm, mp)
+            payload = {
+                "kind": "horizontal",
+                "result": {"dims": {str(t): out.payload.dim(t)
+                                    for t in out.payload.base}},
+                "witness": {
+                    "formula": "product dimensions on the image of the "
+                               "pointwise pullback, zero elsewhere"}}
     except ValueError as exc:
         raise InputError(str(exc))
-
-
-def _compose_dispatch(args, docs):
-    if args.kind == "span":
-        if len(docs) != 2:
-            raise InputError("span composition takes two files")
-        from .spans import compose_spans
-        s1, s2 = _span_from_json(docs[0]), _span_from_json(docs[1])
-        if s1.right_foot != s2.left_foot:
-            raise InputError("spans not composable: middle feet differ "
-                             "(%r vs %r)" % (s1.right_foot, s2.left_foot))
-        out = compose_spans(s1, s2)
-        payload = {"kind": "span", "result": _span_to_json(out),
-                   "witness": {"pullback_pairs": [list(a) for a in out.apex]}}
-    elif args.kind == "vertical":
-        if len(docs) != 2:
-            raise InputError("vertical composition takes two files")
-        mm = _two_morphism_from_json(docs[0])
-        nn = _two_morphism_from_json(docs[1])
-        if mm.span_target != nn.span_source:
-            raise InputError("2-morphisms not composable: the target span "
-                             "of the first differs from the source span of "
-                             "the second")
-        from . import pushpull
-        out = pushpull.compose2_vertical(mm, nn)
-        payload = {
-            "kind": "vertical", "result": _two_morphism_to_json(out),
-            "witness": {
-                "first_intersection": [_pair_key(t)
-                                       for t in mm.payload.base],
-                "second_intersection": [_pair_key(t)
-                                        for t in nn.payload.base],
-                "formula": "pushforward along the outer intersection of "
-                           "the tensor of the two pulled-back payloads"}}
-    else:  # horizontal
-        if len(docs) != 2:
-            raise InputError("horizontal composition takes two files")
-        mm = _two_morphism_from_json(docs[0])
-        mp = _two_morphism_from_json(docs[1])
-        if mm.span_source.right_foot != mp.span_source.left_foot:
-            raise InputError("2-morphisms not composable side by side: "
-                             "the feet in the middle differ")
-        from . import pushpull
-        out = pushpull.compose2_horizontal(mm, mp)
-        payload = {
-            "kind": "horizontal",
-            "result": {"dims": {str(t): out.payload.dim(t)
-                                for t in out.payload.base}},
-            "witness": {
-                "formula": "product dimensions on the image of the "
-                           "pointwise pullback, zero elsewhere"}}
     _emit_json(args, payload)
     return 0
 
@@ -365,32 +363,18 @@ def cmd_verify(args):
 
 def _algebra_from_json(doc):
     from . import crw
-    _check_keys(doc, ("generators", "relations", "differential"),
-                "presentation")
-    try:
-        gens = _generators_from_json(doc["generators"])
-    except (KeyError, TypeError) as exc:
-        raise InputError("presentation missing generators: %s" % exc)
-    n = len(gens)
-    relations = doc.get("relations", [])
-    if not isinstance(relations, list):
-        raise InputError("relations must be a list")
-    differential = doc.get("differential", {})
-    if not isinstance(differential, dict):
-        raise InputError("differential must be an object")
-    relations = [_poly_from_json(n, r) for r in relations]
+    gens = _generators_from_json(doc["generators"])
     names = [g.name for g in gens]
-    for name in differential:
+    relations = [_poly_from_json(len(gens), r)
+                 for r in doc.get("relations", [])]
+    differential = {}
+    for name, p in doc.get("differential", {}).items():
         if name not in names:
             raise InputError("differential: unknown generator %r" % name)
-    differential = {name: _poly_from_json(n, p)
-                    for name, p in differential.items()}
-    try:
-        if relations:
-            return crw.quotient_algebra(gens, relations, differential)
-        return crw.GradedDGAlgebra(gens, differential=differential)
-    except ValueError as exc:
-        raise InputError(str(exc))
+        differential[name] = _poly_from_json(len(gens), p)
+    if relations:
+        return crw.quotient_algebra(gens, relations, differential)
+    return crw.GradedDGAlgebra(gens, differential=differential)
 
 
 def _algebra_to_json(a):
@@ -412,25 +396,23 @@ def cmd_crw(args):
         _, algebra, report = crw.build_intro_algebras(args.n)
         payload = {"action": "intro", "n": args.n, "report": report,
                    "critical_locus_presentation": _algebra_to_json(algebra)}
-    elif args.action == "cohomology":
-        algebra = _algebra_from_json(_load_json(args.file))
-        payload = {"action": "cohomology"}
-    else:  # intersect
-        doc = _load_json(args.file)
-        _check_keys(doc, ("ambient", "eqs1", "eqs2"), "intersection input")
+    else:
+        doc = _load_json(args.file, "presentation" if args.action ==
+                         "cohomology" else "intersection input")
         try:
-            ambient = _generators_from_json(doc["ambient"])
-            n = len(ambient)
-            eqs1 = [_poly_from_json(n, p) for p in doc.get("eqs1", [])]
-            eqs2 = [_poly_from_json(n, p) for p in doc.get("eqs2", [])]
-        except (KeyError, TypeError) as exc:
-            raise InputError("bad intersection input: %s" % exc)
-        try:
-            algebra = crw.koszul_intersection(ambient, eqs1, eqs2)
+            if args.action == "cohomology":
+                algebra = _algebra_from_json(doc)
+                payload = {"action": "cohomology"}
+            else:
+                ambient = _generators_from_json(doc["ambient"])
+                eqs1, eqs2 = ([_poly_from_json(len(ambient), p)
+                               for p in doc.get(k, [])]
+                              for k in ("eqs1", "eqs2"))
+                algebra = crw.koszul_intersection(ambient, eqs1, eqs2)
+                payload = {"action": "intersect",
+                           "presentation": _algebra_to_json(algebra)}
         except ValueError as exc:
             raise InputError(str(exc))
-        payload = {"action": "intersect",
-                   "presentation": _algebra_to_json(algebra)}
     table = crw.cohomology(algebra, args.bound)
     if args.format == "csv":
         _emit(args, crw.cohomology_csv(table))
@@ -463,7 +445,7 @@ def build_parser():
     p = sub.add_parser("compose", help="compose spans or 2-morphisms")
     p.add_argument("--kind", choices=["span", "vertical", "horizontal"],
                    required=True)
-    p.add_argument("files", nargs="+")
+    p.add_argument("files", nargs=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compose)
 

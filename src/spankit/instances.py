@@ -1,12 +1,13 @@
 """Seeded random instances and direct-model oracles, shared by ``verify``
 and the tests.  Each builder draws from the ``random.Random`` it is given
-in a fixed order, so a fixed seed always yields the same instance."""
+in a fixed order, so a fixed seed always yields the same instance.
+``spans``, ``pushpull`` and ``ratlin`` are imported by the builders that
+use them, so the nerve and spans suites of ``verify`` load no module they
+do not call."""
 
 from fractions import Fraction
 
-from . import pushpull, ratlin, spans
 from .fincat import Diagram, FinCategory, FinFunctor
-from .pushpull import FamilyMap, VectorFamily
 from .simplex import MonotoneMap
 
 
@@ -60,6 +61,7 @@ def random_bottom_diagram(rng, sigma_levels, theta_levels, width=1):
     """A cartesian diagram generated from random bottom data: one to three
     labels per slot at each bottom object, random maps along the covers
     out of the bottom layer."""
+    from . import spans
     poset = spans.ProductPoset(sigma_levels, theta_levels)
     bottom_labels = {}
     for x in poset.objects:
@@ -79,6 +81,7 @@ def random_bottom_diagram(rng, sigma_levels, theta_levels, width=1):
 
 def point_span(name, size):
     """The span (0,) <- {name0, ..., name<size-1>} -> (0,) over a point."""
+    from . import spans
     apex = tuple("%s%d" % (name, i) for i in range(size))
     leg = tuple((a, 0) for a in apex)
     return spans.Span((0,), apex, (0,), leg, leg)
@@ -111,6 +114,7 @@ def square_fiber_product(X):
 def unit_spine(vertices, club=0):
     """Spine data for ``pushpull.synthesize_filling``: the unit family on
     each u_a x u_(a+1) at every height, identity chain maps between."""
+    from .pushpull import FamilyMap, VectorFamily
     spine = {}
     spine_vertical = {}
     for a in range(len(vertices) - 1):
@@ -124,6 +128,8 @@ def unit_spine(vertices, club=0):
 
 def inverse_family_map(phi):
     """The pointwise inverse of an invertible FamilyMap."""
+    from . import ratlin
+    from .pushpull import FamilyMap
     return FamilyMap.build(phi.target, phi.source,
                            lambda x: ratlin.inverse(phi.mat(x)))
 
@@ -133,6 +139,8 @@ def conjugated(rng, d):
     maps and the vertical chain maps of d along random invertible maps psi
     of the non-spine systems (identity on the spine).  Returns the new
     diagram and psi."""
+    from . import pushpull, ratlin
+    from .pushpull import FamilyMap
     spine_pairs = {(j, j + 1) for j in range(d.l)}
     psi = {}
     for pr in d._pairs():

@@ -48,6 +48,10 @@ SPAN = {"left_foot": ["x"], "apex": ["a", "b"], "right_foot": ["x"],
     (["crw", "intro", "--n", "2"], 0, ["crw", "ratlin"]),
     (["verify", "crw", "--bound", "2"], 0, ["crw", "ratlin", "verify"]),
     (["enumerate", "sigma", "x"], 2, []),
+    (["verify", "nerve", "--bound", "1"], 0,
+     ["fincat", "instances", "pathnerve", "simplex", "verify"]),
+    (["verify", "spans", "--bound", "1"], 0,
+     ["fincat", "instances", "simplex", "spans", "verify"]),
 ])
 def test_command_import_footprint(tmp_path, argv, code, modules):
     span = tmp_path / "span.json"

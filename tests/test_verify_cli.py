@@ -95,6 +95,9 @@ class TestExitCodes:
         {"generators": [{"name": "x", "parity": 0, "weight": 1},
                         {"name": "y", "parity": 0, "weight": 1}],
          "relatons": [{"0,1": "1", "1,0": "-1"}]},
+        # an exponent past the int digit limit of str -> int conversion
+        {"generators": [{"name": "x", "parity": 0, "weight": 1}],
+         "relations": [{"9" * 5000: "1"}]},
     ])
     def test_malformed_presentation_is_two(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
@@ -166,6 +169,75 @@ class TestExitCodes:
         assert out.returncode == 2
         assert "error" in json.loads(out.stderr)
 
+    @pytest.mark.parametrize("kind,where,value,error", [
+        ("span", ["colour"], "red", "span: unknown keys ['colour']"),
+        ("span", ["left_map", "zz"], "x",
+         "span.left_map: keys ['a', 'b', 'zz'] are not the apex ['a', 'b']"),
+        ("span", ["right_map"], {"a": "x"}, "span.right_map: keys ['a']"),
+        ("span", ["apex", 0], 1, "span.apex[0]: expected a string"),
+        ("span", ["apex", 0], ["a"], "span.apex[0]: expected a string"),
+        ("vertical", ["note"], 1, "2-morphism: unknown keys ['note']"),
+        ("vertical", ["span_source", "note"], 1,
+         "2-morphism.span_source: unknown keys ['note']"),
+        ("vertical", ["span_target", "left_map", "zz"], "x",
+         "2-morphism.span_target.left_map: keys ['a', 'b', 'zz']"),
+        ("vertical", ["dims", "a|a"], 1.5,
+         '2-morphism.dims["a|a"]: expected an integer'),
+    ])
+    def test_strict_span_documents_name_the_path(self, capsys, tmp_path,
+                                                 kind, where, value, error):
+        # a stray key at any depth, or a leg keyed off the apex
+        span = {"left_foot": ["x"], "apex": ["a", "b"], "right_foot": ["x"],
+                "left_map": {"a": "x", "b": "x"},
+                "right_map": {"a": "x", "b": "x"}}
+        # through JSON text, so that the two spans are separate objects
+        doc = json.loads(json.dumps(span if kind == "span" else {
+            "span_source": span, "span_target": span,
+            "dims": {p + "|" + q: 1 for p in "ab" for q in "ab"}}))
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["compose", "--kind", kind, str(f), str(f)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err)["error"].startswith(error)
+
+    @pytest.mark.parametrize("action,doc,error", [
+        ("cohomology", {"generators": 5},
+         "presentation.generators: expected a list"),
+        ("cohomology", {"generators": [{"name": "x", "parity": 0,
+                                        "weight": 1, "note": 1}]},
+         "presentation.generators[0]: unknown keys ['note']"),
+        ("cohomology", {"relations": []},
+         "presentation: missing key 'generators'"),
+        ("intersect", {"ambient": [], "eqs2": {"1": "1"}},
+         "intersection input.eqs2: expected a list"),
+        ("intersect", {"ambient": [], "eqs1": [{"1": 1.0}]},
+         'intersection input.eqs1[0]["1"]: expected an integer or a string'),
+    ])
+    def test_strict_crw_documents_name_the_path(self, capsys, tmp_path,
+                                                action, doc, error):
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["crw", action, str(f)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err)["error"] == error
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_unwritable_out_is_two(self, capsys, tmp_path, target):
+        # a missing directory, and a directory given as the file
+        out_path = tmp_path / target
+        assert cli.main(["enumerate", "sigma", "2",
+                         "--out", str(out_path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err)["error"].startswith(
+            "cannot write %s" % out_path)
+
     def test_bad_level_is_two(self):
         out = run_cli("enumerate", "sigma", "9", "--bound", "3")
         assert out.returncode == 2
@@ -188,6 +260,8 @@ class TestExitCodes:
         ["crw", "intro", "--n", "2", "extra.json"],
         ["nonsense"],
         [],
+        ["compose", "--kind", "span", "a.json"],
+        ["compose", "--kind", "span", "a.json", "b.json", "c.json"],
     ])
     def test_usage_error_is_two_with_a_json_error(self, argv, capsys):
         assert cli.main(argv) == 2
@@ -245,6 +319,18 @@ class TestDeterminism:
         ("crw_intersect_dependent_6.json",
          ["crw", "intersect", str(GOLDEN / "crw_intersect_dependent.json"),
           "--bound", "6"]),
+        ("crw_cohomology_3.json",
+         ["crw", "cohomology", str(GOLDEN / "crw_algebra.json"),
+          "--bound", "3"]),
+        ("compose_span.json",
+         ["compose", "--kind", "span", str(GOLDEN / "compose_s1.json"),
+          str(GOLDEN / "compose_s2.json")]),
+        ("compose_vertical.json",
+         ["compose", "--kind", "vertical", str(GOLDEN / "compose_m.json"),
+          str(GOLDEN / "compose_m.json")]),
+        ("compose_horizontal.json",
+         ["compose", "--kind", "horizontal", str(GOLDEN / "compose_h1.json"),
+          str(GOLDEN / "compose_h2.json")]),
     ])
     def test_matches_golden(self, name, argv):
         out = run_cli(*argv)
@@ -253,12 +339,9 @@ class TestDeterminism:
 
 
 class TestCompose:
-    SPAN1 = {"left_foot": ["x"], "apex": ["a", "b"],
-             "right_foot": ["y", "z"],
-             "left_map": {"a": "x", "b": "x"},
-             "right_map": {"a": "y", "b": "z"}}
-    SPAN2 = {"left_foot": ["y", "z"], "apex": ["c"], "right_foot": ["w"],
-             "left_map": {"c": "y"}, "right_map": {"c": "w"}}
+    # the input documents of the compose goldens
+    SPAN1 = json.loads((GOLDEN / "compose_s1.json").read_text())
+    SPAN2 = json.loads((GOLDEN / "compose_s2.json").read_text())
 
     def test_span_composition(self, tmp_path):
         f1 = tmp_path / "s1.json"
@@ -281,14 +364,8 @@ class TestCompose:
         out = run_cli("compose", "--kind", "span", str(f1), str(f2))
         assert out.returncode == 2
 
-    def test_vertical_composition_dims(self, tmp_path):
-        span = {"left_foot": ["x"], "apex": ["a", "b"], "right_foot": ["y"],
-                "left_map": {"a": "x", "b": "x"},
-                "right_map": {"a": "y", "b": "y"}}
-        mm = {"span_source": span, "span_target": span,
-              "dims": {"a|a": 1, "a|b": 0, "b|a": 0, "b|b": 1}}
-        f1 = tmp_path / "m1.json"
-        f1.write_text(json.dumps(mm))
+    def test_vertical_composition_dims(self):
+        f1 = GOLDEN / "compose_m.json"
         out = run_cli("compose", "--kind", "vertical", str(f1), str(f1))
         assert out.returncode == 0
         dims = json.loads(out.stdout)["result"]["dims"]
