@@ -117,7 +117,8 @@ def _load_json(path, kind):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal longer than int() reads
         raise InputError("malformed JSON in %s: %s" % (path, exc))
     _check(SCHEMAS[kind], doc, kind)
     return doc
@@ -126,6 +127,11 @@ def _load_json(path, kind):
 def _rat(s):
     from fractions import Fraction
     try:
+        # Fraction("1e999999999") builds 10^999999999 in full; 4300 is
+        # Python's default digit limit of int <-> str conversion
+        exp = re.search(r"e([-+]?\d+(_\d+)*)\s*\Z", str(s), re.I)
+        if exp and abs(int(exp.group(1))) > 4300:
+            raise ValueError("decimal exponent beyond +-4300")
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("bad rational %r: %s" % (s, exc))
@@ -372,9 +378,7 @@ def _algebra_from_json(doc):
         if name not in names:
             raise InputError("differential: unknown generator %r" % name)
         differential[name] = _poly_from_json(len(gens), p)
-    if relations:
-        return crw.quotient_algebra(gens, relations, differential)
-    return crw.GradedDGAlgebra(gens, differential=differential)
+    return crw.quotient_algebra(gens, relations, differential)
 
 
 def _algebra_to_json(a):

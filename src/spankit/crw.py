@@ -3,12 +3,13 @@
 Polynomials are dictionaries from exponent tuples to exact rationals
 over an ordered list of generators, each carrying a parity and a
 positive weight.  Odd generators square to zero; products pick up
-Koszul signs from the ordered-generator rule.  Supported quotients are
-substitution relations (a generator equals a polynomial in the others)
-and power-rewrite relations (a power of a generator rewrites to lower
-order); the differential is a weight-preserving parity-flipping
-derivation given on generators.  Cohomology is computed weight by
-weight with exact ranks.
+Koszul signs from the ordered-generator rule.  A quotient is read into
+one table of rules (generator, k, rhs): the k-th power of the generator
+rewrites to rhs, of lower order in it, and a substitution (a generator
+equals a polynomial in the others) is the rule with k = 1.  One kernel,
+``_rewrite``, applies every rule.  The differential is a
+weight-preserving parity-flipping derivation given on generators.
+Cohomology is computed weight by weight with exact ranks.
 """
 
 from __future__ import annotations
@@ -126,9 +127,11 @@ def _poly_pow(gens, p, e):
 
 
 def _rewrite(gens, rules, p):
-    """p with the power rules [(generator index, k, rhs)] applied until
-    none applies: x^(qk + r) times a monomial without x becomes
-    rhs^q x^r times it.  Values are Fractions; zero terms are dropped."""
+    """p with the rules [(generator index, k, rhs)] applied until none
+    applies; a substitution x = f is the rule with k = 1.  In a monomial
+    head x^(qk + r) tail, x^(qk) becomes rhs^q where it stood, so an odd
+    substitution keeps its Koszul sign.  Values are Fractions; zero terms
+    are dropped."""
     out = {}
     work = list(p.items())
     while work:
@@ -138,9 +141,11 @@ def _rewrite(gens, rules, p):
         for i, k, rhs in rules:
             if m[i] >= k:
                 q, r = divmod(m[i], k)
-                rest = m[:i] + (r,) + m[i + 1:]
-                work.extend(poly_mul(gens, {rest: c},
-                                     _poly_pow(gens, rhs, q)).items())
+                head = m[:i] + (0,) * (len(m) - i)
+                tail = (0,) * i + (r,) + m[i + 1:]
+                work.extend(poly_mul(gens, poly_mul(
+                    gens, {head: c}, _poly_pow(gens, rhs, q)),
+                    {tail: 1}).items())
                 break
         else:
             c = out.get(m, 0) + c
@@ -149,6 +154,12 @@ def _rewrite(gens, rules, p):
             else:
                 del out[m]
     return {m: Fraction(c) for m, c in out.items()}
+
+
+def _relation(n, i, k, rhs):
+    """x_i^k - rhs over n generators: the relation of the rule (i, k, rhs)."""
+    power = tuple(k if j == i else 0 for j in range(n))
+    return poly_add({power: Fraction(1)}, poly_scale(-1, rhs))
 
 
 def mono_weight(gens, m):
@@ -312,11 +323,10 @@ class GradedDGAlgebra:
     # -- validation ---------------------------------------------------
 
     def _check(self):
-        for name, (k, rhs) in self.power_rules.items():
-            g = self.gens[self.names.index(name)]
+        for i, k, rhs in self._rules:
+            g = self.gens[i]
             if g.parity == 1:
                 raise ValueError("odd generators square to zero already")
-            i = self.names.index(name)
             if any(m[i] >= k for m in rhs):
                 raise ValueError("rewrite right-hand side not reduced")
             for m in rhs:
@@ -339,8 +349,7 @@ class GradedDGAlgebra:
         # d descends to the quotient only if it maps each relation into
         # the ideal, that is to 0 in normal form
         for i, k, rhs in self._rules:
-            power = tuple(k if j == i else 0 for j in range(len(self.gens)))
-            rel = poly_add({power: Fraction(1)}, poly_scale(-1, rhs))
+            rel = _relation(len(self.gens), i, k, rhs)
             drel = self.d(rel)
             if drel:
                 raise ValueError(
@@ -482,35 +491,15 @@ def quotient_algebra(gens, relations, differential=None):
                     "relation %d, %s, is not %s-homogeneous; declare "
                     "generator weights and parities making it homogeneous"
                     % (pos, poly_str(gens, rel), what))
-    subs = {}         # generator index -> the polynomial it equals
-    # generator index -> (k, rhs, the relation to read again if it goes)
-    power_rules = {}
+    # generator index -> (k, rhs, the relation to read again if it goes);
+    # the rules with k = 1 are the substitutions
+    rules = {}
     queue = list(enumerate(relations))
-
-    def substitute(p):
-        # in the order found: a right-hand side holds no generator
-        # substituted before it, only ones substituted after it
-        for i, rhs in subs.items():
-            done = {}
-            for m, c in p.items():
-                if m[i]:
-                    # m = head x^e tail in generator order
-                    head = m[:i] + (0,) * (len(m) - i)
-                    tail = (0,) * (i + 1) + m[i + 1:]
-                    term = poly_mul(gens, poly_mul(
-                        gens, {head: c}, _poly_pow(gens, rhs, m[i])),
-                        {tail: 1})
-                else:
-                    term = {m: c}
-                for mm, cc in term.items():
-                    done[mm] = done.get(mm, 0) + cc
-            p = {m: c for m, c in done.items() if c}
-        return p
-
     stuck = []  # relations of no supported shape until a new rule comes
     while queue:
         pos, rel = queue.pop(0)
-        flat = substitute(rel)
+        subs = [(i, k, rhs) for i, (k, rhs, _) in rules.items() if k == 1]
+        flat = _rewrite(gens, subs, rel)
         rule = None
         # the relation as given, then with the substitutions made, may
         # give a rule on a generator that has none
@@ -519,16 +508,17 @@ def quotient_algebra(gens, relations, differential=None):
                 i, k, rhs = _classify_relation(gens, p)
             except ValueError:
                 continue
-            rhs = substitute(rhs)
-            if i not in subs and all(m[i] < k for m in rhs) \
-                    and (k == 1 or i not in power_rules):
+            rhs = _rewrite(gens, subs, rhs)
+            if all(m[i] < k for m in rhs) \
+                    and (i not in rules or k == 1 and rules[i][0] > 1):
                 rule = (i, k, rhs, (pos, rel))
                 break
         if rule is None:
-            # else the power rules found so far reduce it first, and the
-            # rule it gives may displace one on the same generator
+            # else the power rules found so far reduce it first (flat holds
+            # no substituted generator), and the rule it gives may displace
+            # one on the same generator
             reduced = _rewrite(gens, [(i, k, rhs) for i, (k, rhs, _)
-                                      in power_rules.items()], flat)
+                                      in rules.items()], flat)
             if not reduced:
                 continue
             try:
@@ -536,34 +526,30 @@ def quotient_algebra(gens, relations, differential=None):
             except ValueError:
                 stuck.append((pos, rel, reduced))
                 continue
-            power = tuple(k if j == i else 0 for j in range(len(gens)))
-            rule = (i, k, rhs, (pos, poly_add({power: Fraction(1)},
-                                              poly_scale(-1, rhs))))
+            rule = (i, k, rhs, (pos, _relation(len(gens), i, k, rhs)))
         i, k, rhs, source = rule
         queue.extend((pos, rel) for pos, rel, _ in stuck)
         stuck = []
-        for j in [j for j, (_, old, _) in power_rules.items()
-                  if j == i or k == 1 and any(m[i] for m in old)]:
-            queue.append(power_rules.pop(j)[2])
-        if k == 1:
-            subs[i] = rhs
-        else:
-            power_rules[i] = (k, rhs, source)
+        for j in [j for j, (kj, old, _) in rules.items() if kj > 1 and
+                  (j == i or k == 1 and any(m[i] for m in old))]:
+            queue.append(rules.pop(j)[2])
+        rules[i] = (k, rhs, source)
     if stuck:
         pos, _, reduced = min(stuck, key=lambda s: s[0])
         raise ValueError(
             "relation %d, %s, reduces by the others to %s, which is neither "
             "a substitution nor a power rewrite"
             % (pos, poly_str(gens, relations[pos]), poly_str(gens, reduced)))
-    keep_idx = [i for i in range(len(gens)) if i not in subs]
+    subs = [(i, k, rhs) for i, (k, rhs, _) in rules.items() if k == 1]
+    keep_idx = sorted(set(range(len(gens))) - {i for i, _, _ in subs})
 
     def project(p):
         return {tuple(m[i] for i in keep_idx): c
-                for m, c in substitute(p).items()}
+                for m, c in _rewrite(gens, subs, p).items()}
 
     keep = [gens[i] for i in keep_idx]
     new_rules = {gens[i].name: (k, project(rhs))
-                 for i, (k, rhs, _) in power_rules.items()}
+                 for i, (k, rhs, _) in rules.items() if k > 1}
     new_diff = {g.name: project(differential.get(g.name, {})) for g in keep}
     return GradedDGAlgebra(keep, new_rules, new_diff)
 
@@ -659,12 +645,11 @@ def algebra_map(source, target, images):
         if p and (target.parity_of(p) != g.parity
                   or target.weight_of(p) != g.weight):
             raise ValueError("map does not preserve the grading")
-    for name, (k, rhs) in source.power_rules.items():
-        lhs = target.const(1)
-        for _ in range(k):
-            lhs = target.mul(lhs, images[name])
-        if lhs != target.normalize(_apply_map(source, target, images, rhs)):
-            raise ValueError("map does not kill relation on %s" % name)
+    for i, k, rhs in source._rules:
+        if _apply_map(source, target, images,
+                      _relation(len(source.gens), i, k, rhs)):
+            raise ValueError("map does not kill relation on %s"
+                             % source.names[i])
     for g in source.gens:
         lhs = target.d(images[g.name])
         rhs = target.normalize(_apply_map(source, target, images,
@@ -679,8 +664,9 @@ def _apply_map(source, target, images, p):
     for m, c in p.items():
         term = target.const(c)
         for e, g in zip(m, source.gens):
-            for _ in range(e):
-                term = target.mul(term, images[g.name])
+            if e:
+                term = target.mul(term, _poly_pow(target.gens,
+                                                  images[g.name], e))
         out = target.add(out, term)
     return target.normalize(out)
 
@@ -716,13 +702,11 @@ def chain_map_dimension(module_m, module_n):
     a common algebra (images of generators solved exactly).  N may be
     a restricted module, in which case scalars act through its map."""
     if isinstance(module_n, RestrictedModule):
-        return _chain_map_dimension(module_m, module_n.module,
-                                    module_n.source, module_n.target,
-                                    module_n.images)
-    return _chain_map_dimension(module_m, module_n, None, None, None)
-
-
-def _chain_map_dimension(module_m, module_n, src_alg, tgt_alg, images):
+        source, images = module_n.source, module_n.images
+        module_n = module_n.module
+    else:  # scalars act through the identity map
+        source = module_n.algebra
+        images = {name: source.gen(name) for name in source.names}
     a = module_n.algebra
     m_gens = module_m.generators
     n_gens = module_n.generators
@@ -742,11 +726,6 @@ def _chain_map_dimension(module_m, module_n, src_alg, tgt_alg, images):
         for slot in component_basis(g.weight, g.parity):
             unknowns.append((j, slot))
     index = {u: i for i, u in enumerate(unknowns)}
-
-    def push(p):
-        if src_alg is None:
-            return a.normalize(dict(p))
-        return _apply_map(src_alg, tgt_alg, images, p)
 
     rows = {}  # equation (j, k, monomial) -> {unknown: coefficient}
 
@@ -769,7 +748,8 @@ def _chain_map_dimension(module_m, module_n, src_alg, tgt_alg, images):
                 for mm, c in prod.items():
                     add_coeff((j, k, mm), var, sign * c)
         for i, gm in enumerate(m_gens):
-            coefp = push(module_m.d_entries[i][j])
+            coefp = _apply_map(source, a, images,
+                               module_m.d_entries[i][j])
             if not coefp:
                 continue
             for (gi, mono) in component_basis(gm.weight, gm.parity):
@@ -876,8 +856,7 @@ def build_intro_algebras(n):
     if n < 2:
         raise ValueError("n must be at least 2")
     ambient = [Generator("x", 0, 1), Generator("y", 0, n)]
-    graph = poly_add(poly_gen(ambient, "y"),
-                     poly_scale(-1, {(n, 0): Fraction(1)}))
+    graph = _relation(2, 1, 1, {(n, 0): Fraction(1)})  # y - x^n
     zero_section = [poly_gen(ambient, "y")]
     b = koszul_intersection(ambient, [graph], zero_section)
 

@@ -75,9 +75,10 @@ def d_mismatches(algebra, weights):
 def oracle_quotient_dims(gens, relations, bound):
     """Rows (weight, even_dim, odd_dim) of the free graded-commutative
     algebra on gens (positive weights) modulo the ideal of the given
-    even relations: per weight and parity, the free monomials less the
-    rank of the relations' multiples by free monomials.  It rewrites
-    nothing, so it is an independent reference for quotient_algebra."""
+    homogeneous relations: per weight and parity, the free monomials
+    less the rank of the relations' multiples by free monomials (m*r and
+    r*m differ only in sign).  It rewrites nothing, so it is an
+    independent reference for quotient_algebra."""
     every = range(len(gens))
     rows = []
     for w in range(bound + 1):
@@ -90,7 +91,7 @@ def oracle_quotient_dims(gens, relations, bound):
                    for r in relations
                    for m in _monomials(
                        gens, every, w - crw.mono_weight(gens, next(iter(r))),
-                       parity)]
+                       (parity - crw.mono_parity(gens, next(iter(r)))) % 2)]
             dims.append(len(basis) - ratlin.sparse_rank(eqs))
         rows.append((w,) + tuple(dims))
     return rows
@@ -111,18 +112,18 @@ def _monomials(gens, allowed, w, parity):
 
 
 def random_relation(rng, gens):
-    """An even relation on gens: mostly x^k - f for an even generator x,
-    k in 1..3 and f of up to two terms free of x, sometimes up to three
-    arbitrary terms of one weight."""
+    """A relation on gens: mostly x^k - f for a generator x, k in 1..3
+    (k = 1 if x is odd) and f of up to two terms free of x, sometimes
+    up to three arbitrary even terms of one weight."""
     every = range(len(gens))
     monos = _monomials(gens, every, rng.randint(1, 3), 0)
     if monos and rng.random() < 0.2:
         return {m: _coeff(rng)
                 for m in rng.sample(monos, min(len(monos), 3))}
-    i = rng.choice([i for i, g in enumerate(gens) if g.parity == 0])
-    k = rng.choice((1, 1, 2, 2, 3))
+    i = rng.choice(every)
+    k = 1 if gens[i].parity else rng.choice((1, 1, 2, 2, 3))
     monos = _monomials(gens, [j for j in every if j != i],
-                       k * gens[i].weight, 0)
+                       k * gens[i].weight, gens[i].parity)
     rel = {tuple(k if j == i else 0 for j in every): ONE}
     for m in rng.sample(monos, min(len(monos), rng.randint(0, 2))):
         rel[m] = _coeff(rng)
@@ -539,10 +540,10 @@ class TestQuotients:
             assert alg.names == ["y"] and alg.power_rules == {}
 
     def test_quotients_match_the_ideal_oracle_in_every_order(self):
-        # random relations, mostly x^k - f with f free of x: a quotient
-        # that is built has the graded dimensions of the free algebra
-        # modulo the ideal, and whether it is built does not depend on
-        # the relation order
+        # random relations, mostly x^k - f with f free of x and some
+        # substitutions of odd generators: a quotient that is built has
+        # the graded dimensions of the free algebra modulo the ideal, and
+        # whether it is built does not depend on the relation order
         rng = random.Random(5)
         seen = {"built": 0, "unsupported": 0}
         for _ in range(60):

@@ -14,11 +14,12 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 SPANKIT = shutil.which("spankit")
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     # without an installed console script, run the package from the
     # import path the tests use
     cmd = [SPANKIT] if SPANKIT else [sys.executable, "-m", "spankit"]
-    return subprocess.run([*cmd, *argv], capture_output=True, text=True)
+    return subprocess.run([*cmd, *argv], capture_output=True, text=True,
+                          timeout=timeout)
 
 
 class TestVerifySuites:
@@ -75,6 +76,47 @@ class TestExitCodes:
         out = run_cli("compose", "--kind", "span", str(bad), str(bad))
         assert out.returncode == 2
         assert "error" in json.loads(out.stderr)
+
+    @pytest.mark.parametrize("argv, text", [
+        (["crw", "cohomology"],
+         '{"generators": [{"name": "x", "parity": 0, "weight": 1}], '
+         '"relations": [{"1": BIG}]}'),
+        (["compose", "--kind", "span"],
+         '{"left_foot": [BIG], "apex": [], "right_foot": [], '
+         '"left_map": {}, "right_map": {}}'),
+        (["compose", "--kind", "vertical"], '{"dims": {"a|b": BIG}}'),
+    ], ids=["coefficient", "foot", "dims"])
+    def test_integer_past_the_digit_limit_is_two(self, tmp_path, argv,
+                                                 text):
+        # json.load cannot turn an integer literal of more than 4300
+        # digits into an int
+        f = tmp_path / "doc.json"
+        f.write_text(text.replace("BIG", "9" * 5001))
+        files = [str(f)] * (2 if argv[0] == "compose" else 1)
+        out = run_cli(*argv, *files)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert list(json.loads(out.stderr)) == ["error"]
+
+    @pytest.mark.parametrize("coeff, code", [
+        ("1e4000000", 2), ("1e999999999", 2), ("-2E-5000", 2),
+        ("1.5", 0), ("1e5", 0), ("3/4", 0),
+    ])
+    def test_decimal_exponent_past_the_digit_limit_is_two(self, tmp_path,
+                                                          coeff, code):
+        # Fraction would write out 10^exponent in full; the timeout turns
+        # a hang into a failure
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps(
+            {"generators": [{"name": "x", "parity": 0, "weight": 1},
+                            {"name": "y", "parity": 0, "weight": 1}],
+             "relations": [{"1,0": "1", "0,1": coeff}]}))
+        out = run_cli("crw", "cohomology", str(f), "--bound", "1",
+                      timeout=10)
+        assert out.returncode == code
+        if code == 2:
+            assert out.stdout == ""
+            assert repr(coeff) in json.loads(out.stderr)["error"]
 
     @pytest.mark.parametrize("doc", [
         {"generators": [{"name": "x", "parity": 0, "weight": 1}],
