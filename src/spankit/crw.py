@@ -127,33 +127,31 @@ def _poly_pow(gens, p, e):
 
 
 def _rewrite(gens, rules, p):
-    """p with the rules [(generator index, k, rhs)] applied until none
-    applies; a substitution x = f is the rule with k = 1.  In a monomial
-    head x^(qk + r) tail, x^(qk) becomes rhs^q where it stood, so an odd
-    substitution keeps its Koszul sign.  Values are Fractions; zero terms
-    are dropped."""
+    """p with the rules [(generator index, k, rhs)], one per generator at
+    most, applied until none applies; a substitution is a rule with
+    k = 1.  Each pass rewrites every term once, x^(qk + r) to rhs^q x^r
+    (with the Koszul sign of moving an odd rhs past the odd generators
+    after x), and merges equal terms, so a chain of substitutions costs
+    one pass per link.  Values are Fractions; zero terms are dropped."""
     out = {}
-    work = list(p.items())
-    while work:
-        m, c = work.pop()
-        if not c:
-            continue
-        for i, k, rhs in rules:
-            if m[i] >= k:
-                q, r = divmod(m[i], k)
-                head = m[:i] + (0,) * (len(m) - i)
-                tail = (0,) * i + (r,) + m[i + 1:]
-                work.extend(poly_mul(gens, poly_mul(
-                    gens, {head: c}, _poly_pow(gens, rhs, q)),
-                    {tail: 1}).items())
-                break
-        else:
-            c = out.get(m, 0) + c
-            if c:
-                out[m] = c
+    while p:
+        step = {}
+        for m, c in p.items():
+            if not c:
+                continue
+            for i, k, rhs in rules:
+                if m[i] >= k:
+                    q, r = divmod(m[i], k)
+                    if gens[i].parity and mono_parity(gens[i + 1:], m[i + 1:]):
+                        c = -c
+                    for mm, cc in poly_mul(gens, {m[:i] + (r,) + m[i + 1:]: c},
+                                           _poly_pow(gens, rhs, q)).items():
+                        step[mm] = step.get(mm, 0) + cc
+                    break
             else:
-                del out[m]
-    return {m: Fraction(c) for m, c in out.items()}
+                out[m] = out.get(m, 0) + c
+        p = step
+    return {m: Fraction(c) for m, c in out.items() if c}
 
 
 def _relation(n, i, k, rhs):
@@ -480,7 +478,11 @@ def quotient_algebra(gens, relations, differential=None):
     displaced, or when a generator in its right-hand side gets
     substituted.  So every generator ends with at most one rule, and no
     rule mentions a substituted generator.  A relation of neither shape
-    waits for the next new rule; it is an error only once none comes."""
+    waits for the next new rule; it is an error only once none comes.
+
+    Substitutions (rules with k = 1) still differ from power rules where
+    the reading order needs it: a relation is read first with them alone,
+    they are never displaced, and at the end they eliminate generators."""
     gens = _generators(gens)
     differential = {n: dict(p) for n, p in (differential or {}).items()}
     relations = [dict(r) for r in relations]
@@ -491,8 +493,7 @@ def quotient_algebra(gens, relations, differential=None):
                     "relation %d, %s, is not %s-homogeneous; declare "
                     "generator weights and parities making it homogeneous"
                     % (pos, poly_str(gens, rel), what))
-    # generator index -> (k, rhs, the relation to read again if it goes);
-    # the rules with k = 1 are the substitutions
+    # generator index -> (k, rhs, the relation to read again if it goes)
     rules = {}
     queue = list(enumerate(relations))
     stuck = []  # relations of no supported shape until a new rule comes
@@ -514,9 +515,8 @@ def quotient_algebra(gens, relations, differential=None):
                 rule = (i, k, rhs, (pos, rel))
                 break
         if rule is None:
-            # else the power rules found so far reduce it first (flat holds
-            # no substituted generator), and the rule it gives may displace
-            # one on the same generator
+            # else all rules found so far reduce it first, and the rule it
+            # gives may displace a power rule on the same generator
             reduced = _rewrite(gens, [(i, k, rhs) for i, (k, rhs, _)
                                       in rules.items()], flat)
             if not reduced:

@@ -111,23 +111,41 @@ def _monomials(gens, allowed, w, parity):
             and crw.mono_parity(gens, m) == parity]
 
 
-def random_relation(rng, gens):
-    """A relation on gens: mostly x^k - f for a generator x, k in 1..3
-    (k = 1 if x is odd) and f of up to two terms free of x, sometimes
-    up to three arbitrary even terms of one weight."""
+def random_relation(rng, gens, odd=False):
+    """An even relation on gens: mostly x^k - f for an even generator x,
+    k in 1..3 and f of up to two terms free of x, sometimes up to three
+    arbitrary terms of one weight.  With odd, x may also be odd, and
+    then the relation is a substitution x - f with f odd and not 0."""
     every = range(len(gens))
     monos = _monomials(gens, every, rng.randint(1, 3), 0)
     if monos and rng.random() < 0.2:
         return {m: _coeff(rng)
                 for m in rng.sample(monos, min(len(monos), 3))}
-    i = rng.choice(every)
-    k = 1 if gens[i].parity else rng.choice((1, 1, 2, 2, 3))
+    if odd:
+        i = rng.choice(every)
+        k = 1 if gens[i].parity else rng.choice((1, 1, 2, 2, 3))
+    else:
+        i = rng.choice([i for i, g in enumerate(gens) if g.parity == 0])
+        k = rng.choice((1, 1, 2, 2, 3))
     monos = _monomials(gens, [j for j in every if j != i],
                        k * gens[i].weight, gens[i].parity)
     rel = {tuple(k if j == i else 0 for j in every): ONE}
-    for m in rng.sample(monos, min(len(monos), rng.randint(0, 2))):
+    for m in rng.sample(monos, min(len(monos), rng.randint(
+            gens[i].parity, 2))):
         rel[m] = _coeff(rng)
     return rel
+
+
+def projects_to_zero(gens, relations, p):
+    """Whether the homogeneous p is 0 in the quotient of the free algebra
+    on gens by relations: p is d(e) for one more generator e, and the
+    quotient carries d(e) over to its generators."""
+    lead = next(iter(p))
+    e = G("e", 1 - crw.mono_parity(gens, lead), crw.mono_weight(gens, lead))
+    alg = crw.quotient_algebra(
+        gens + [e], [{m + (0,): c for m, c in r.items()} for r in relations],
+        {"e": {m + (0,): c for m, c in p.items()}})
+    return alg.normalize(alg.differential["e"]) == {}
 
 
 def random_dg_algebra(rng):
@@ -540,31 +558,64 @@ class TestQuotients:
             assert alg.names == ["y"] and alg.power_rules == {}
 
     def test_quotients_match_the_ideal_oracle_in_every_order(self):
-        # random relations, mostly x^k - f with f free of x and some
-        # substitutions of odd generators: a quotient that is built has
-        # the graded dimensions of the free algebra modulo the ideal, and
-        # whether it is built does not depend on the relation order
+        # random relations, mostly x^k - f with f free of x, then again
+        # with substitutions of odd generators too: a quotient that is
+        # built has the graded dimensions of the free algebra modulo the
+        # ideal, and whether it is built does not depend on the order
+        for odd in (False, True):
+            rng = random.Random(5)
+            seen = {"built": 0, "unsupported": 0}
+            for _ in range(60):
+                gens = [G("x%d" % i, int(i > 0 and rng.random() < 0.25),
+                          rng.choice((1, 1, 2)))
+                        for i in range(rng.randint(2, 4))]
+                relations = [random_relation(rng, gens, odd)
+                             for _ in range(rng.randint(2, 3))]
+                want = oracle_quotient_dims(gens, relations, 4)
+                outcomes = set()
+                for rels in itertools.permutations(relations):
+                    try:
+                        alg = crw.quotient_algebra(gens, list(rels))
+                    except ValueError:
+                        outcomes.add("unsupported")
+                        continue
+                    outcomes.add("built")
+                    assert alg.graded_dims(4) == want
+                assert len(outcomes) == 1
+                seen[outcomes.pop()] += 1
+            assert min(seen.values()) >= 5, (odd, seen)
+
+    def test_random_odd_substitutions_keep_their_koszul_signs(self):
+        # substitutions x - f over mostly odd generators: every relation
+        # times every generator, on either side, is 0 in the quotient.
+        # Dimensions cannot see a lost sign; these products can.
         rng = random.Random(5)
-        seen = {"built": 0, "unsupported": 0}
-        for _ in range(60):
-            gens = [G("x%d" % i, int(i > 0 and rng.random() < 0.25),
+        built = 0
+        for _ in range(40):
+            gens = [G("x%d" % i, int(i > 0 and rng.random() < 0.75),
                       rng.choice((1, 1, 2)))
-                    for i in range(rng.randint(2, 4))]
-            relations = [random_relation(rng, gens)
-                         for _ in range(rng.randint(2, 3))]
-            want = oracle_quotient_dims(gens, relations, 4)
-            outcomes = set()
-            for rels in itertools.permutations(relations):
-                try:
-                    alg = crw.quotient_algebra(gens, list(rels))
-                except ValueError:
-                    outcomes.add("unsupported")
-                    continue
-                outcomes.add("built")
-                assert alg.graded_dims(4) == want
-            assert len(outcomes) == 1
-            seen[outcomes.pop()] += 1
-        assert min(seen.values()) >= 5, seen
+                    for i in range(rng.randint(3, 5))]
+            every = range(len(gens))
+            relations = []
+            for i in rng.sample(every, rng.randint(1, 2)):
+                monos = _monomials(gens, [j for j in every if j != i],
+                                   gens[i].weight, gens[i].parity)
+                rel = {tuple(int(j == i) for j in every): ONE}
+                for m in rng.sample(monos, min(len(monos), 2)):
+                    rel[m] = _coeff(rng)
+                relations.append(rel)
+            try:
+                alg = crw.quotient_algebra(gens, relations)
+            except ValueError:
+                continue
+            built += 1
+            assert alg.graded_dims(4) == oracle_quotient_dims(
+                gens, relations, 4)
+            for r, i in itertools.product(relations, every):
+                x = {tuple(int(j == i) for j in every): ONE}
+                for p in (crw.poly_mul(gens, x, r), crw.poly_mul(gens, r, x)):
+                    assert not p or projects_to_zero(gens, relations, p)
+        assert built >= 20, built
 
     def test_odd_substitution_keeps_the_koszul_sign(self):
         # with a = c, d(x) = a*b + b*c = c*b + b*c = 0

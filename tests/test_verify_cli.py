@@ -428,6 +428,29 @@ class TestCrwCommand:
         assert all(r["even_dim"] == 0 and r["odd_dim"] == 0
                    for r in table[1:])
 
+    def test_substitution_chain_is_fast(self, tmp_path):
+        # x_i = x_(i+1) + x_(i+2) down a chain of 38: substituting x0 must
+        # not walk the Fibonacci(38) ways through the chain; the timeout
+        # turns a hang into a failure
+        n = 40
+        mono = ["0"] * n
+
+        def x(i):
+            return ",".join(mono[:i] + ["1"] + mono[i + 1:])
+
+        doc = {"ambient": [{"name": "x%d" % i, "parity": 0, "weight": 1}
+                           for i in range(n)],
+               "eqs1": [{x(i): "1", x(i + 1): "-1", x(i + 2): "-1"}
+                        for i in range(n - 2)],
+               "eqs2": [{x(0): "1"}]}
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(doc))
+        out = run_cli("crw", "intersect", str(f), "--bound", "3",
+                      timeout=10)
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["cohomology"] == [
+            {"weight": w, "even_dim": 1, "odd_dim": 0} for w in range(4)]
+
     def test_cohomology_of_presentation(self, tmp_path):
         doc = {"generators": [{"name": "x", "parity": 0, "weight": 1},
                               {"name": "eps", "parity": 1, "weight": 2}],
