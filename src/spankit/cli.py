@@ -382,14 +382,19 @@ def _algebra_from_json(doc):
 
 
 def _algebra_to_json(a):
-    return {
+    power, other = a.rules()
+    out = {
         "generators": [{"name": g.name, "parity": g.parity,
                         "weight": g.weight} for g in a.gens],
         "power_rules": {name: {"power": k, "rewrite": _poly_to_json(p)}
-                        for name, (k, p) in sorted(a.power_rules.items())},
+                        for name, (k, p) in sorted(power.items())},
         "differential": {name: _poly_to_json(p)
                          for name, p in sorted(a.differential.items()) if p},
     }
+    if other:
+        out["rules"] = [{"lead": ",".join(map(str, lead)),
+                         "rewrite": _poly_to_json(p)} for lead, p in other]
+    return out
 
 
 def cmd_crw(args):

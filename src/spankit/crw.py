@@ -3,13 +3,13 @@
 Polynomials are dictionaries from exponent tuples to exact rationals
 over an ordered list of generators, each carrying a parity and a
 positive weight.  Odd generators square to zero; products pick up
-Koszul signs from the ordered-generator rule.  A quotient is read into
-one table of rules (generator, k, rhs): the k-th power of the generator
-rewrites to rhs, of lower order in it, and a substitution (a generator
-equals a polynomial in the others) is the rule with k = 1.  One kernel,
-``_rewrite``, applies every rule.  The differential is a
-weight-preserving parity-flipping derivation given on generators.
-Cohomology is computed weight by weight with exact ranks.
+Koszul signs from the ordered-generator rule.  A quotient by
+homogeneous relations builds its ideal one weight at a time by linear
+algebra (Lazard, EUROCAL 1983): the reduced echelon form of the
+relations' multiples in one term order, where a monomial that leads a
+row rewrites to the rest of it.  The differential is a weight-preserving
+parity-flipping derivation given on generators.  Cohomology is computed
+weight by weight with exact ranks.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ class Generator:
 
 def _generators(items):
     """Generators from Generator objects or (name, parity, weight) tuples.
-    The names must be distinct: differentials, power rules and
-    substitutions are all keyed by name."""
+    The names must be distinct: differentials are keyed by name."""
     gens = [g if isinstance(g, Generator) else Generator(*g) for g in items]
     names = [g.name for g in gens]
     for i, name in enumerate(names):
@@ -126,38 +125,55 @@ def _poly_pow(gens, p, e):
     return out
 
 
-def _rewrite(gens, rules, p):
-    """p with the rules [(generator index, k, rhs)], one per generator at
-    most, applied until none applies; a substitution is a rule with
-    k = 1.  Each pass rewrites every term once, x^(qk + r) to rhs^q x^r
-    (with the Koszul sign of moving an odd rhs past the odd generators
-    after x), and merges equal terms, so a chain of substitutions costs
-    one pass per link.  Values are Fractions; zero terms are dropped."""
+def _evaluate(gens, images, p):
+    """p with its i-th generator replaced by images[i], a polynomial over
+    gens of that generator's parity: each monomial becomes the product
+    of its factors' images in order, with poly_mul's Koszul signs."""
     out = {}
-    while p:
-        step = {}
-        for m, c in p.items():
-            if not c:
-                continue
-            for i, k, rhs in rules:
-                if m[i] >= k:
-                    q, r = divmod(m[i], k)
-                    if gens[i].parity and mono_parity(gens[i + 1:], m[i + 1:]):
-                        c = -c
-                    for mm, cc in poly_mul(gens, {m[:i] + (r,) + m[i + 1:]: c},
-                                           _poly_pow(gens, rhs, q)).items():
-                        step[mm] = step.get(mm, 0) + cc
-                    break
-            else:
-                out[m] = out.get(m, 0) + c
-        p = step
-    return {m: Fraction(c) for m, c in out.items() if c}
+    for m, c in p.items():
+        term = poly_const(gens, c)
+        for e, image in zip(m, images):
+            if e:
+                term = poly_mul(gens, term, _poly_pow(gens, image, e))
+        out = poly_add(out, term)
+    return out
 
 
-def _relation(n, i, k, rhs):
-    """x_i^k - rhs over n generators: the relation of the rule (i, k, rhs)."""
-    power = tuple(k if j == i else 0 for j in range(n))
-    return poly_add({power: Fraction(1)}, poly_scale(-1, rhs))
+def _echelon(polys):
+    """The reduced echelon form of polynomials of one weight in the term
+    order, [(lead, the rest of its row over minus its coefficient)]: a
+    monomial m is the column (its factor count, m negated), so fewer
+    factors come first, then larger exponents on earlier generators."""
+    rows, pivots = ratlin.sparse_rref(
+        {(sum(m), tuple(-e for e in m)): c for m, c in p.items()}
+        for p in polys)
+    return [(tuple(-e for e in p[1]),
+             {tuple(-e for e in k[1]): Fraction(-v, row[p])
+              for k, v in row.items() if k != p})
+            for row, p in zip(rows, pivots)]
+
+
+def _power_of(m):
+    """i if the monomial m is a pure power x_i^k with k > 0, else None."""
+    support = [i for i, e in enumerate(m) if e]
+    return support[0] if len(support) == 1 else None
+
+
+def _by_weight(gens, relations):
+    """{weight: its relations}, without zero terms or zero relations;
+    ValueError on a relation that is not weight- and parity-homogeneous."""
+    out = {}
+    for pos, rel in enumerate(relations):
+        rel = {m: Fraction(c) for m, c in dict(rel).items() if c}
+        for grade, what in ((mono_weight, "weight"), (mono_parity, "parity")):
+            if len({grade(gens, m) for m in rel}) > 1:
+                raise ValueError(
+                    "relation %d, %s, is not %s-homogeneous; declare "
+                    "generator weights and parities making it homogeneous"
+                    % (pos, poly_str(gens, rel), what))
+        if rel:
+            out.setdefault(mono_weight(gens, next(iter(rel))), []).append(rel)
+    return out
 
 
 def mono_weight(gens, m):
@@ -195,28 +211,26 @@ def poly_str(gens, p):
 # ---------------------------------------------------------------------------
 
 class GradedDGAlgebra:
-    """A graded-commutative polynomial algebra with power-rewrite
-    relations and a differential given on generators.
+    """A graded-commutative polynomial algebra modulo homogeneous
+    relations, with a differential given on generators.
 
-    ``power_rules``: {generator name: (k, polynomial)} meaning that the
-    k-th power of the generator rewrites to the polynomial (which must
-    have degree < k in that generator and the same weight and parity).
+    ``relations``: weight- and parity-homogeneous polynomials that are 0
+    in the algebra.  The weight-w part I_w of their ideal is built once
+    per weight asked for, as the reduced echelon form (``_echelon``) of
+    the products m*r of the relations with the free monomials m.
     ``differential``: {generator name: polynomial}, extended to all of
     the algebra by the Leibniz rule d(ab) = (da)b + (-1)^|a| a(db).
     """
 
-    def __init__(self, generators, power_rules=None, differential=None):
+    def __init__(self, generators, relations=(), differential=None):
         self.gens = _generators(generators)
         self.names = [g.name for g in self.gens]
-        self.power_rules = {}
-        for name, (k, p) in (power_rules or {}).items():
-            self.power_rules[name] = (k, dict(p))
+        self._by_weight = _by_weight(self.gens, relations)
+        self.relations = [r for rs in self._by_weight.values() for r in rs]
         self.differential = {name: dict(p) for name, p in
                              (differential or {}).items()}
         for g in self.gens:
             self.differential.setdefault(g.name, {})
-        self._rules = [(self.names.index(name), k, rhs)
-                       for name, (k, rhs) in self.power_rules.items()]
         self._odd = [i for i, g in enumerate(self.gens) if g.parity]
         # d of each generator as (term, coefficient, odd indices of the
         # term): plain int coefficients where integral, odd squares dropped
@@ -231,26 +245,58 @@ class GradedDGAlgebra:
                                   else c, odd))
             self._dgen.append(terms)
         self._dfree = {(0,) * len(self.gens): {}}  # monomial -> free d
+        self._free = {}  # weight -> free monomials of that weight
+        self._ideal = {}  # weight -> {lead of I_w: its normal form}
         self._monomials = {}  # weight -> monomials_of_weight(weight)
         self._by_parity = {}  # weight -> monomials_by_parity(weight)
         self._check()
 
     # -- normal form --------------------------------------------------
 
+    def _ideal_of_weight(self, w):
+        """I_w in reduced echelon form, {lead: its normal form}, built once."""
+        if w not in self._ideal:
+            self._ideal[w] = dict(_echelon(
+                poly_mul(self.gens, {m: 1}, r)
+                for rw, rs in self._by_weight.items() if rw <= w
+                for r in rs for m in self._free_monomials(w - rw)))
+        return self._ideal[w]
+
     def normalize(self, p):
-        return _rewrite(self.gens, self._rules, p)
+        """p in normal form, with Fraction values and no zero terms: one
+        pass maps each lead of the ideal to its normal form."""
+        if not self.relations:
+            return {m: Fraction(c) for m, c in p.items() if c}
+        out = {}
+        for m, c in p.items():
+            if c:
+                ideal = self._ideal_of_weight(mono_weight(self.gens, m))
+                for mm, cc in ideal.get(m, {m: 1}).items():
+                    out[mm] = out.get(mm, 0) + c * cc
+        return {m: Fraction(c) for m, c in out.items() if c}
+
+    def rules(self):
+        """The relations as rewrites lead -> rhs (``_echelon`` of each):
+        ({generator name: (k, rhs)} for the first relation led by a pure
+        power x^k of each generator, [(lead, rhs)] for the others)."""
+        power, other = {}, []
+        for lead, rhs in (_echelon([r])[0] for r in self.relations):
+            i = _power_of(lead)
+            if i is None or self.names[i] in power:
+                other.append((lead, rhs))
+            else:
+                power[self.names[i]] = (lead[i], rhs)
+        return power, other
+
+    @property
+    def power_rules(self):
+        return self.rules()[0]
 
     def mul(self, p, q):
         return self.normalize(poly_mul(self.gens, p, q))
 
-    def add(self, p, q):
-        return poly_add(p, q)
-
     def gen(self, name):
         return poly_gen(self.gens, name)
-
-    def const(self, c):
-        return poly_const(self.gens, c)
 
     def is_homogeneous(self, p):
         ws = {mono_weight(self.gens, m) for m in p}
@@ -275,8 +321,8 @@ class GradedDGAlgebra:
         return self.normalize(out)
 
     def _d_mono(self, m):
-        """d(m) in the free algebra, where odd squares vanish and no power
-        rule applies, memoized per monomial.  With x the first generator
+        """d(m) in the free algebra, where odd squares vanish and no
+        relation applies, memoized per monomial.  With x the first generator
         of m, e its exponent and m' the rest of m, the Leibniz rule gives
         d(m) = e d(x) x^(e-1) m' + (-1)^(e|x|) x^e d(m'), where d(m') has
         a lower weight or degree and comes from the memo.  Each product
@@ -321,19 +367,6 @@ class GradedDGAlgebra:
     # -- validation ---------------------------------------------------
 
     def _check(self):
-        for i, k, rhs in self._rules:
-            g = self.gens[i]
-            if g.parity == 1:
-                raise ValueError("odd generators square to zero already")
-            if any(m[i] >= k for m in rhs):
-                raise ValueError("rewrite right-hand side not reduced")
-            for m in rhs:
-                if mono_weight(self.gens, m) != k * g.weight:
-                    raise ValueError(
-                        "relation not weight-homogeneous; declare generator "
-                        "weights making every relation homogeneous")
-                if mono_parity(self.gens, m) != 0:
-                    raise ValueError("relation not parity-homogeneous")
         for name, p in self.differential.items():
             g = self.gens[self.names.index(name)]
             p = self.normalize(p)
@@ -346,15 +379,16 @@ class GradedDGAlgebra:
                     raise ValueError("differential must flip parity")
         # d descends to the quotient only if it maps each relation into
         # the ideal, that is to 0 in normal form
-        for i, k, rhs in self._rules:
-            rel = _relation(len(self.gens), i, k, rhs)
+        for rel in self.relations:
             drel = self.d(rel)
             if drel:
+                i = _power_of(_echelon([rel])[0][0])
+                what = ("the relation" if i is None else
+                        "the power rule on generator %r" % self.names[i])
                 raise ValueError(
-                    "d does not preserve the power rule on generator %r: "
-                    "d(%s) = %s in the quotient, not 0"
-                    % (self.names[i], poly_str(self.gens, rel),
-                       poly_str(self.gens, drel)))
+                    "d does not preserve %s: d(%s) = %s in the quotient, "
+                    "not 0" % (what, poly_str(self.gens, rel),
+                               poly_str(self.gens, drel)))
         for name in self.names:
             dd = self.d(self.d(self.gen(name)))
             if dd:
@@ -362,26 +396,30 @@ class GradedDGAlgebra:
 
     # -- graded bases --------------------------------------------------
 
-    def monomials_of_weight(self, w):
-        """The normal-form monomials of weight w in increasing exponent
-        order, built once per weight.  Generators are added from the
-        last: tails[r] holds the monomials in those added so far that
-        have weight r."""
-        if w not in self._monomials:
+    def _free_monomials(self, w):
+        """The free monomials of weight w (odd exponents at most 1) in
+        increasing exponent order, built once per weight.  Generators are
+        added from the last: tails[r] holds the monomials in those added
+        so far that have weight r."""
+        if w not in self._free:
             tails = [[()]] + [[] for _ in range(w)]
             for g in reversed(self.gens):
-                if g.parity:
-                    cap = 1
-                elif g.name in self.power_rules:
-                    cap = self.power_rules[g.name][0] - 1
-                else:
-                    cap = w
-                tails = [[(e,) + t
-                          for e in range(min(cap, r // g.weight) + 1
-                                         if g.weight else cap + 1)
+                cap = 1 if g.parity else w
+                tails = [[(e,) + t for e in range(
+                              min(cap, r // g.weight if g.weight else 1) + 1)
                           for t in tails[r - e * g.weight]]
                          for r in range(w + 1)]
-            self._monomials[w] = tuple(tails[w])
+            self._free[w] = tuple(tails[w])
+        return self._free[w]
+
+    def monomials_of_weight(self, w):
+        """The normal-form monomials of weight w: the free monomials that
+        lead no row of I_w, in increasing exponent order, built once per
+        weight."""
+        if w not in self._monomials:
+            leads = self._ideal_of_weight(w)
+            self._monomials[w] = tuple(m for m in self._free_monomials(w)
+                                       if m not in leads)
         return self._monomials[w]
 
     def monomials_by_parity(self, w):
@@ -405,10 +443,10 @@ class GradedDGAlgebra:
         return {
             "generators": [{"name": g.name, "parity": g.parity,
                             "weight": g.weight} for g in self.gens],
-            "relations": [
-                {"generator": name, "power": k,
-                 "rewrites_to": poly_str(self.gens, rhs)}
-                for name, (k, rhs) in sorted(self.power_rules.items())],
+            "relations": [{"lead": poly_str(self.gens, {lead: 1}),
+                           "rewrites_to": poly_str(self.gens, rhs)}
+                          for lead, rhs in (_echelon([r])[0]
+                                            for r in self.relations)],
             "differential": {name: poly_str(self.gens, p)
                              for name, p in sorted(self.differential.items())},
         }
@@ -448,110 +486,40 @@ def cohomology_csv(table):
 # quotients and Koszul intersections
 # ---------------------------------------------------------------------------
 
-def _classify_relation(gens, p):
-    """Split a relation polynomial into (generator index, power, rhs)
-    for the supported substitution / power-rewrite shapes; raises for
-    anything else.  Substitution form is preferred when available."""
-    # the pure powers x_i^k that occur in p, in (k, i) order
-    leads = sorted((m[i], i, m) for m in p for i in range(len(m))
-                   if m[i] and not any(m[:i] + m[i + 1:]))
-    for k, i, lead in leads:
-        rest = {m: -c / p[lead] for m, c in p.items() if m != lead}
-        if all(m[i] == 0 for m in rest):
-            return i, k, rest
-    raise ValueError(
-        "unsupported relation %s: only substitutions (x - f) and "
-        "power rewrites (x^k - f) are handled" % poly_str(gens, p))
-
-
 def quotient_algebra(gens, relations, differential=None):
-    """Quotient of the free graded-commutative algebra on ``gens`` by
-    the given relation polynomials (substitution or power-rewrite
-    form).  Each relation must be weight- and parity-homogeneous, so
-    that the quotient stays graded; any other raises ``ValueError``.
-
-    Relations are read in turn.  A relation gives a rule as it stands or
-    after the substitutions found so far, when that rule is a
-    substitution or a power rule on a generator that has none.  Else the
-    power rules found so far reduce it first, and its rule may displace
-    one on the same generator.  A power rule is read again when it is
-    displaced, or when a generator in its right-hand side gets
-    substituted.  So every generator ends with at most one rule, and no
-    rule mentions a substituted generator.  A relation of neither shape
-    waits for the next new rule; it is an error only once none comes.
-
-    Substitutions (rules with k = 1) still differ from power rules where
-    the reading order needs it: a relation is read first with them alone,
-    they are never displaced, and at the end they eliminate generators."""
+    """Quotient of the free graded-commutative algebra on ``gens`` by the
+    ideal of the given relations, which must be weight- and parity-
+    homogeneous (others raise ``ValueError``).  Weight by weight, in
+    increasing order, the relations with the substitutions found so far
+    made are put in reduced echelon form (``_echelon``).  A row whose
+    lead is a single generator x, with x in no other term, eliminates x;
+    every other row is kept as a relation on the generators that stay."""
     gens = _generators(gens)
-    differential = {n: dict(p) for n, p in (differential or {}).items()}
-    relations = [dict(r) for r in relations]
-    for pos, rel in enumerate(relations):
-        for grade, what in ((mono_weight, "weight"), (mono_parity, "parity")):
-            if len({grade(gens, m) for m, c in rel.items() if c}) > 1:
-                raise ValueError(
-                    "relation %d, %s, is not %s-homogeneous; declare "
-                    "generator weights and parities making it homogeneous"
-                    % (pos, poly_str(gens, rel), what))
-    # generator index -> (k, rhs, the relation to read again if it goes)
-    rules = {}
-    queue = list(enumerate(relations))
-    stuck = []  # relations of no supported shape until a new rule comes
-    while queue:
-        pos, rel = queue.pop(0)
-        subs = [(i, k, rhs) for i, (k, rhs, _) in rules.items() if k == 1]
-        flat = _rewrite(gens, subs, rel)
-        rule = None
-        # the relation as given, then with the substitutions made, may
-        # give a rule on a generator that has none
-        for p in (rel, flat):
-            try:
-                i, k, rhs = _classify_relation(gens, p)
-            except ValueError:
-                continue
-            rhs = _rewrite(gens, subs, rhs)
-            if all(m[i] < k for m in rhs) \
-                    and (i not in rules or k == 1 and rules[i][0] > 1):
-                rule = (i, k, rhs, (pos, rel))
-                break
-        if rule is None:
-            # else all rules found so far reduce it first, and the rule it
-            # gives may displace a power rule on the same generator
-            reduced = _rewrite(gens, [(i, k, rhs) for i, (k, rhs, _)
-                                      in rules.items()], flat)
-            if not reduced:
-                continue
-            try:
-                i, k, rhs = _classify_relation(gens, reduced)
-            except ValueError:
-                stuck.append((pos, rel, reduced))
-                continue
-            rule = (i, k, rhs, (pos, _relation(len(gens), i, k, rhs)))
-        i, k, rhs, source = rule
-        queue.extend((pos, rel) for pos, rel, _ in stuck)
-        stuck = []
-        for j in [j for j, (kj, old, _) in rules.items() if kj > 1 and
-                  (j == i or k == 1 and any(m[i] for m in old))]:
-            queue.append(rules.pop(j)[2])
-        rules[i] = (k, rhs, source)
-    if stuck:
-        pos, _, reduced = min(stuck, key=lambda s: s[0])
-        raise ValueError(
-            "relation %d, %s, reduces by the others to %s, which is neither "
-            "a substitution nor a power rewrite"
-            % (pos, poly_str(gens, relations[pos]), poly_str(gens, reduced)))
-    subs = [(i, k, rhs) for i, (k, rhs, _) in rules.items() if k == 1]
-    keep_idx = sorted(set(range(len(gens))) - {i for i, _, _ in subs})
+    by_weight = _by_weight(gens, relations)
+    subs, kept = {}, []  # generator index -> its image; kept relations
+
+    def substitute(p):  # until no substituted generator is left
+        while any(m[i] for m in p for i in subs):
+            p = _evaluate(gens, [subs.get(i, poly_gen(gens, g.name))
+                                 for i, g in enumerate(gens)], p)
+        return p
+
+    for w in sorted(by_weight):
+        for lead, rest in _echelon(map(substitute, by_weight[w])):
+            if sum(lead) == 1 and not any(m[lead.index(1)] for m in rest):
+                subs[lead.index(1)] = rest
+            else:
+                kept.append({lead: 1, **{m: -c for m, c in rest.items()}})
+    keep_idx = [i for i in range(len(gens)) if i not in subs]
 
     def project(p):
         return {tuple(m[i] for i in keep_idx): c
-                for m, c in _rewrite(gens, subs, p).items()}
+                for m, c in substitute(p).items()}
 
     keep = [gens[i] for i in keep_idx]
-    new_rules = {gens[i].name: (k, project(rhs))
-                 for i, (k, rhs, _) in rules.items() if k > 1}
-    new_diff = {g.name: project(differential.get(g.name, {})) for g in keep}
-    return GradedDGAlgebra(keep, new_rules, new_diff)
+    return GradedDGAlgebra(keep, map(project, kept),
+                           {g.name: project(dict((differential or {}).get(
+                               g.name, {}))) for g in keep})
 
 
 def koszul_intersection(ambient_gens, eqs1, eqs2):
@@ -574,7 +542,7 @@ def koszul_intersection(ambient_gens, eqs1, eqs2):
         return {m + pad: c for m, c in dict(p).items()}
 
     # the odd generators occur in no relation, so the quotient keeps
-    # them and reduces their differentials to normal form
+    # them and makes its substitutions in their differentials
     return quotient_algebra(gens + odd, [widen(r) for r in eqs1],
                             {g.name: widen(eq) for g, eq in zip(odd, eqs2)})
 
@@ -624,7 +592,7 @@ class DGModule:
                     p = self.d_entries[i][j]
                     term = a.mul(p, self.d_entries[k][i])
                     sign = -1 if (p and a.parity_of(p) == 1) else 1
-                    acc = a.add(acc, poly_scale(sign, term))
+                    acc = poly_add(acc, poly_scale(sign, term))
                 if a.normalize(acc):
                     raise ValueError("d^2 != 0 in module at (%d, %d)" % (k, j))
 
@@ -645,30 +613,21 @@ def algebra_map(source, target, images):
         if p and (target.parity_of(p) != g.parity
                   or target.weight_of(p) != g.weight):
             raise ValueError("map does not preserve the grading")
-    for i, k, rhs in source._rules:
-        if _apply_map(source, target, images,
-                      _relation(len(source.gens), i, k, rhs)):
-            raise ValueError("map does not kill relation on %s"
-                             % source.names[i])
+    for rel in source.relations:
+        if _apply_map(source, target, images, rel):
+            raise ValueError("map does not kill the relation %s"
+                             % poly_str(source.gens, rel))
     for g in source.gens:
         lhs = target.d(images[g.name])
-        rhs = target.normalize(_apply_map(source, target, images,
-                                          source.differential[g.name]))
+        rhs = _apply_map(source, target, images, source.differential[g.name])
         if lhs != rhs:
             raise ValueError("map does not commute with d")
     return images
 
 
 def _apply_map(source, target, images, p):
-    out = target.const(0)
-    for m, c in p.items():
-        term = target.const(c)
-        for e, g in zip(m, source.gens):
-            if e:
-                term = target.mul(term, _poly_pow(target.gens,
-                                                  images[g.name], e))
-        out = target.add(out, term)
-    return target.normalize(out)
+    return target.normalize(_evaluate(
+        target.gens, [images[g.name] for g in source.gens], p))
 
 
 def module_pullback(source, target, images, module):
@@ -856,7 +815,7 @@ def build_intro_algebras(n):
     if n < 2:
         raise ValueError("n must be at least 2")
     ambient = [Generator("x", 0, 1), Generator("y", 0, n)]
-    graph = _relation(2, 1, 1, {(n, 0): Fraction(1)})  # y - x^n
+    graph = {(0, 1): Fraction(1), (n, 0): Fraction(-1)}  # y - x^n
     zero_section = [poly_gen(ambient, "y")]
     b = koszul_intersection(ambient, [graph], zero_section)
 

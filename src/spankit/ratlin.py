@@ -2,8 +2,8 @@
 
 Matrices are tuples of tuples of Fractions (rows).  Everything here is
 deterministic and exact; no floats.  Elimination runs in one kernel,
-``_reduce``, on sparse rows: callers that build their equations sparsely
-hand ``sparse_rank`` one {column: rational} dict per row, and the dense
+``_reduce``, on sparse rows: sparse callers hand ``sparse_rank`` and
+``sparse_rref`` one {column: rational} dict per row, and the dense
 ``rank`` and ``rref`` convert their tuples to such rows at their boundary.
 """
 
@@ -129,10 +129,16 @@ def sparse_rank(rows):
     return len(_reduce(rows, False)[1])
 
 
+def sparse_rref(rows):
+    """The full pass of ``_reduce`` on rows as ``sparse_rank`` takes them,
+    whose columns may be any keys that compare: (rows, pivots)."""
+    return _reduce(rows, True)
+
+
 def rref(a):
     """Reduced row echelon form; returns (R, pivot column list)."""
     r, c = shape(a)
-    rows, pivots = _reduce((dict(enumerate(row)) for row in a), True)
+    rows, pivots = sparse_rref(dict(enumerate(row)) for row in a)
     zero = Fraction(0)
     out = tuple(tuple(Fraction(row[j], row[p]) if j in row else zero
                       for j in range(c)) for row, p in zip(rows, pivots))

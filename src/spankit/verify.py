@@ -494,7 +494,7 @@ def check_module_adjunction(rng, bound):
     from . import crw
     G = crw.Generator
     r = crw.GradedDGAlgebra([G("x", 0, 1)])
-    s = crw.GradedDGAlgebra([G("x", 0, 1)], power_rules={"x": (3, {})})
+    s = crw.GradedDGAlgebra([G("x", 0, 1)], [{(3,): Fraction(1)}])
     phi = crw.algebra_map(r, s, {"x": s.gen("x")})
     for _ in range(5):
         k = rng.randrange(1, 3)

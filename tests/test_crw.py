@@ -1,5 +1,9 @@
 import itertools
+import json
+import operator
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -136,6 +140,101 @@ def random_relation(rng, gens, odd=False):
     return rel
 
 
+def product_relation(rng, gens):
+    """An even relation of one to three terms of one weight in 2..4, none
+    of them a pure power of a generator (it may come out empty)."""
+    monos = [m for m in _monomials(gens, range(len(gens)), rng.randint(2, 4),
+                                   0) if sum(map(bool, m)) > 1]
+    return {m: _coeff(rng)
+            for m in rng.sample(monos, min(len(monos), rng.randint(1, 3)))}
+
+
+def regular_sequence(rng):
+    """Even generators x0.. of weight 1 or 2, none, two or four odd
+    generators of weight 1, and relations f_i = x_i^k + g_i (k = 2 or 3) on two or three
+    of the even generators, each g_i of the weight of x_i^k, of degree
+    below k in x_i, free of the x_j before it and of single generators
+    (so that no generator is eliminated), often with products of odd
+    generators.  In the lexicographic order the leads x_i^k are coprime,
+    so the f_i form a regular sequence."""
+    n = rng.randint(2, 3)
+    gens = [G("x%d" % i, 0, rng.randint(1, 2)) for i in range(n)]
+    gens += [G("e%d" % i, 1, 1) for i in range(rng.choice((0, 2, 4)))]
+    seq = []
+    for i in sorted(rng.sample(range(n), rng.randint(2, n))):
+        k = rng.randint(2, 3)
+        monos = [m for m in _monomials(gens, range(i, len(gens)),
+                                       k * gens[i].weight, 0)
+                 if m[i] < k and sum(m) > 1]
+        f = {m: _coeff(rng) for m in rng.sample(monos, min(len(monos), 3))}
+        f[tuple(k * (j == i) for j in range(len(gens)))] = ONE
+        seq.append(f)
+    return gens, seq
+
+
+def complete_intersection_dims(gens, seq, bound):
+    """Rows (weight, even_dim, odd_dim) of prod(1 - t^deg f) over the
+    regular sequence times prod(1 + s t^w) over the odd generators over
+    prod(1 - t^w) over the even ones, with s marking odd parity."""
+    rows = [[1, 0]] + [[0, 0] for _ in range(bound)]
+    for g in gens:
+        for w in (range(bound, g.weight - 1, -1) if g.parity
+                  else range(g.weight, bound + 1)):
+            rows[w] = [rows[w][p] + rows[w - g.weight][(p + g.parity) % 2]
+                       for p in (0, 1)]
+    for f in seq:
+        deg = crw.mono_weight(gens, next(iter(f)))
+        for w in range(bound, deg - 1, -1):
+            rows[w] = [rows[w][p] - rows[w - deg][p] for p in (0, 1)]
+    return [(w, e, o) for w, (e, o) in enumerate(rows)]
+
+
+def koszul_product(gens, p, q):
+    """p*q from the definition: each pair of terms joins its factor lists,
+    an odd factor twice gives 0, and sorting the factors into generator
+    order flips the sign once per pair of odd factors out of order."""
+    out = {}
+    for (m, a), (n, b) in itertools.product(p.items(), q.items()):
+        odd = [i for mono in (m, n) for i, e in enumerate(mono)
+               if e and gens[i].parity]
+        if len(set(odd)) == len(odd):
+            flips = sum(x > y for x, y in itertools.combinations(odd, 2))
+            mono = tuple(map(operator.add, m, n))
+            out[mono] = out.get(mono, 0) + (-1) ** flips * a * b
+    return {m: c for m, c in out.items() if c}
+
+
+def cross_check_failures(seed, count=30, bound=5):
+    """Over random regular sequences, the failures of three checks that
+    take no reference from the quotient code: the graded dimensions of
+    the quotient against complete_intersection_dims, Tor symmetry (with
+    the sequence cut into I and J, koszul_intersection(A, I, J), (A, J, I)
+    and (A, [], I + J) give one cohomology table), and every relation
+    times every generator, on either side, by koszul_product, being 0 in
+    the quotient."""
+    rng = random.Random(seed)
+    fails = {"complete intersection": 0, "tor": 0, "multiples": 0}
+    for _ in range(count):
+        gens, seq = regular_sequence(rng)
+        alg = crw.quotient_algebra(gens, seq)
+        if alg.graded_dims(bound) != complete_intersection_dims(gens, seq,
+                                                                bound):
+            fails["complete intersection"] += 1
+        cut = rng.randint(1, len(seq) - 1)
+        i, j = seq[:cut], seq[cut:]
+        tables = [crw.cohomology(crw.koszul_intersection(gens, a, b), bound)
+                  for a, b in ((i, j), (j, i), ([], i + j))]
+        if not tables[0] == tables[1] == tables[2]:
+            fails["tor"] += 1
+        units = [{tuple(int(k == n) for k in range(len(gens))): ONE}
+                 for n in range(len(gens))]
+        if any(alg.normalize(koszul_product(gens, *pair))
+               for f, x in itertools.product(seq, units)
+               for pair in ((x, f), (f, x))):
+            fails["multiples"] += 1
+    return fails
+
+
 def projects_to_zero(gens, relations, p):
     """Whether the homogeneous p is 0 in the quotient of the free algebra
     on gens by relations: p is d(e) for one more generator e, and the
@@ -176,9 +275,10 @@ def random_dg_algebra(rng):
             differential[g.name] = dg
         else:
             cycles.append(i)
-    rules = {gens[i].name: (rng.randint(2, 3), {}) for i in cycles
-             if gens[i].parity == 0 and rng.random() < 0.4}
-    return crw.GradedDGAlgebra(gens, rules, differential)
+    relations = [{tuple(k * (j == i) for j in range(len(gens))): ONE}
+                 for i in cycles if gens[i].parity == 0 and rng.random() < 0.4
+                 for k in [rng.randint(2, 3)]]
+    return crw.GradedDGAlgebra(gens, relations, differential)
 
 
 def random_koszul_intersection(rng):
@@ -274,8 +374,7 @@ class TestPolynomials:
 
 class TestAlgebra:
     def test_power_rule_normalizes(self):
-        alg = crw.GradedDGAlgebra([G("x", 0, 1)],
-                                  power_rules={"x": (3, {})})
+        alg = crw.GradedDGAlgebra([G("x", 0, 1)], [{(3,): ONE}])
         x = alg.gen("x")
         x2 = alg.mul(x, x)
         assert alg.mul(x2, x) == {}
@@ -326,7 +425,9 @@ class TestAlgebra:
                 gens.append(G("g%d" % i, parity, rng.randint(1 - parity, 3)))
             rules = {g.name: (rng.randint(2, 4), {}) for g in gens
                      if g.parity == 0 and rng.random() < 0.3}
-            alg = crw.GradedDGAlgebra(gens, rules)
+            alg = crw.GradedDGAlgebra(gens, [
+                {tuple(k if h.name == name else 0 for h in gens): ONE}
+                for name, (k, _) in rules.items()])
             for w in range(8):
                 caps = [1 if g.parity else
                         rules[g.name][0] - 1 if g.name in rules else w
@@ -377,11 +478,11 @@ class TestAlgebra:
         # d(x^2) = 2*x*z is not 0, so d does not descend to K[x]/(x^2)
         with pytest.raises(ValueError, match="power rule on generator 'x'"):
             crw.GradedDGAlgebra([G("x", 0, 1), G("z", 1, 1)],
-                                power_rules={"x": (2, {})},
+                                [{(2, 0): ONE}],
                                 differential={"x": {(0, 1): ONE}})
         # with d(x) = 0 and d(z) = x^2 the rule is preserved
         crw.GradedDGAlgebra([G("x", 0, 1), G("z", 1, 2)],
-                            power_rules={"x": (2, {})},
+                            [{(2, 0): ONE}],
                             differential={"z": {(2, 0): ONE}})
 
     def test_parity_split_keeps_basis_order(self):
@@ -446,11 +547,13 @@ class TestQuotients:
         assert alg.graded_dims(3) == [(0, 1, 0), (1, 1, 0), (2, 0, 0),
                                       (3, 0, 0)]
 
-    def test_unsupported_relation_rejected(self):
+    def test_monomial_relation_matches_the_oracle(self):
+        # xy = 0 has no pure power, and its ideal is homogeneous
         gens = [G("x", 0, 1), G("y", 0, 1)]
-        mixed = {(1, 1): ONE}  # xy = 0 is neither shape
-        with pytest.raises(ValueError):
-            crw.quotient_algebra(gens, [mixed])
+        alg = crw.quotient_algebra(gens, [{(1, 1): ONE}])
+        assert alg.graded_dims(4) == oracle_quotient_dims(
+            gens, [{(1, 1): ONE}], 4) == [(0, 1, 0)] + [(w, 2, 0)
+                                                        for w in range(1, 5)]
 
     @pytest.mark.parametrize("gens, rel, what", [
         # x = y + 1: no grading survives the substitution
@@ -500,16 +603,14 @@ class TestQuotients:
             assert crw.cohomology(alg, 3) == [(0, 1, 0), (1, 1, 0),
                                               (2, 0, 0), (3, 0, 0)]
 
-    def test_unsupported_combination_names_the_relation(self):
-        # x^3 = y^3 reduced by x^2 = y^2 leaves x*y^2 - y^3
+    def test_reduced_combination_matches_the_oracle(self):
+        # x^3 = y^3 reduced by x^2 = y^2 leaves x*y^2 - y^3, no pure power
         gens = [G("x", 0, 1), G("y", 0, 1)]
         cube = {(3, 0): ONE, (0, 3): -ONE}
         square = {(2, 0): ONE, (0, 2): -ONE}
-        for pos, rels in ((0, [cube, square]), (1, [square, cube])):
-            with pytest.raises(ValueError, match=r"relation %d, -y\^3 \+ "
-                               r"x\^3, reduces by the others to -y\^3 \+ "
-                               r"x\*y\^2, which is neither" % pos):
-                crw.quotient_algebra(gens, rels)
+        want = oracle_quotient_dims(gens, [cube, square], 6)
+        for rels in ([cube, square], [square, cube]):
+            assert crw.quotient_algebra(gens, rels).graded_dims(6) == want
 
     @pytest.mark.parametrize("relations, table", [
         # K[a, c, d]/(a^2 - c^2, a^2 - d^2)
@@ -559,31 +660,24 @@ class TestQuotients:
 
     def test_quotients_match_the_ideal_oracle_in_every_order(self):
         # random relations, mostly x^k - f with f free of x, then again
-        # with substitutions of odd generators too: a quotient that is
-        # built has the graded dimensions of the free algebra modulo the
-        # ideal, and whether it is built does not depend on the order
-        for odd in (False, True):
+        # with substitutions of odd generators too, then relations of
+        # products with no pure power: in every order the quotient has the
+        # graded dimensions of the free algebra modulo the ideal
+        for kind in ("even", "odd", "products"):
             rng = random.Random(5)
-            seen = {"built": 0, "unsupported": 0}
             for _ in range(60):
                 gens = [G("x%d" % i, int(i > 0 and rng.random() < 0.25),
                           rng.choice((1, 1, 2)))
                         for i in range(rng.randint(2, 4))]
-                relations = [random_relation(rng, gens, odd)
-                             for _ in range(rng.randint(2, 3))]
+                relations = [
+                    product_relation(rng, gens) if kind == "products"
+                    else random_relation(rng, gens, kind == "odd")
+                    for _ in range(rng.randint(2, 3))]
+                relations = [r for r in relations if r]
                 want = oracle_quotient_dims(gens, relations, 4)
-                outcomes = set()
                 for rels in itertools.permutations(relations):
-                    try:
-                        alg = crw.quotient_algebra(gens, list(rels))
-                    except ValueError:
-                        outcomes.add("unsupported")
-                        continue
-                    outcomes.add("built")
-                    assert alg.graded_dims(4) == want
-                assert len(outcomes) == 1
-                seen[outcomes.pop()] += 1
-            assert min(seen.values()) >= 5, (odd, seen)
+                    alg = crw.quotient_algebra(gens, list(rels))
+                    assert alg.graded_dims(4) == want, (kind, rels)
 
     def test_random_odd_substitutions_keep_their_koszul_signs(self):
         # substitutions x - f over mostly odd generators: every relation
@@ -616,6 +710,60 @@ class TestQuotients:
                 for p in (crw.poly_mul(gens, x, r), crw.poly_mul(gens, r, x)):
                     assert not p or projects_to_zero(gens, relations, p)
         assert built >= 20, built
+
+    def test_quadric_cycle_matches_the_oracle(self):
+        # as rules x^2 -> yz, y^2 -> xz, z^2 -> xy rewrite into each
+        # other, and counting the monomials that none rewrites gave
+        # 1, 3, 3, 1, 0
+        gens = [G(n, 0, 1) for n in "xyz"]
+        relations = [{(2, 0, 0): ONE, (0, 1, 1): -ONE},
+                     {(0, 2, 0): ONE, (1, 0, 1): -ONE},
+                     {(0, 0, 2): ONE, (1, 1, 0): -ONE}]
+        want = [(0, 1, 0)] + [(w, 3, 0) for w in range(1, 5)]
+        assert oracle_quotient_dims(gens, relations, 4) == want
+        for rels in itertools.permutations(relations):
+            alg = crw.quotient_algebra(gens, list(rels))
+            assert crw.cohomology(alg, 4) == want
+
+    def test_relations_that_rewrite_into_each_other_normalize(self):
+        # x^2 - y and y^2 - x^4: as rules x^2 -> y and y^2 -> x^4 they
+        # rewrote x^4 without end
+        gens = [G("x", 0, 1), G("y", 0, 2)]
+        relations = [{(2, 0): ONE, (0, 1): -ONE}, {(0, 2): ONE, (4, 0): -ONE}]
+        alg = crw.GradedDGAlgebra(gens, relations)
+        assert alg.normalize({(4, 0): ONE}) == {(4, 0): ONE}
+        assert alg.normalize({(0, 2): ONE}) == {(4, 0): ONE}
+        assert alg.graded_dims(8) == oracle_quotient_dims(gens, relations, 8)
+
+    def test_zero_coefficient_is_no_term(self):
+        # 0*x + y: y = 0 eliminates y
+        alg = crw.quotient_algebra([G("x", 0, 1), G("y", 0, 1)],
+                                   [{(1, 0): 0, (0, 1): ONE}])
+        assert alg.names == ["x"] and alg.relations == []
+
+    def test_quadrics_with_an_odd_generator_end(self, tmp_path):
+        # the relation queue reduced these three quadrics by power rules
+        # that rewrote into each other until memory ran out; the timeout
+        # turns a hang into a failure
+        gens = [G("x0", 0, 1), G("x1", 1, 2), G("x2", 0, 1), G("x3", 0, 1)]
+        relations = [
+            {(0, 0, 2, 0): ONE, (2, 0, 0, 0): Fraction(1, 2),
+             (0, 0, 0, 2): 2 * ONE},
+            {(0, 0, 0, 2): ONE, (1, 0, 1, 0): ONE, (2, 0, 0, 0): -2 * ONE},
+            {(0, 0, 2, 0): ONE, (2, 0, 0, 0): -3 * ONE, (0, 0, 0, 2): 2 * ONE}]
+        doc = {"generators": [{"name": g.name, "parity": g.parity,
+                               "weight": g.weight} for g in gens],
+               "relations": [{",".join(map(str, m)): str(c)
+                              for m, c in r.items()} for r in relations]}
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps(doc))
+        out = subprocess.run(
+            [sys.executable, "-m", "spankit", "crw", "cohomology", str(f),
+             "--bound", "4", "--format", "csv"],
+            capture_output=True, text=True, timeout=10)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == crw.cohomology_csv(
+            oracle_quotient_dims(gens, relations, 4))
 
     def test_odd_substitution_keeps_the_koszul_sign(self):
         # with a = c, d(x) = a*b + b*c = c*b + b*c = 0
@@ -663,6 +811,36 @@ class TestKoszulIntersections:
             crw.koszul_intersection(gens, [], [{(1,): ONE, (0,): ONE}])
 
 
+class TestCrossChecks:
+    def test_regular_sequences_pass(self):
+        assert cross_check_failures(3) == {
+            "complete intersection": 0, "tor": 0, "multiples": 0}
+
+    def test_a_missing_multiple_fails_every_check(self, monkeypatch):
+        # the multiples of the relations by the first generator are left
+        # out of the ideal
+        real = crw.poly_mul
+
+        def poly_mul(gens, p, q):
+            if p == {(1,) + (0,) * (len(gens) - 1): 1}:
+                return {}
+            return real(gens, p, q)
+        monkeypatch.setattr(crw, "poly_mul", poly_mul)
+        assert all(cross_check_failures(3).values())
+
+    def test_a_dropped_koszul_sign_fails_the_multiples(self, monkeypatch):
+        # every product of monomials, so every multiple m*r, loses its
+        # Koszul sign.  The unsigned product is the one of K[x, e]/(e_i^2),
+        # where even regular sequences have the same graded dimensions
+        # and cohomology tables, so only the check of the multiples can
+        # see it
+        real = crw._mono_sign_and_product
+        monkeypatch.setattr(crw, "_mono_sign_and_product",
+                            lambda gens, a, b: (lambda r: r and (1, r[1]))(
+                                real(gens, a, b)))
+        assert cross_check_failures(3)["multiples"] > 0
+
+
 class TestModules:
     def test_module_d_squared_enforced(self):
         alg = crw.GradedDGAlgebra([G("x", 0, 1)])
@@ -683,7 +861,7 @@ class TestModules:
 
     def test_pullback_transports_differential(self):
         r = crw.GradedDGAlgebra([G("x", 0, 1)])
-        s = crw.GradedDGAlgebra([G("x", 0, 1)], power_rules={"x": (2, {})})
+        s = crw.GradedDGAlgebra([G("x", 0, 1)], [{(2,): ONE}])
         phi = crw.algebra_map(r, s, {"x": s.gen("x")})
         gens = [G("a", 0, 1), G("b", 1, 3)]
         m = crw.DGModule(r, gens, [[{}, {(2,): ONE}], [{}, {}]])
@@ -693,7 +871,7 @@ class TestModules:
 
     def test_adjunction_dimensions_agree(self):
         r = crw.GradedDGAlgebra([G("x", 0, 1)])
-        s = crw.GradedDGAlgebra([G("x", 0, 1)], power_rules={"x": (3, {})})
+        s = crw.GradedDGAlgebra([G("x", 0, 1)], [{(3,): ONE}])
         phi = crw.algebra_map(r, s, {"x": s.gen("x")})
         for k, j in [(1, 1), (2, 1), (1, 2), (2, 2)]:
             m = crw.DGModule.free(r, [G("m%d" % i, 0, 1) for i in range(k)])
@@ -704,7 +882,7 @@ class TestModules:
             assert d1 == d2
 
     def test_algebra_map_must_kill_relations(self):
-        r = crw.GradedDGAlgebra([G("x", 0, 1)], power_rules={"x": (2, {})})
+        r = crw.GradedDGAlgebra([G("x", 0, 1)], [{(2,): ONE}])
         s = crw.GradedDGAlgebra([G("x", 0, 1)])
         with pytest.raises(ValueError):
             crw.algebra_map(r, s, {"x": s.gen("x")})

@@ -214,3 +214,20 @@ class TestSparseRows:
         want = len(oracle_rref(dense)[1])
         assert ratlin.sparse_rank(rows) == ratlin.rank(dense) == want
         assert ratlin.sparse_rank(reversed(rows)) == want
+
+    @given(sparse_rows())
+    def test_sparse_rref_is_dense_rref(self, drawn):
+        # the same pivots, and the same rows once each is divided by its
+        # pivot, as ratlin.rref and the Gauss-Jordan oracle, in any row
+        # order
+        rows, c = drawn
+        dense = tuple(tuple(Fraction(row.get(j, 0)) for j in range(c))
+                      for row in rows)
+        want, pivots = ratlin.rref(dense)
+        assert oracle_rref(dense) == (want, pivots)
+        for order in (rows, rows[::-1]):
+            got, got_pivots = ratlin.sparse_rref(order)
+            assert got_pivots == pivots
+            assert [tuple(Fraction(row.get(j, 0), row[p]) for j in range(c))
+                    for row, p in zip(got, got_pivots)] \
+                == list(want[:len(pivots)])

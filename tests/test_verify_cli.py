@@ -428,6 +428,25 @@ class TestCrwCommand:
         assert all(r["even_dim"] == 0 and r["odd_dim"] == 0
                    for r in table[1:])
 
+    def test_leads_other_than_pure_powers_are_listed_under_rules(
+            self, tmp_path, capsys):
+        # x^2 = 0 and x*y = 0: the second lead is no pure power, and the
+        # rules key appears only when it lists something
+        f = tmp_path / "in.json"
+        presentations = []
+        for eqs1 in ([{"2,0": "1"}, {"1,1": "1"}], [{"2,0": "1"}]):
+            f.write_text(json.dumps(
+                {"ambient": [{"name": n, "parity": 0, "weight": 1}
+                             for n in "xy"], "eqs1": eqs1}))
+            assert cli.main(["crw", "intersect", str(f), "--bound", "2"]) == 0
+            presentations.append(json.loads(capsys.readouterr().out)[
+                "presentation"])
+        both, square = presentations
+        assert both["power_rules"] == square["power_rules"] == {
+            "x": {"power": 2, "rewrite": {}}}
+        assert both["rules"] == [{"lead": "1,1", "rewrite": {}}]
+        assert "rules" not in square
+
     def test_substitution_chain_is_fast(self, tmp_path):
         # x_i = x_(i+1) + x_(i+2) down a chain of 38: substituting x0 must
         # not walk the Fibonacci(38) ways through the chain; the timeout
