@@ -493,7 +493,9 @@ def quotient_algebra(gens, relations, differential=None):
     increasing order, the relations with the substitutions found so far
     made are put in reduced echelon form (``_echelon``).  A row whose
     lead is a single generator x, with x in no other term, eliminates x;
-    every other row is kept as a relation on the generators that stay."""
+    every other row is kept as a relation on the generators that stay.
+    d must map each x - f with x -> f into the ideal (``ValueError``
+    naming the relation otherwise)."""
     gens = _generators(gens)
     by_weight = _by_weight(gens, relations)
     subs, kept = {}, []  # generator index -> its image; kept relations
@@ -516,10 +518,26 @@ def quotient_algebra(gens, relations, differential=None):
         return {tuple(m[i] for i in keep_idx): c
                 for m, c in substitute(p).items()}
 
+    differential = differential or {}
+
+    def d_of(g):
+        return project(dict(differential.get(g.name, {})))
+
     keep = [gens[i] for i in keep_idx]
-    return GradedDGAlgebra(keep, map(project, kept),
-                           {g.name: project(dict((differential or {}).get(
-                               g.name, {}))) for g in keep})
+    algebra = GradedDGAlgebra(keep, map(project, kept),
+                              {g.name: d_of(g) for g in keep})
+    # the algebra keeps no d(x) for an eliminated x, so d(x) = d(f) in
+    # the quotient is checked here
+    for i, f in subs.items():
+        drel = algebra.normalize(poly_add(
+            d_of(gens[i]), poly_scale(-1, algebra.d(project(f)))))
+        if drel:
+            rel = poly_str(gens, poly_add(poly_gen(gens, gens[i].name),
+                                          poly_scale(-1, f)))
+            raise ValueError(
+                "d does not preserve the relation %s: d(%s) = %s in the "
+                "quotient, not 0" % (rel, rel, poly_str(keep, drel)))
+    return algebra
 
 
 def koszul_intersection(ambient_gens, eqs1, eqs2):

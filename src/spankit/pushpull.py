@@ -131,8 +131,11 @@ class FamilyMap:
         return FamilyMap.build(other.source, self.target, block)
 
     def is_invertible(self):
-        return all(ratlin.is_invertible(self.mat(x)) for x in self.source.base
-                   if self.source.dim(x) or self.target.dim(x))
+        # a zero-row block is () and has lost its column count, so the
+        # shape comes from the families
+        return all(self.source.dim(x) == self.target.dim(x)
+                   and ratlin.rank(self.mat(x)) == self.source.dim(x)
+                   for x in self.source.base)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,12 @@ documents of the four README kinds, and on bad argv with small bounds,
 exits 0 or 2, and an exit 2 leaves stdout empty and puts exactly one
 ``{"error": ...}`` object on stderr."""
 
-import contextlib
 import copy
-import io
 import json
 import pathlib
 import tempfile
 
 from hypothesis import given, settings, strategies as st
-
-from spankit import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -86,13 +82,6 @@ def mutated(draw, doc):
     return doc
 
 
-def run_main(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def is_invalid(doc):
     """True when doc holds a stray key or a non-string apex element."""
     return any(isinstance(node, dict) and set(node) & set(STRAY_KEYS)
@@ -101,8 +90,8 @@ def is_invalid(doc):
                for path, node in _nodes(doc))
 
 
-def assert_contract(argv, invalid=False):
-    code, out, err = run_main(argv)
+def assert_contract(run_cli, argv, invalid=False):
+    code, out, err = run_cli(*argv)
     assert code in ((2,) if invalid else (0, 2)), (argv, code, err)
     if code == 2:
         assert out == "", argv
@@ -125,7 +114,7 @@ def document_jobs(draw):
 
 @FUZZ
 @given(document_jobs())
-def test_mutated_documents_keep_the_contract(job):
+def test_mutated_documents_keep_the_contract(run_cli, job):
     # a stray key, a non-string apex element or a wrong file count must
     # exit 2; any other edit may leave a valid document
     prefix, docs, wrong_count = job
@@ -134,7 +123,7 @@ def test_mutated_documents_keep_the_contract(job):
         for i, doc in enumerate(docs):
             files.append(str(pathlib.Path(work, "%d.json" % i)))
             pathlib.Path(files[-1]).write_text(json.dumps(doc))
-        assert_contract(prefix + files,
+        assert_contract(run_cli, prefix + files,
                         wrong_count or any(map(is_invalid, docs)))
 
 
@@ -167,5 +156,5 @@ def bad_argv(draw):
 
 @FUZZ
 @given(bad_argv())
-def test_bad_argv_keeps_the_contract(argv):
-    assert_contract(argv)
+def test_bad_argv_keeps_the_contract(run_cli, argv):
+    assert_contract(run_cli, argv)

@@ -773,6 +773,18 @@ class TestQuotients:
             {"x": {(1, 1, 0, 0): ONE, (0, 1, 1, 0): ONE}})
         assert alg.differential["x"] == {}
 
+    def test_eliminated_generator_keeps_its_differential(self):
+        # x = y descends only if d(x) = d(y) in the quotient
+        gens = [G("x", 0, 1), G("y", 0, 1), G("e", 1, 1)]
+        x_y = {(1, 0, 0): ONE, (0, 1, 0): -ONE}
+        e = {(0, 0, 1): ONE}
+        for diff in ({"x": e}, {"y": e}):
+            with pytest.raises(ValueError, match=r"relation -y \+ x:"):
+                crw.quotient_algebra(gens, [x_y], diff)
+        alg = crw.quotient_algebra(gens, [x_y], {"x": e, "y": e})
+        assert alg.differential == {"y": {(0, 1): ONE}, "e": {}}
+        assert crw.cohomology(alg, 2) == [(0, 1, 0), (1, 0, 0), (2, 0, 0)]
+
     def test_cyclic_substitutions_rejected(self):
         gens = [G("x", 0, 1), G("y", 0, 1)]
         x_y2 = {(1, 0): ONE, (0, 2): -ONE}

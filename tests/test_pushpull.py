@@ -121,6 +121,16 @@ class TestBasics:
         assert from_zero.compose(to_zero).mat(0) == ((Fraction(0),),)
         assert to_zero.compose(from_zero).mat(0) == ()
 
+    def test_invertible_only_between_equal_dimensions(self):
+        # a block into dimension 0 is () whatever its source dimension
+        base = (0,)
+        three = VectorFamily.build(base, lambda x: 3)
+        zero = VectorFamily.zero(base)
+        assert not FamilyMap.build(three, zero, lambda x: ()).is_invertible()
+        assert not FamilyMap.build(zero, three,
+                                   lambda x: ((),) * 3).is_invertible()
+        assert FamilyMap.build(zero, zero, lambda x: ()).is_invertible()
+
 
 class TestAdjunction:
     def test_roundtrip(self):
@@ -420,6 +430,20 @@ class TestFillings:
         d2 = pp.PushPullThetaDiagram(vertices, 0, d1.r, d1.vertical, phi)
         assert not pp.is_pushpull(d2)
         assert not pp.fillings_isomorphic(d1, d2)
+
+    def test_structure_map_onto_dimension_zero_is_not_pushpull(self):
+        # r_02 = 1 and r_01 = r_12 = 0 on one point per vertex: the one
+        # structure map goes from dimension 1 to dimension 0
+        vertices = [("a",), ("b",), ("c",)]
+        r = {(0, 1): [VectorFamily.zero((("a", "b"),))],
+             (1, 2): [VectorFamily.zero((("b", "c"),))],
+             (0, 2): [VectorFamily.unit((("a", "c"),))]}
+        top = (("a", "b", "c"),)
+        phi = {(0, 1, 2): [FamilyMap.build(
+            VectorFamily.unit(top), VectorFamily.zero(top), lambda x: ())]}
+        d = pp.PushPullThetaDiagram(vertices, 0, r, {pr: [] for pr in r},
+                                    phi)
+        assert not pp.is_pushpull(d)
 
     def test_zero_dimensional_points(self):
         # every 0/1 spine on these vertices, including those whose

@@ -1,25 +1,35 @@
+"""The CLI contract: exit codes, JSON errors, goldens and the commands,
+run in process through the ``run_cli`` fixture.  ``python -m spankit``
+runs in a new process only where the process is under test: the hang
+guards with a timeout, reruns in separate processes, and one smoke run
+per subcommand."""
+
+import concurrent.futures
 import json
 import pathlib
 import random
-import shutil
 import subprocess
 import sys
 import time
 
 import pytest
 
-from spankit import cli, pushpull, verify
+from spankit import pushpull, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-SPANKIT = shutil.which("spankit")
 
 
-def run_cli(*argv, timeout=None):
-    # without an installed console script, run the package from the
-    # import path the tests use
-    cmd = [SPANKIT] if SPANKIT else [sys.executable, "-m", "spankit"]
-    return subprocess.run([*cmd, *argv], capture_output=True, text=True,
-                          timeout=timeout)
+def run_process(*argv, timeout=None):
+    """python -m spankit in a new interpreter, from the import path of
+    the tests."""
+    return subprocess.run([sys.executable, "-m", "spankit", *argv],
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def run_processes(*argvs):
+    """run_process on each argv, the processes side by side."""
+    with concurrent.futures.ThreadPoolExecutor(len(argvs)) as pool:
+        return list(pool.map(lambda argv: run_process(*argv), argvs))
 
 
 class TestVerifySuites:
@@ -57,20 +67,20 @@ class TestVerifySuites:
 
 
 class TestExitCodes:
-    def test_success_is_zero(self):
+    def test_success_is_zero(self, run_cli):
         out = run_cli("enumerate", "sigma", "2")
         assert out.returncode == 0
         assert json.loads(out.stdout)["count"] == 6
 
-    def test_property_failure_is_one(self, monkeypatch, capsys):
+    def test_property_failure_is_one(self, run_cli, monkeypatch):
         monkeypatch.setattr(verify, "run_suite",
                             lambda *a, **k: [("posets", "demo", False,
                                              "synthetic failure")])
-        code = cli.main(["verify", "posets"])
-        assert code == 1
-        assert json.loads(capsys.readouterr().out)["failures"] == 1
+        out = run_cli("verify", "posets")
+        assert out.returncode == 1
+        assert json.loads(out.stdout)["failures"] == 1
 
-    def test_malformed_input_is_two(self, tmp_path):
+    def test_malformed_input_is_two(self, run_cli, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         out = run_cli("compose", "--kind", "span", str(bad), str(bad))
@@ -86,8 +96,8 @@ class TestExitCodes:
          '"left_map": {}, "right_map": {}}'),
         (["compose", "--kind", "vertical"], '{"dims": {"a|b": BIG}}'),
     ], ids=["coefficient", "foot", "dims"])
-    def test_integer_past_the_digit_limit_is_two(self, tmp_path, argv,
-                                                 text):
+    def test_integer_past_the_digit_limit_is_two(self, run_cli, tmp_path,
+                                                 argv, text):
         # json.load cannot turn an integer literal of more than 4300
         # digits into an int
         f = tmp_path / "doc.json"
@@ -111,8 +121,8 @@ class TestExitCodes:
             {"generators": [{"name": "x", "parity": 0, "weight": 1},
                             {"name": "y", "parity": 0, "weight": 1}],
              "relations": [{"1,0": "1", "0,1": coeff}]}))
-        out = run_cli("crw", "cohomology", str(f), "--bound", "1",
-                      timeout=10)
+        out = run_process("crw", "cohomology", str(f), "--bound", "1",
+                          timeout=10)
         assert out.returncode == code
         if code == 2:
             assert out.stdout == ""
@@ -141,7 +151,7 @@ class TestExitCodes:
         {"generators": [{"name": "x", "parity": 0, "weight": 1}],
          "relations": [{"9" * 5000: "1"}]},
     ])
-    def test_malformed_presentation_is_two(self, tmp_path, doc):
+    def test_malformed_presentation_is_two(self, run_cli, tmp_path, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         out = run_cli("crw", "cohomology", str(bad))
@@ -149,7 +159,7 @@ class TestExitCodes:
         assert "error" in json.loads(out.stderr)
 
     @pytest.mark.parametrize("key", ["1_0", " 2", "+1"])
-    def test_monomial_exponents_are_digits(self, tmp_path, key):
+    def test_monomial_exponents_are_digits(self, run_cli, tmp_path, key):
         # int() would read these as 10, 2 and 1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(
@@ -161,8 +171,8 @@ class TestExitCodes:
         assert repr(key) in json.loads(out.stderr)["error"]
 
     @pytest.mark.parametrize("relations", [[], [{"2": "1"}]])
-    def test_differential_of_unknown_generator_is_named(self, tmp_path,
-                                                        relations):
+    def test_differential_of_unknown_generator_is_named(self, run_cli,
+                                                        tmp_path, relations):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(
             {"generators": [{"name": "x", "parity": 0, "weight": 1}],
@@ -174,7 +184,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("dims", [5, [1], {"a|a": 1.5}, {"a|a": True},
                                       {"a|a": "1"}, {"a|a": 1, "zz|q": 7}])
-    def test_malformed_dims_is_two(self, tmp_path, dims):
+    def test_malformed_dims_is_two(self, run_cli, tmp_path, dims):
         span = {"left_foot": ["x"], "apex": ["a"], "right_foot": ["y"],
                 "left_map": {"a": "x"}, "right_map": {"a": "y"}}
         bad = tmp_path / "bad.json"
@@ -188,7 +198,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,value", [("left_foot", "xy"),
                                            ("apex", "a"),
                                            ("right_foot", "y")])
-    def test_span_sets_must_be_lists(self, tmp_path, key, value):
+    def test_span_sets_must_be_lists(self, run_cli, tmp_path, key, value):
         span = {"left_foot": ["x"], "apex": ["a"], "right_foot": ["y"],
                 "left_map": {"a": "x"}, "right_map": {"a": "y"}, key: value}
         bad = tmp_path / "bad.json"
@@ -204,7 +214,7 @@ class TestExitCodes:
         {"ambient": [{"name": "x", "parity": 0, "weight": 1}],
          "eqs": [{"1": "1"}]},
     ])
-    def test_malformed_intersection_is_two(self, tmp_path, doc):
+    def test_malformed_intersection_is_two(self, run_cli, tmp_path, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         out = run_cli("crw", "intersect", str(bad))
@@ -226,7 +236,7 @@ class TestExitCodes:
         ("vertical", ["dims", "a|a"], 1.5,
          '2-morphism.dims["a|a"]: expected an integer'),
     ])
-    def test_strict_span_documents_name_the_path(self, capsys, tmp_path,
+    def test_strict_span_documents_name_the_path(self, run_cli, tmp_path,
                                                  kind, where, value, error):
         # a stray key at any depth, or a leg keyed off the apex
         span = {"left_foot": ["x"], "apex": ["a", "b"], "right_foot": ["x"],
@@ -242,10 +252,10 @@ class TestExitCodes:
         node[where[-1]] = value
         f = tmp_path / "doc.json"
         f.write_text(json.dumps(doc))
-        assert cli.main(["compose", "--kind", kind, str(f), str(f)]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert json.loads(out.err)["error"].startswith(error)
+        out = run_cli("compose", "--kind", kind, str(f), str(f))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert json.loads(out.stderr)["error"].startswith(error)
 
     @pytest.mark.parametrize("action,doc,error", [
         ("cohomology", {"generators": 5},
@@ -260,27 +270,26 @@ class TestExitCodes:
         ("intersect", {"ambient": [], "eqs1": [{"1": 1.0}]},
          'intersection input.eqs1[0]["1"]: expected an integer or a string'),
     ])
-    def test_strict_crw_documents_name_the_path(self, capsys, tmp_path,
+    def test_strict_crw_documents_name_the_path(self, run_cli, tmp_path,
                                                 action, doc, error):
         f = tmp_path / "doc.json"
         f.write_text(json.dumps(doc))
-        assert cli.main(["crw", action, str(f)]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert json.loads(out.err)["error"] == error
+        out = run_cli("crw", action, str(f))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert json.loads(out.stderr)["error"] == error
 
     @pytest.mark.parametrize("target", ["missing/out.json", "."])
-    def test_unwritable_out_is_two(self, capsys, tmp_path, target):
+    def test_unwritable_out_is_two(self, run_cli, tmp_path, target):
         # a missing directory, and a directory given as the file
         out_path = tmp_path / target
-        assert cli.main(["enumerate", "sigma", "2",
-                         "--out", str(out_path)]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert json.loads(out.err)["error"].startswith(
+        out = run_cli("enumerate", "sigma", "2", "--out", str(out_path))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert json.loads(out.stderr)["error"].startswith(
             "cannot write %s" % out_path)
 
-    def test_bad_level_is_two(self):
+    def test_bad_level_is_two(self, run_cli):
         out = run_cli("enumerate", "sigma", "9", "--bound", "3")
         assert out.returncode == 2
 
@@ -289,7 +298,7 @@ class TestExitCodes:
         ["enumerate", "nerve", "0"],
         ["crw", "intro", "--n", "2"],
     ])
-    def test_negative_bound_is_two(self, argv):
+    def test_negative_bound_is_two(self, run_cli, argv):
         out = run_cli(*argv, "--bound", "-1")
         assert out.returncode == 2
         assert out.stdout == ""
@@ -305,42 +314,41 @@ class TestExitCodes:
         ["compose", "--kind", "span", "a.json"],
         ["compose", "--kind", "span", "a.json", "b.json", "c.json"],
     ])
-    def test_usage_error_is_two_with_a_json_error(self, argv, capsys):
-        assert cli.main(argv) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert list(json.loads(out.err)) == ["error"]
+    def test_usage_error_is_two_with_a_json_error(self, run_cli, argv):
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert list(json.loads(out.stderr)) == ["error"]
 
     @pytest.mark.parametrize("argv", [["--help"],
                                       ["crw", "cohomology", "--help"]])
-    def test_help_is_zero(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith("usage:")
+    def test_help_is_zero(self, run_cli, argv):
+        # argparse ends --help with SystemExit(0)
+        out = run_cli(*argv)
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage:")
 
-    def test_huge_exponent_is_fast(self, tmp_path, capsys):
+    def test_huge_exponent_is_fast(self, run_cli, tmp_path):
         # x^3000000000 = 0: the work must not grow with the exponent
         doc = {"generators": [{"name": "x", "parity": 0, "weight": 1}],
                "relations": [{"3000000000": "1"}]}
         f = tmp_path / "alg.json"
         f.write_text(json.dumps(doc))
         t0 = time.perf_counter()
-        code = cli.main(["crw", "cohomology", str(f), "--bound", "2",
-                         "--format", "csv"])
+        out = run_cli("crw", "cohomology", str(f), "--bound", "2",
+                      "--format", "csv")
         assert time.perf_counter() - t0 < 2
-        assert code == 0
-        assert capsys.readouterr().out == ("weight,even_dim,odd_dim\n"
-                                           "0,1,0\n1,1,0\n2,1,0\n")
+        assert out.returncode == 0
+        assert out.stdout == ("weight,even_dim,odd_dim\n"
+                              "0,1,0\n1,1,0\n2,1,0\n")
 
 
 class TestDeterminism:
     def test_byte_identical_reruns(self):
-        a = run_cli("enumerate", "nerve", "2", "--bound", "4")
-        b = run_cli("enumerate", "nerve", "2", "--bound", "4")
+        nerve = ["enumerate", "nerve", "2", "--bound", "4"]
+        posets = ["verify", "posets", "--seed", "3", "--format", "csv"]
+        a, b, c, d = run_processes(nerve, nerve, posets, posets)
         assert a.stdout == b.stdout
-        c = run_cli("verify", "posets", "--seed", "3", "--format", "csv")
-        d = run_cli("verify", "posets", "--seed", "3", "--format", "csv")
         assert c.stdout == d.stdout
 
     @pytest.mark.parametrize("name,argv", [
@@ -374,7 +382,7 @@ class TestDeterminism:
          ["compose", "--kind", "horizontal", str(GOLDEN / "compose_h1.json"),
           str(GOLDEN / "compose_h2.json")]),
     ])
-    def test_matches_golden(self, name, argv):
+    def test_matches_golden(self, run_cli, name, argv):
         out = run_cli(*argv)
         assert out.returncode == 0
         assert out.stdout == (GOLDEN / name).read_text()
@@ -385,7 +393,7 @@ class TestCompose:
     SPAN1 = json.loads((GOLDEN / "compose_s1.json").read_text())
     SPAN2 = json.loads((GOLDEN / "compose_s2.json").read_text())
 
-    def test_span_composition(self, tmp_path):
+    def test_span_composition(self, run_cli, tmp_path):
         f1 = tmp_path / "s1.json"
         f2 = tmp_path / "s2.json"
         f1.write_text(json.dumps(self.SPAN1))
@@ -397,7 +405,7 @@ class TestCompose:
         assert result["left_map"] == {"a,c": "x"}
         assert result["right_map"] == {"a,c": "w"}
 
-    def test_incompatible_feet_exit_two(self, tmp_path):
+    def test_incompatible_feet_exit_two(self, run_cli, tmp_path):
         f1 = tmp_path / "s1.json"
         f2 = tmp_path / "s2.json"
         f1.write_text(json.dumps(self.SPAN1))
@@ -406,7 +414,7 @@ class TestCompose:
         out = run_cli("compose", "--kind", "span", str(f1), str(f2))
         assert out.returncode == 2
 
-    def test_vertical_composition_dims(self):
+    def test_vertical_composition_dims(self, run_cli):
         f1 = GOLDEN / "compose_m.json"
         out = run_cli("compose", "--kind", "vertical", str(f1), str(f1))
         assert out.returncode == 0
@@ -415,7 +423,7 @@ class TestCompose:
 
 
 class TestCrwCommand:
-    def test_intersect_transverse_point(self, tmp_path):
+    def test_intersect_transverse_point(self, run_cli, tmp_path):
         doc = {"ambient": [{"name": "x", "parity": 0, "weight": 1},
                            {"name": "y", "parity": 0, "weight": 1}],
                "eqs1": [{"1,0": "1"}], "eqs2": [{"0,1": "1"}]}
@@ -429,7 +437,7 @@ class TestCrwCommand:
                    for r in table[1:])
 
     def test_leads_other_than_pure_powers_are_listed_under_rules(
-            self, tmp_path, capsys):
+            self, run_cli, tmp_path):
         # x^2 = 0 and x*y = 0: the second lead is no pure power, and the
         # rules key appears only when it lists something
         f = tmp_path / "in.json"
@@ -438,9 +446,9 @@ class TestCrwCommand:
             f.write_text(json.dumps(
                 {"ambient": [{"name": n, "parity": 0, "weight": 1}
                              for n in "xy"], "eqs1": eqs1}))
-            assert cli.main(["crw", "intersect", str(f), "--bound", "2"]) == 0
-            presentations.append(json.loads(capsys.readouterr().out)[
-                "presentation"])
+            out = run_cli("crw", "intersect", str(f), "--bound", "2")
+            assert out.returncode == 0
+            presentations.append(json.loads(out.stdout)["presentation"])
         both, square = presentations
         assert both["power_rules"] == square["power_rules"] == {
             "x": {"power": 2, "rewrite": {}}}
@@ -464,13 +472,13 @@ class TestCrwCommand:
                "eqs2": [{x(0): "1"}]}
         f = tmp_path / "in.json"
         f.write_text(json.dumps(doc))
-        out = run_cli("crw", "intersect", str(f), "--bound", "3",
-                      timeout=10)
+        out = run_process("crw", "intersect", str(f), "--bound", "3",
+                          timeout=10)
         assert out.returncode == 0
         assert json.loads(out.stdout)["cohomology"] == [
             {"weight": w, "even_dim": 1, "odd_dim": 0} for w in range(4)]
 
-    def test_cohomology_of_presentation(self, tmp_path):
+    def test_cohomology_of_presentation(self, run_cli, tmp_path):
         doc = {"generators": [{"name": "x", "parity": 0, "weight": 1},
                               {"name": "eps", "parity": 1, "weight": 2}],
                "differential": {"eps": {"2,0": "1"}}}
@@ -482,7 +490,7 @@ class TestCrwCommand:
         assert out.stdout == ("weight,even_dim,odd_dim\n"
                               "0,1,0\n1,1,0\n2,0,0\n3,0,0\n")
 
-    def test_cohomology_ignores_relation_order(self, tmp_path):
+    def test_cohomology_ignores_relation_order(self, run_cli, tmp_path):
         gens = [{"name": n, "parity": 0, "weight": 1} for n in "xyz"]
         gens.append({"name": "eps", "parity": 1, "weight": 2})
         x_y = {"1,0,0,0": "1", "0,1,0,0": "-1"}
@@ -499,48 +507,49 @@ class TestCrwCommand:
         assert outs[0] == outs[1] == ("weight,even_dim,odd_dim\n"
                                       "0,1,0\n1,1,0\n2,0,0\n3,0,0\n")
 
-    def test_flags_may_stand_before_the_file(self, tmp_path, capsys):
+    def test_flags_may_stand_before_the_file(self, run_cli, tmp_path):
         f = tmp_path / "alg.json"
         f.write_text(json.dumps(
             {"generators": [{"name": "x", "parity": 0, "weight": 1}],
              "relations": [{"2": "1"}]}))
         outs = []
         for argv in (["--bound", "3", str(f)], [str(f), "--bound", "3"]):
-            assert cli.main(["crw", "cohomology", *argv,
-                             "--format", "csv"]) == 0
-            outs.append(capsys.readouterr().out)
+            out = run_cli("crw", "cohomology", *argv, "--format", "csv")
+            assert out.returncode == 0
+            outs.append(out.stdout)
         assert outs[0] == outs[1] == ("weight,even_dim,odd_dim\n"
                                       "0,1,0\n1,1,0\n2,0,0\n3,0,0\n")
 
     @pytest.mark.parametrize("order", [1, -1])
-    def test_substitution_and_power_rule_on_one_generator(self, tmp_path,
-                                                         capsys, order):
+    def test_substitution_and_power_rule_on_one_generator(self, run_cli,
+                                                         tmp_path, order):
         # x = y and x^2 = 0 present K[y]/(y^2)
         f = tmp_path / "alg.json"
         f.write_text(json.dumps(
             {"generators": [{"name": n, "parity": 0, "weight": 1}
                             for n in "xy"],
              "relations": [{"1,0": "1", "0,1": "-1"}, {"2,0": "1"}][::order]}))
-        assert cli.main(["crw", "cohomology", str(f), "--bound", "3",
-                         "--format", "csv"]) == 0
-        assert capsys.readouterr().out == ("weight,even_dim,odd_dim\n"
-                                           "0,1,0\n1,1,0\n2,0,0\n3,0,0\n")
+        out = run_cli("crw", "cohomology", str(f), "--bound", "3",
+                      "--format", "csv")
+        assert out.returncode == 0
+        assert out.stdout == ("weight,even_dim,odd_dim\n"
+                              "0,1,0\n1,1,0\n2,0,0\n3,0,0\n")
 
-    def test_inhomogeneous_substitution_is_two(self, tmp_path, capsys):
+    def test_inhomogeneous_substitution_is_two(self, run_cli, tmp_path):
         # x = y + 1 does not present a weight-graded quotient
         f = tmp_path / "alg.json"
         f.write_text(json.dumps(
             {"generators": [{"name": n, "parity": 0, "weight": 1}
                             for n in "xy"],
              "relations": [{"1,0": 1, "0,1": -1, "0,0": -1}]}))
-        assert cli.main(["crw", "cohomology", str(f)]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        error = json.loads(out.err)
+        out = run_cli("crw", "cohomology", str(f))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        error = json.loads(out.stderr)
         assert list(error) == ["error"]
         assert "not weight-homogeneous" in error["error"]
 
-    def test_power_rule_that_d_breaks_is_two(self, tmp_path):
+    def test_power_rule_that_d_breaks_is_two(self, run_cli, tmp_path):
         # d(x^2) = 2*x*z, so d is not defined on K[x, z]/(x^2)
         f = tmp_path / "alg.json"
         f.write_text(json.dumps(
@@ -553,13 +562,57 @@ class TestCrwCommand:
         assert out.stdout == ""
         assert "generator 'x'" in json.loads(out.stderr)["error"]
 
-    def test_intro_requires_n(self):
+    @pytest.mark.parametrize("differential, code", [
+        ({"x": {"0,0,1": "1"}}, 2),
+        ({"y": {"0,0,1": "1"}}, 2),
+        ({"x": {"0,0,1": "1"}, "y": {"0,0,1": "1"}}, 0),
+    ], ids=["dx", "dy", "dx_and_dy"])
+    def test_differential_of_an_eliminated_generator_is_checked(
+            self, run_cli, tmp_path, differential, code):
+        # x = y eliminates x, and d(x - y) = +-e is not in the ideal
+        # unless d(x) = d(y)
+        f = tmp_path / "alg.json"
+        f.write_text(json.dumps(
+            {"generators": [{"name": "x", "parity": 0, "weight": 1},
+                            {"name": "y", "parity": 0, "weight": 1},
+                            {"name": "e", "parity": 1, "weight": 1}],
+             "relations": [{"1,0,0": "1", "0,1,0": "-1"}],
+             "differential": differential}))
+        out = run_cli("crw", "cohomology", str(f), "--bound", "2",
+                      "--format", "csv")
+        assert out.returncode == code
+        if code == 2:
+            assert out.stdout == ""
+            assert "the relation -y + x:" in json.loads(out.stderr)["error"]
+        else:
+            assert out.stdout == ("weight,even_dim,odd_dim\n"
+                                  "0,1,0\n1,0,0\n2,0,0\n")
+
+    def test_intro_requires_n(self, run_cli):
         out = run_cli("crw", "intro")
         assert out.returncode == 2
 
-    def test_intro_report(self):
+    def test_intro_report(self, run_cli):
         out = run_cli("crw", "intro", "--n", "2")
         assert out.returncode == 0
         report = json.loads(out.stdout)["report"]
         assert report["A_d_dtheta_scalar"] == "1/3*x^2"
         assert report["d_dtheta_mismatch_factor"] == "9"
+
+
+class TestProcess:
+    def test_python_m_spankit_prints_what_main_prints(self, run_cli):
+        # one smoke run per subcommand: the process exits with the code
+        # that main returns, and its output is the one captured in process
+        argvs = [
+            ["enumerate", "sigma", "3", "--format", "csv"],
+            ["verify", "posets", "--bound", "1", "--format", "csv"],
+            ["compose", "--kind", "span", str(GOLDEN / "compose_s1.json"),
+             str(GOLDEN / "compose_s2.json")],
+            ["crw", "cohomology", str(GOLDEN / "crw_algebra.json"),
+             "--bound", "3"],
+        ]
+        for argv, proc in zip(argvs, run_processes(*argvs)):
+            assert proc.returncode == 0, (argv, proc.stderr)
+            assert (proc.returncode, proc.stdout,
+                    proc.stderr) == run_cli(*argv), argv
