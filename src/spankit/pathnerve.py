@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
 from .fincat import FinCategory, compatible_families
-from .simplex import MonotoneMap, PointedMap, all_monotone_maps, underlying_monoid
+from .simplex import MonotoneMap, PointedMap, underlying_monoid
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +319,20 @@ class SquareOfNerve:
 # labelled limits
 # ---------------------------------------------------------------------------
 
-def _injective_maps(m, n):
-    out = []
-    for vals in itertools.combinations(range(n + 1), m + 1):
-        out.append(MonotoneMap(m, n, vals))
-    return out
+def _injective_maps(n):
+    """The injective monotone maps into [n], from every [m] with m <= n."""
+    return [MonotoneMap(m, n, vals) for m in range(n + 1)
+            for vals in itertools.combinations(range(n + 1), m + 1)]
+
+
+def _generators(n):
+    """The identity of [n], the faces [n-1] -> [n] and the degeneracies
+    [n+1] -> [n]."""
+    return ([MonotoneMap.identity(n)]
+            + [MonotoneMap(n - 1, n, [i for i in range(n + 1) if i != k])
+               for k in range(n + 1) if n]
+            + [MonotoneMap(n + 1, n, sorted([*range(n + 1), k]))
+               for k in range(n + 1)])
 
 
 def labelled_limit(X, l):
@@ -337,42 +346,48 @@ def labelled_limit(X, l):
     simplices = [s for (u, v), nd in table.items() if u + v <= l for s in nd]
     # higher dimension first so faces are forced early
     simplices.sort(key=lambda s: (-(s.u + s.v), s.objs, s.chains))
-    return _limit_over(X, simplices, _injective_maps, l, l)
+    return _limit_over(X, simplices, _injective_maps)
 
 
 def labelled_limit_full(X, l, ubound=None, vbound=None):
-    """Independent cross-check: limit over all simplices (degenerate ones
-    included) in the window u <= ubound, v <= vbound with all monotone
-    maps between them."""
+    """The limit over every simplex of the window u <= ubound,
+    v <= vbound, degenerate ones included, along all monotone maps; each
+    is a surjection then an injection, so it composes from the faces and
+    degeneracies imposed here through simplices of the window.  This is
+    not ``labelled_limit``: the degeneracies make each (0,v)-value the
+    degeneracy of its vertex's value.  For ``SquareOfNerve(C)`` at l = 2
+    that keeps the families whose ``spine_square_simplex(2)`` square has
+    identity edges along v.  The two agree where X_{0,v} holds no other
+    element over a vertex: for C whose only endomorphisms are identities,
+    and for ``TensorGridObject``, whose X_{0,v} is {()}."""
     ubound = l if ubound is None else ubound
     vbound = l if vbound is None else vbound
     simplices = [s for u in range(ubound + 1) for v in range(vbound + 1)
                  for s in nerve(l, u, v)]
-    return _limit_over(X, simplices, all_monotone_maps, ubound, vbound)
+    return _limit_over(X, simplices, _generators)
 
 
-def _limit_over(X, simplices, maps, ubound, vbound):
+def _limit_over(X, simplices, maps):
     """The compatible families over ``simplices``, as dicts keyed by
     simplex.  Each simplex s has an arrow to every other listed simplex
-    act(s, alpha, beta), for alpha in maps(up, s.u) and beta in
-    maps(vp, s.v) with up <= ubound and vp <= vbound.  Each face
-    (alpha, beta) is one memoized X.act shared by all its simplices, so
-    an inner-loop lookup hashes only the element."""
+    act(s, alpha, beta), for alpha in maps(s.u) and beta in maps(s.v),
+    where maps(n) lists maps into [n].  Each pair (alpha, beta) is one
+    memoized X.act shared by all its simplices, so an inner-loop lookup
+    hashes only the element, and X.values runs once per (u, v)."""
     index = {s: i for i, s in enumerate(simplices)}
     faces = {}  # (alpha, beta) -> memoized partial(X.act, alpha, beta)
     arrows = [[] for _ in simplices]
     for i, s in enumerate(simplices):
-        for up in range(ubound + 1):
-            for vp in range(vbound + 1):
-                for alpha in maps(up, s.u):
-                    for beta in maps(vp, s.v):
-                        t = act(s, alpha, beta)
-                        if t in index and t != s:
-                            if (alpha, beta) not in faces:
-                                faces[alpha, beta] = cache(
-                                    partial(X.act, alpha, beta))
-                            arrows[i].append((index[t], faces[alpha, beta]))
-    values = [X.values(s.u, s.v) for s in simplices]
+        for alpha in maps(s.u):
+            for beta in maps(s.v):
+                t = act(s, alpha, beta)
+                if t in index and t != s:
+                    if (alpha, beta) not in faces:
+                        faces[alpha, beta] = cache(
+                            partial(X.act, alpha, beta))
+                    arrows[i].append((index[t], faces[alpha, beta]))
+    domain = cache(X.values)
+    values = [domain(s.u, s.v) for s in simplices]
     return [dict(zip(simplices, fam))
             for fam in compatible_families(values, arrows)]
 

@@ -99,11 +99,9 @@ class FamilyMap:
         d = dict(self.mats)
         for x in self.source.base:
             m = d[x]
-            r = len(m)
-            c = len(m[0]) if m else 0
-            if r != self.target.dim(x):
+            if len(m) != self.target.dim(x):
                 raise ValueError("row count mismatch")
-            if r and c != self.source.dim(x):
+            if any(len(row) != self.source.dim(x) for row in m):
                 raise ValueError("column count mismatch")
 
     def mat(self, x):

@@ -127,17 +127,14 @@ class ProductPoset:
 # generalized span diagrams
 # ---------------------------------------------------------------------------
 
-def _compose_dicts(outer, inner):
-    return {k: outer[v] for k, v in inner.items()}
-
-
 class GeneralizedSpanDiagram:
     """A width-t labelling of a product poset by finite sets and maps.
 
     ``labels[obj]`` is a list of t label sets (lists); ``maps[(a, b)]``,
-    for each covering arrow a -> b, is a list of t dicts.  Functoriality
-    (all composites between the same endpoints agree) is checked on
-    construction.
+    for each covering arrow a -> b, is a list of t dicts.  The composite
+    for every pair a >= b is built once, on construction, along the
+    first cover step a -> m above b; with ``check`` on, every other first
+    step must give the same composite (functoriality).
     """
 
     def __init__(self, poset, width, labels, maps, check=True):
@@ -145,9 +142,22 @@ class GeneralizedSpanDiagram:
         self.width = width
         self.labels = {o: [list(s) for s in labels[o]] for o in poset.objects}
         self.maps = {e: [dict(d) for d in maps[e]] for e in poset.covers}
-        self._path_cache = {}
         if check:
             self._check()
+        up, down = poset._up, poset._down
+        self._composites = table = {}
+        # smaller down-sets first: every cover target before its sources
+        for a in sorted(poset.objects, key=lambda x: len(down[x])):
+            table[a, a] = [{k: k for k in s} for s in self.labels[a]]
+            for b in down[a]:
+                routes = ([{k: r[v] for k, v in d.items()}
+                           for r, d in zip(table[m, b], self.maps[a, m])]
+                          for m in up[a] if b in down[m])
+                # only b == a has no route, and keeps its identity
+                table[a, b] = first = next(routes, table[a, a])
+                if check and any(c != first for c in routes):
+                    raise ValueError("diagram not functorial at %r -> %r"
+                                     % (a, b))
 
     def _check(self):
         for obj in self.poset.objects:
@@ -160,40 +170,13 @@ class GeneralizedSpanDiagram:
                     raise ValueError("map not total on its label set")
                 if not set(d.values()) <= set(self.labels[b][s]):
                     raise ValueError("map lands outside its target label set")
-        # all cover paths with the same endpoints give the same composite:
-        # the first steps a -> m above b must all lead to one composite
-        up, down = self.poset._up, self.poset._down
-        for a in self.poset.objects:
-            steps = [(down[m], m, self.maps[(a, m)]) for m in up[a]]
-            for b in down[a]:
-                routes = [(m, step) for below, m, step in steps if b in below]
-                if len(routes) < 2:
-                    continue
-                first, *others = [[_compose_dicts(r, d) for r, d in
-                                   zip(self.get_map(m, b), step)]
-                                  for m, step in routes]
-                if any(c != first for c in others):
-                    raise ValueError("diagram not functorial at %r -> %r"
-                                     % (a, b))
 
     def get_map(self, a, b):
         """The composite map along any cover path from a to b."""
-        out = self._path_cache.get((a, b))
-        if out is not None:
-            return out
-        if a == b:
-            return [{k: k for k in self.labels[a][s]} for s in range(self.width)]
-        down = self.poset._down
-        if b not in down[a]:
-            raise ValueError("no arrow between the given objects")
-        for m in self.poset._up[a]:
-            if b in down[m]:
-                rest = self.get_map(m, b)
-                out = [_compose_dicts(r, d)
-                       for r, d in zip(rest, self.maps[(a, m)])]
-                self._path_cache[(a, b)] = out
-                return out
-        raise ValueError("no cover path found")
+        try:
+            return self._composites[a, b]
+        except KeyError:
+            raise ValueError("no arrow between the given objects") from None
 
 
 def _slice_limit(F, objs, slot):

@@ -242,6 +242,52 @@ class TestLabelledLimit:
             assert len(pn.labelled_limit(X, l)) == len(
                 pn.labelled_limit_full(X, l))
 
+    def test_full_window_pins_identity_edges_along_v(self):
+        # the full window forces each (0,1)-simplex, a degeneracy of its
+        # vertex, to carry an identity: at l = 2 that cuts the limit down
+        # to the families whose spine square has identity edges along v
+        def cyclic(n):
+            return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+        for cat, truncated, full in [
+                (fincat.FinCategory.from_monoid(cyclic(2), 0), 16, 4),
+                (fincat.FinCategory.from_monoid(cyclic(3), 0), 81, 9),
+                (fincat.FinCategory.chain(2), 10, 10)]:
+            X = pn.SquareOfNerve(cat)
+            fams = pn.labelled_limit(X, 2)
+            fulls = pn.labelled_limit_full(X, 2)
+            assert (len(fams), len(fulls)) == (truncated, full)
+            keys = list(fams[0])
+            spine = pn.spine_square_simplex(2)
+
+            def flat_along_v(grid):
+                return all(f == cat.identities[grid.obj(node)]
+                           for (node, axis), f in grid.edges if axis == 1)
+
+            cut = [tuple(e[k] for k in keys) for e in fulls]
+            assert len(set(cut)) == full  # cutting down merges no families
+            assert set(cut) == {tuple(e[k] for k in keys) for e in fams
+                                if flat_along_v(e[spine])}
+            # the l = 1 window has no (0,2)-simplex whose faces would
+            # make a (0,1) value idempotent, so there the degeneracies
+            # alone leave one family per morphism
+            assert len(pn.labelled_limit_full(X, 1)) == len(X.values(1, 0))
+
+    def test_full_window_generators_compose_every_map(self):
+        # every monotone map [m] -> [n], m, n <= 3, composes from faces
+        # and degeneracies through [0], ..., [3]
+        for n in range(4):
+            reached, todo = set(), [MonotoneMap.identity(n)]
+            while todo:
+                f = todo.pop()
+                if f not in reached:
+                    reached.add(f)
+                    todo += [f.compose(g)
+                             for g in pn._generators(f.source_size)
+                             if g.source_size <= 3]
+            assert reached == {f for m in range(4)
+                               for f in simplex.all_monotone_maps(m, n)}
+
     def test_xi_projection(self):
         Q = pn.FinSymMonCat.from_commutative_monoid([[0, 1], [1, 0]], 0)
         X = pn.TensorGridObject(Q, 1, 1)

@@ -78,6 +78,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             FamilyMap(v, w, ((0, ((1, 2, 3),)),))
 
+    def test_family_map_ragged_block_rejected(self):
+        # the first row has the right length, the second does not
+        v = VectorFamily.build((0,), lambda x: 2)
+        with pytest.raises(ValueError, match="column count"):
+            FamilyMap(v, v, ((0, ((1, 0), (1,))),))
+
     def test_pullback_pushforward_dims(self):
         rng = random.Random(0)
         for _ in range(20):

@@ -152,6 +152,16 @@ class TestCartesian:
         with pytest.raises(ValueError, match="not functorial at") as err:
             sp.GeneralizedSpanDiagram(p, 1, F.labels, maps)
         assert repr(corner) in str(err.value)
+        # unchecked, the composite runs through the first cover step out
+        # of top that lies above corner: via_sigma, with the swap
+        unchecked = sp.GeneralizedSpanDiagram(p, 1, F.labels, maps,
+                                              check=False)
+        assert p._up[top][0] == via_sigma
+        uu, uv, vu, vv = [("u",) * 6, ("u", "v") * 3, ("v", "u") * 3,
+                          ("v",) * 6]
+        assert F.labels[top][0] == [uu, uv, vu, vv]
+        assert unchecked.get_map(top, corner) == [
+            {uu: ("v",), uv: ("v",), vu: ("u",), vv: ("u",)}]
 
     def test_replacement_fixes_and_is_idempotent(self):
         rng = random.Random(3)
@@ -173,6 +183,30 @@ class TestCartesian:
         for x in G.poset.objects:
             assert [len(s) for s in H.labels[x]] == \
                 [len(s) for s in G.labels[x]]
+
+
+class TestComposites:
+    def test_get_map_is_the_composite_along_any_cover_path(self):
+        rng = random.Random(21)
+        for levels in TestSliceLimit.SHAPES:
+            F = random_bottom_diagram(rng, *levels, width=rng.randint(1, 2))
+            p = F.poset
+            out = {a: [b for (x, b) in p.covers if x == a] for a in p.objects}
+            for a in p.objects:
+                for b in p.objects:
+                    if not factor_leq(p, a, b):
+                        with pytest.raises(ValueError, match="no arrow"):
+                            F.get_map(a, b)
+                        continue
+                    # compose the cover maps along a random path a -> b
+                    path, x = [{k: k for k in s} for s in F.labels[a]], a
+                    while x != b:
+                        m = rng.choice([m for m in out[x]
+                                        if factor_leq(p, m, b)])
+                        path = [{k: d[v] for k, v in c.items()}
+                                for c, d in zip(path, F.maps[(x, m)])]
+                        x = m
+                    assert F.get_map(a, b) == path, (levels, a, b)
 
 
 class TestSliceLimit:

@@ -5,9 +5,12 @@ guards with a timeout, reruns in separate processes, and one smoke run
 per subcommand."""
 
 import concurrent.futures
+import contextlib
+import io
 import json
 import pathlib
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -16,7 +19,8 @@ import pytest
 
 from spankit import pushpull, verify
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_process(*argv, timeout=None):
@@ -381,11 +385,24 @@ class TestDeterminism:
         ("compose_horizontal.json",
          ["compose", "--kind", "horizontal", str(GOLDEN / "compose_h1.json"),
           str(GOLDEN / "compose_h2.json")]),
+        ("verify_all_4.json", ["verify", "all", "--bound", "4"]),
+        ("crw_cycle_4.csv",
+         ["crw", "cohomology", str(GOLDEN / "crw_cycle.json"), "--bound", "4",
+          "--format", "csv"]),
     ])
     def test_matches_golden(self, run_cli, name, argv):
         out = run_cli(*argv)
         assert out.returncode == 0
         assert out.stdout == (GOLDEN / name).read_text()
+
+    @pytest.mark.parametrize("demo", sorted(
+        p.stem for p in (ROOT / "demos").glob("demo_*.py")))
+    def test_demo_matches_golden(self, demo):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(ROOT / "demos" / (demo + ".py")),
+                           run_name="__main__")
+        assert out.getvalue() == (GOLDEN / (demo + ".txt")).read_text()
 
 
 class TestCompose:
