@@ -32,12 +32,18 @@ class SetMap:
     values: tuple  # pairs (source element, target element)
 
     def __post_init__(self):
-        d = dict(self.values)
+        d = self._map
         if set(d) != set(self.source) or not set(d.values()) <= set(self.target):
             raise ValueError("map not total or lands outside target")
 
+    # the lookup is built once; cached_property stores into the instance
+    # __dict__, which __eq__, __repr__ and the hash never read
+    @functools.cached_property
+    def _map(self):
+        return dict(self.values)
+
     def __call__(self, x):
-        return dict(self.values)[x]
+        return self._map[x]
 
     @staticmethod
     def build(source, target, fn):
@@ -63,12 +69,16 @@ class VectorFamily:
     dims: tuple  # pairs (point, non-negative dimension)
 
     def __post_init__(self):
-        d = dict(self.dims)
+        d = self._dims
         if set(d) != set(self.base) or any(v < 0 for v in d.values()):
             raise ValueError("bad dimension data")
 
+    @functools.cached_property
+    def _dims(self):
+        return dict(self.dims)
+
     def dim(self, x):
-        return dict(self.dims)[x]
+        return self._dims[x]
 
     @staticmethod
     def build(base, fn):

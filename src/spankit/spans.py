@@ -6,12 +6,22 @@ map for every poset arrow.  Cartesianness means every label is, via the
 canonical comparison, the limit of the diagram's restriction to the
 bottom layer (intervals of length <= 1, singleton subsets) under the
 object.  Cartesian replacement rebuilds every label as that limit.
+
+Inside, the poset numbers its objects (the code of an object is its
+index in ``objects``) and a diagram holds every label value as its
+canonical position: the index of its last occurrence in its label list,
+so a value listed twice has one position.  Cover maps and composites are
+tuples of canonical target positions, one entry per source position,
+keyed by code pairs; slice limits are solved and sorted on these
+integers, and values are looked up only for the results.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fincat import compatible_families
 from .simplex import (SpanPoset, build_sigma, build_theta, push_sigma,
@@ -33,16 +43,26 @@ class Span:
     right_map: tuple
 
     def __post_init__(self):
-        lm, rm = dict(self.left_map), dict(self.right_map)
+        lm, rm = self._left, self._right
         for a in self.apex:
             if lm.get(a) not in self.left_foot or rm.get(a) not in self.right_foot:
                 raise ValueError("span legs not total")
 
+    # the leg lookups are built once; cached_property stores into the
+    # instance __dict__, which __eq__, __repr__ and the hash never read
+    @cached_property
+    def _left(self):
+        return dict(self.left_map)
+
+    @cached_property
+    def _right(self):
+        return dict(self.right_map)
+
     def left(self, a):
-        return dict(self.left_map)[a]
+        return self._left[a]
 
     def right(self, a):
-        return dict(self.right_map)[a]
+        return self._right[a]
 
     @staticmethod
     def identity(x):
@@ -85,33 +105,55 @@ class ProductPoset:
         self.objects = [tuple(o) for o in
                         itertools.product(*[f.objects for f in self.factors])]
         # objects run through the product of the factor objects in order,
-        # so a product of per-factor lists zips with them.  _up[a]: the
-        # cover targets out of a, one factor stepping down a Hasse edge
-        steps = []
-        for f in self.factors:
+        # so the code of an object (its index) is the sum over the factors
+        # of its factor object's index times the factor's stride, and a
+        # product of per-factor lists of those terms gives codes in object
+        # order.  _up_c[c]: the cover targets out of c, one factor
+        # stepping down a Hasse edge; _down_c[c]: the objects under c in
+        # object order, as the keys of a dict (an ordered set);
+        # _slices_c[c]: the bottom objects under c in bottom() order, the
+        # bottom layer being the product of the factors' bottom layers
+        sizes = [len(f.objects) for f in self.factors]
+        steps, downs, unders = [], [], []
+        for fi, f in enumerate(self.factors):
+            stride = math.prod(sizes[fi + 1:])
             step = [[] for _ in f.objects]
             for (i, j) in f.hasse_edges:
-                step[i].append(f.objects[j])
+                step[i].append((j - i) * stride)
             steps.append(step)
-        self._up = {a: [a[:fi] + (y,) + a[fi + 1:]
-                        for fi, ys in enumerate(downs) for y in ys]
-                    for a, downs in zip(self.objects,
-                                        itertools.product(*steps))}
-        self.covers = [(a, b) for a in self.objects for b in self._up[a]]
-        # _down[a]: the objects under a, in object order, as the keys of a
-        # dict (an ordered set); _slices[x]: the bottom objects under x, in
-        # bottom() order.  Both are products of per-factor down-sets, and
-        # the bottom layer is the product of the factors' bottom layers
-        downs, under = [], []
-        for f in self.factors:
-            down = [[y for y in f.objects if f.leq(x, y)] for x in f.objects]
-            downs.append(down)
-            under.append([[y for y in ys if _is_small(f, y)] for ys in down])
-        self._down = dict(zip(self.objects, (
-            dict.fromkeys(itertools.product(*ds))
-            for ds in itertools.product(*downs))))
-        self._slices = dict(zip(self.objects, (
-            list(itertools.product(*us)) for us in itertools.product(*under))))
+            down = [[j for j, y in enumerate(f.objects) if f.leq(x, y)]
+                    for x in f.objects]
+            downs.append([[j * stride for j in js] for js in down])
+            unders.append([[j * stride for j in js
+                            if _is_small(f, f.objects[j])] for js in down])
+        self._up_c = [[c + d for ds in step for d in ds]
+                      for c, step in enumerate(itertools.product(*steps))]
+        self._down_c = [dict.fromkeys(map(sum, itertools.product(*ds)))
+                        for ds in itertools.product(*downs)]
+        self._slices_c = [list(map(sum, itertools.product(*us)))
+                          for us in itertools.product(*unders)]
+        self._covers_c = [(a, b) for a, bs in enumerate(self._up_c)
+                          for b in bs]
+        objs = self.objects
+        self.covers = [(objs[a], objs[b]) for a, b in self._covers_c]
+        self._code = {o: c for c, o in enumerate(objs)}
+
+    # the same tables keyed by objects, built on first use: hashing the
+    # objects costs more than building the coded tables
+    @cached_property
+    def _up(self):
+        return {a: [self.objects[b] for b in bs]
+                for a, bs in zip(self.objects, self._up_c)}
+
+    @cached_property
+    def _down(self):
+        return {a: dict.fromkeys(map(self.objects.__getitem__, bs))
+                for a, bs in zip(self.objects, self._down_c)}
+
+    @cached_property
+    def _slices(self):
+        return {a: [self.objects[y] for y in ys]
+                for a, ys in zip(self.objects, self._slices_c)}
 
     def leq(self, a, b):
         return b in self._down[a]
@@ -135,6 +177,13 @@ class GeneralizedSpanDiagram:
     for every pair a >= b is built once, on construction, along the
     first cover step a -> m above b; with ``check`` on, every other first
     step must give the same composite (functoriality).
+
+    Every composite, the cover maps among them, is kept in
+    ``_composites`` per slot as a tuple of canonical positions (see the
+    module docstring) keyed by the code pair of its arrow.  ``_values``
+    and ``_positions`` hold, per code and slot, the label list as built
+    and its canonical positions.  ``get_map`` turns a composite back into
+    value dicts.
     """
 
     def __init__(self, poset, width, labels, maps, check=True):
@@ -142,86 +191,125 @@ class GeneralizedSpanDiagram:
         self.width = width
         self.labels = {o: [list(s) for s in labels[o]] for o in poset.objects}
         self.maps = {e: [dict(d) for d in maps[e]] for e in poset.covers}
+        up, down = poset._up_c, poset._down_c
+        values = [[tuple(s) for s in ls] for ls in self.labels.values()]
+        covers = list(zip(poset._covers_c, self.maps.values()))
         if check:
-            self._check()
-        up, down = poset._up, poset._down
+            self._check(values, covers)
+        ranks = [[{v: p for p, v in enumerate(s)} for s in ls]
+                 for ls in values]
+        self._values = values
+        self._positions = pos = [[tuple(map(r.__getitem__, s))
+                                  for r, s in zip(rs, ls)]
+                                 for rs, ls in zip(ranks, values)]
+        # the cover maps out of each object, aligned with up
+        step = [[] for _ in up]
+        for (a, m), ds in covers:
+            step[a].append([tuple(r[d[v]] for v in s)
+                            for d, s, r in zip(ds, values[a], ranks[m])])
         self._composites = table = {}
         # smaller down-sets first: every cover target before its sources
-        for a in sorted(poset.objects, key=lambda x: len(down[x])):
-            table[a, a] = [{k: k for k in s} for s in self.labels[a]]
+        for a in sorted(range(len(up)), key=lambda c: len(down[c])):
+            table[a, a] = pos[a]
             for b in down[a]:
-                routes = ([{k: r[v] for k, v in d.items()}
-                           for r, d in zip(table[m, b], self.maps[a, m])]
-                          for m in up[a] if b in down[m])
+                routes = ([tuple(map(r.__getitem__, d))
+                           for r, d in zip(table[m, b], ds)]
+                          for m, ds in zip(up[a], step[a]) if b in down[m])
                 # only b == a has no route, and keeps its identity
-                table[a, b] = first = next(routes, table[a, a])
+                table[a, b] = first = next(routes, pos[a])
                 if check and any(c != first for c in routes):
                     raise ValueError("diagram not functorial at %r -> %r"
-                                     % (a, b))
+                                     % (poset.objects[a], poset.objects[b]))
 
-    def _check(self):
-        for obj in self.poset.objects:
-            if len(self.labels[obj]) != self.width:
+    def _check(self, values, covers):
+        for ls in values:
+            if len(ls) != self.width:
                 raise ValueError("wrong number of label slots")
-        for (a, b) in self.poset.covers:
+        for (a, b), ds in covers:
             for s in range(self.width):
-                d = self.maps[(a, b)][s]
-                if set(d) != set(self.labels[a][s]):
+                d = ds[s]
+                if set(d) != set(values[a][s]):
                     raise ValueError("map not total on its label set")
-                if not set(d.values()) <= set(self.labels[b][s]):
+                if not set(d.values()) <= set(values[b][s]):
                     raise ValueError("map lands outside its target label set")
 
     def get_map(self, a, b):
         """The composite map along any cover path from a to b."""
+        code = self.poset._code
         try:
-            return self._composites[a, b]
+            a, b = code[a], code[b]
+            comps = self._composites[a, b]
         except KeyError:
             raise ValueError("no arrow between the given objects") from None
+        return [dict(zip(src, map(tgt.__getitem__, c)))
+                for src, tgt, c in zip(self._values[a], self._values[b],
+                                       comps)]
 
 
-def _slice_limit(F, objs, slot):
-    """Families over the bottom slice objs under some x, compatible with
-    all maps between its objects; returned as value tuples in slice
-    order, sorted by the positions of their values in the label lists
-    (the lexicographic order of solving in slice order).
+def _slice_positions(F, ys, slot):
+    """Families over the bottom slice with codes ys, compatible with all
+    maps between its objects; returned as tuples of canonical positions
+    in slice order, sorted.
 
     The solver sees the objects in a forcing order: by the number of
     objects under each one, most first (stable), so every object comes
     before the objects it maps to and an arrow sets the value at its
     target instead of checking a value chosen freely there.  A slice
-    holds every object under each of its objects.
+    holds every object under each of its objects.  Its domains are the
+    canonical positions of the label lists, so a value listed twice is
+    tried twice where it is free.
     """
-    down = F.poset._down
-    order = sorted(objs, key=lambda y: -len(down[y]))
+    down, table = F.poset._down_c, F._composites
+    order = sorted(ys, key=lambda y: -len(down[y]))
     at = {y: p for p, y in enumerate(order)}
-    arrows = [[(at[z], F.get_map(y, z)[slot].__getitem__)
+    arrows = [[(at[z], table[y, z][slot].__getitem__)
                for z in down[y] if z != y]
               for y in order]
-    domains = [F.labels[y][slot] for y in order]
-    back = [at[y] for y in objs]
-    ranks = [{v: r for r, v in enumerate(F.labels[y][slot])} for y in objs]
+    domains = [F._positions[y][slot] for y in order]
+    back = [at[y] for y in ys]
     families = [tuple(fam[p] for p in back)
                 for fam in compatible_families(domains, arrows)]
-    families.sort(key=lambda fam: [r[v] for r, v in zip(ranks, fam)])
+    families.sort()
     return families
+
+
+def _slice_values(F, ys, slot):
+    """``_slice_positions`` with each position replaced by its value."""
+    values = [F._values[y][slot] for y in ys]
+    return [tuple(v[p] for v, p in zip(values, fam))
+            for fam in _slice_positions(F, ys, slot)]
+
+
+def _slice_limit(F, objs, slot):
+    """Families over the bottom slice objs under some x, compatible with
+    all maps between its objects; returned as value tuples in slice
+    order, sorted by the canonical positions of their values."""
+    code = F.poset._code
+    return _slice_values(F, [code[y] for y in objs], slot)
 
 
 def comparison_map(F, x, slot):
     """The canonical map from the label at x into its slice limit."""
-    legs = [F.get_map(x, y)[slot] for y in F.poset._slices[x]]
-    return {e: tuple(leg[e] for leg in legs) for e in F.labels[x][slot]}
+    x = F.poset._code[x]
+    ys = F.poset._slices_c[x]
+    legs = [F._composites[x, y][slot] for y in ys]
+    targets = [F._values[y][slot] for y in ys]
+    return {e: tuple(t[q] for t, q in zip(targets, qs))
+            for e, qs in zip(F._values[x][slot], zip(*legs))}
 
 
 def is_cartesian(F):
     """True iff every comparison into the slice limit is a bijection.
     Returns (flag, witness); witness is (object, slot) on failure."""
-    for x in F.poset.objects:
-        objs = F.poset._slices[x]
+    table = F._composites
+    for x, ys in enumerate(F.poset._slices_c):
         for s in range(F.width):
-            fams = _slice_limit(F, objs, s)
-            image = list(comparison_map(F, x, s).values())
-            if len(set(image)) != len(image) or set(image) != set(fams):
-                return False, (x, s)
+            fams = _slice_positions(F, ys, s)
+            # one image per position; a repeated value gives one image
+            image = set(zip(*[table[x, y][s] for y in ys]))
+            if len(image) != len(set(F._positions[x][s])) \
+                    or image != set(fams):
+                return False, (F.poset.objects[x], s)
     return True, None
 
 
@@ -233,16 +321,16 @@ def cartesian_replacement(F):
     canonical map from F's label into G's.
     """
     poset = F.poset
-    slices = poset._slices
-    new_labels = {x: [_slice_limit(F, slices[x], s) for s in range(F.width)]
-                  for x in poset.objects}
+    slices = poset._slices_c
+    labels = [[_slice_values(F, ys, s) for s in range(F.width)]
+              for ys in slices]
     new_maps = {}
-    for (a, b) in poset.covers:
+    for (a, b), e in zip(poset._covers_c, poset.covers):
         sub = [slices[a].index(y) for y in slices[b]]
-        new_maps[(a, b)] = [
-            {fam: tuple(fam[i] for i in sub) for fam in new_labels[a][s]}
-            for s in range(F.width)]
-    G = GeneralizedSpanDiagram(poset, F.width, new_labels, new_maps)
+        new_maps[e] = [{fam: tuple(fam[i] for i in sub) for fam in fams}
+                       for fams in labels[a]]
+    G = GeneralizedSpanDiagram(poset, F.width,
+                               dict(zip(poset.objects, labels)), new_maps)
     comparison = {x: [comparison_map(F, x, s) for s in range(F.width)]
                   for x in poset.objects}
     return G, comparison

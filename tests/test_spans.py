@@ -24,6 +24,41 @@ def oracle_slice_limit(F, objs, slot):
     return compatible_families([F.labels[y][slot] for y in objs], arrows)
 
 
+def value_slice_limit(F, objs, slot):
+    """The slice limit as it was solved on label values: the forcing
+    order of ``_slice_limit``, with the label lists as domains and the
+    value maps of ``get_map`` as arrows, the families then sorted by the
+    last position of each value in its label list."""
+    down = F.poset._down
+    order = sorted(objs, key=lambda y: -len(down[y]))
+    at = {y: p for p, y in enumerate(order)}
+    arrows = [[(at[z], F.get_map(y, z)[slot].__getitem__)
+               for z in down[y] if z != y]
+              for y in order]
+    domains = [F.labels[y][slot] for y in order]
+    back = [at[y] for y in objs]
+    ranks = [{v: r for r, v in enumerate(F.labels[y][slot])} for y in objs]
+    families = [tuple(fam[p] for p in back)
+                for fam in compatible_families(domains, arrows)]
+    families.sort(key=lambda fam: [r[v] for r, v in zip(ranks, fam)])
+    return families
+
+
+def value_is_cartesian(F):
+    """``is_cartesian`` on label values, over ``value_slice_limit``: one
+    image per distinct value of the label."""
+    for x in F.poset.objects:
+        objs = F.poset._slices[x]
+        for s in range(F.width):
+            fams = value_slice_limit(F, objs, s)
+            legs = [F.get_map(x, y)[s] for y in objs]
+            image = [tuple(leg[e] for leg in legs)
+                     for e in dict.fromkeys(F.labels[x][s])]
+            if len(set(image)) != len(image) or set(image) != set(fams):
+                return False, (x, s)
+    return True, None
+
+
 def random_span(rng, name, apex_size, feet_size):
     apex = tuple("%s%d" % (name, i) for i in range(apex_size))
     feet = tuple(range(feet_size))
@@ -221,7 +256,11 @@ class TestSliceLimit:
         """A bottom-generated diagram with every bottom label list
         shuffled.  ``top`` then doubles the first value of the top label
         and ``extra`` gives a minimal object a value that no map reaches,
-        which breaks cartesianness wherever those labels take part."""
+        which breaks cartesianness wherever those labels take part.
+        ``repeat`` lists a value of a bottom label twice: where a bottom
+        cover reaches that object, a value some cover map sends there, so
+        it is free in the object's own slice and forced in the slices
+        above it."""
         F = random_bottom_diagram(rng, *levels, width=rng.randint(1, 2))
         p = F.poset
         labels = {x: [list(s) for s in F.labels[x]] for x in p.objects}
@@ -242,6 +281,15 @@ class TestSliceLimit:
             x = rng.choice([y for y in p.objects if y not in sources])
             labels[x][0].insert(rng.randint(0, len(labels[x][0])),
                                 ("extra",))
+        elif variant == "repeat":
+            bottom = [(a, b) for (a, b) in p.covers if p.is_bottom(a)]
+            if bottom:
+                a, x = rng.choice(bottom)
+                v = rng.choice(list(maps[(a, x)][0].values()))
+            else:
+                x = rng.choice(p.bottom())
+                v = rng.choice(labels[x][0])
+            labels[x][0].insert(rng.randint(0, len(labels[x][0])), v)
         return sp.GeneralizedSpanDiagram(p, F.width, labels, maps,
                                          check=False)
 
@@ -261,6 +309,53 @@ class TestSliceLimit:
                         reordered += want != sorted(want)
         # the shuffles make the label order differ from the value order
         assert reordered > 100 and broken > 30, (reordered, broken)
+
+
+    def test_repeated_values_match_solving_on_values(self):
+        rng = random.Random(19)
+        repeats = reordered = broken = 0
+        for levels in self.SHAPES:
+            for variant in ("repeat",) * 8 + ("bottom", "top", "extra"):
+                F = self.shuffled(rng, levels, variant)
+                slices = F.poset._slices
+                want = {x: [value_slice_limit(F, slices[x], s)
+                            for s in range(F.width)]
+                        for x in F.poset.objects}
+                for x, fams in want.items():
+                    for s, fam in enumerate(fams):
+                        assert sp._slice_limit(F, slices[x], s) == fam, \
+                            (levels, variant, x, s)
+                        repeats += len(set(fam)) < len(fam)
+                        reordered += fam != sorted(fam)
+                flag = value_is_cartesian(F)
+                broken += not flag[0]
+                assert sp.is_cartesian(F) == flag, (levels, variant)
+                G, _ = sp.cartesian_replacement(F)
+                assert G.labels == want, (levels, variant)
+        # families repeat where a doubled value is free, and the label
+        # order differs from the value order
+        assert repeats > 100 and reordered > 500 and broken > 5, \
+            (repeats, reordered, broken)
+
+
+class TestHashing:
+    def test_hash_calls_grow_with_covers(self, monkeypatch):
+        """Building a diagram and checking it hash each object and each
+        cover a bounded number of times, whatever the number of pairs
+        a >= b and of routes between them."""
+        F = random_bottom_diagram(random.Random(19), (3,), (3,))
+        p = F.poset
+        assert (len(p.objects), len(p.covers)) == (150, 460)
+        calls = [0]
+        plain = MonotoneMap.__hash__
+
+        def counting(self):
+            calls[0] += 1
+            return plain(self)
+        monkeypatch.setattr(MonotoneMap, "__hash__", counting)
+        G = sp.GeneralizedSpanDiagram(p, F.width, F.labels, F.maps)
+        assert sp.is_cartesian(G) == (True, None)
+        assert calls[0] <= 16 * (len(p.objects) + len(p.covers)), calls[0]
 
 
 class TestReindexing:
