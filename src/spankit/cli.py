@@ -170,10 +170,13 @@ def _span_from_json(obj, path):
             raise InputError("%s.%s: keys %r are not the apex %r" % (
                 path, leg, sorted(obj[leg]), sorted(set(obj["apex"]))))
     from .spans import Span
-    return Span(tuple(obj["left_foot"]), tuple(obj["apex"]),
-                tuple(obj["right_foot"]),
-                tuple((a, obj["left_map"][a]) for a in obj["apex"]),
-                tuple((a, obj["right_map"][a]) for a in obj["apex"]))
+    try:
+        return Span(tuple(obj["left_foot"]), tuple(obj["apex"]),
+                    tuple(obj["right_foot"]),
+                    tuple((a, obj["left_map"][a]) for a in obj["apex"]),
+                    tuple((a, obj["right_map"][a]) for a in obj["apex"]))
+    except ValueError as exc:
+        raise InputError("%s: %s" % (path, exc)) from None
 
 
 def _elt(x):

@@ -2,9 +2,9 @@
 
 Limits as compatible families, found by ``compatible_families``: the one
 forced-value backtracker, which ``spans`` and ``pathnerve`` also use for
-their slice and labelled limits.  Twisted arrow categories, ends and
-coends, right Kan extensions via the comma-category limit formula and via
-the end-of-cotensor formula, and cotensors.
+their slice and labelled limits in its own solving order.  Twisted arrow
+categories, ends and coends, right Kan extensions via the comma-category
+limit formula and via the end-of-cotensor formula, and cotensors.
 
 Conventions: the limit of the empty diagram is a singleton; all finite
 sets are lists with a fixed element order so results are deterministic.
@@ -13,6 +13,7 @@ sets are lists with a fixed element order so results are deterministic.
 from __future__ import annotations
 
 import itertools
+import operator
 
 
 class FinCategory:
@@ -183,16 +184,34 @@ class LimitResult:
 
 def compatible_families(domains, arrows):
     """Every tuple ``fam`` with ``fam[i]`` in ``domains[i]`` and
-    ``f(fam[i]) == fam[j]`` for each ``(j, f)`` in ``arrows[i]``.
+    ``f(fam[i]) == fam[j]`` for each ``(j, f)`` in ``arrows[i]``, in the
+    lexicographic order of the positions and their domains.  Arrows may
+    point anywhere, several times at one position.  Precondition: no
+    domain lists an element twice.
 
-    Backtracks over the positions in order, trying candidates in domain
-    order, so the families come out in lexicographic order.  An arrow
-    from an assigned position into a later one forces that value, and a
-    forced value is the only candidate tried there; it is trusted to lie
-    in its domain.  Arrows may point backwards, at their own position or
-    several times at one position.
+    The solver backtracks in its own order: the roots, most arrows first
+    (stable), each followed breadth first by every position its arrows
+    reach.  An arrow into a later position forces the value there
+    (trusted to lie in its domain), so only roots are chosen.
     """
     n = len(domains)
+    order, at, k = [], [None] * n, 0  # at: the inverse of order
+    roots = sorted(range(n), key=lambda i: -len(arrows[i])) if n > 1 else ()
+    for root in roots:
+        if at[root] is None:
+            at[root] = len(order)
+            order.append(root)
+        while k < len(order):  # breadth first, with order as the queue
+            for j, _ in arrows[order[k]]:
+                if at[j] is None:
+                    at[j] = len(order)
+                    order.append(j)
+            k += 1
+    moved = order != sorted(order)
+    doms, arrs = domains, arrows
+    if moved:
+        doms = [domains[i] for i in order]
+        arrs = [[(at[j], f) for j, f in arrows[i]] for i in order]
     fam = [None] * n
     forced = {}
     families = []
@@ -201,10 +220,10 @@ def compatible_families(domains, arrows):
         if pos == n:
             families.append(tuple(fam))
             return
-        for x in ([forced[pos]] if pos in forced else domains[pos]):
+        for x in ([forced[pos]] if pos in forced else doms[pos]):
             fam[pos] = x
             new = []
-            for (j, f) in arrows[pos]:
+            for (j, f) in arrs[pos]:
                 y = f(x)
                 if j <= pos:
                     if fam[j] != y:
@@ -221,44 +240,39 @@ def compatible_families(domains, arrows):
                 del forced[j]
 
     extend(0)
+    if moved:  # n >= 2 here, so the getter returns tuples
+        families = list(map(operator.itemgetter(*at), families))
+        if all(d == range(len(d)) for d in domains):
+            families.sort()  # each value is its own rank
+        elif len(families) > 1:
+            ranks = [dict(zip(d, range(len(d)))) for d in domains]
+            families.sort(key=lambda t: list(map(dict.__getitem__, ranks, t)))
     return families
 
 
 def limit(diagram):
     """Limit of a finite-set diagram: its compatible families, one arrow
-    per morphism of the shape."""
+    per morphism of the shape but the identities (which always hold)."""
     A = diagram.shape
     arrows = [[] for _ in range(A.n_objects)]
     for f, (s, d) in enumerate(A.morphisms):
-        arrows[s].append((d, diagram.on_morphisms[f].__getitem__))
+        if f != A.identities[s]:
+            arrows[s].append((d, diagram.on_morphisms[f].__getitem__))
     return LimitResult(A, compatible_families(diagram.on_objects, arrows))
 
 
 def limit_bruteforce(diagram):
     """Oracle: product filtering, no pruning."""
-    A = diagram.shape
-    out = []
-    for fam in itertools.product(*diagram.on_objects):
-        ok = True
-        for f, (s, d) in enumerate(A.morphisms):
-            if diagram.on_morphisms[f][fam[s]] != fam[d]:
-                ok = False
-                break
-        if ok:
-            out.append(fam)
-    return out
+    maps = list(zip(diagram.on_morphisms, diagram.shape.morphisms))
+    return [fam for fam in itertools.product(*diagram.on_objects)
+            if all(m[fam[s]] == fam[d] for m, (s, d) in maps)]
 
 
 def check_cone_terminal(diagram, result):
-    """Brute-force check that the limit apex is a terminal cone."""
-    A = diagram.shape
-    for fam in result.apex:
-        for f, (s, d) in enumerate(A.morphisms):
-            if diagram.on_morphisms[f][fam[s]] != fam[d]:
-                return False
-    # terminality: every compatible family appears exactly once
-    families = limit_bruteforce(diagram)
-    return sorted(map(repr, families)) == sorted(map(repr, result.apex))
+    """Brute-force check that the limit apex is a terminal cone: it lists
+    every compatible family, and nothing else, exactly once."""
+    return (sorted(map(repr, limit_bruteforce(diagram)))
+            == sorted(map(repr, result.apex)))
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,7 @@ def labelled_limit(X, l):
     """
     table = nondegenerate_table(l, bound=l)
     simplices = [s for (u, v), nd in table.items() if u + v <= l for s in nd]
-    # higher dimension first so faces are forced early
+    # this order fixes the output: the keys and the order of the families
     simplices.sort(key=lambda s: (-(s.u + s.v), s.objs, s.chains))
     return _limit_over(X, simplices, _injective_maps)
 

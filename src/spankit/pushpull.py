@@ -107,6 +107,7 @@ class FamilyMap:
         if self.source.base != self.target.base:
             raise ValueError("families on different bases")
         d = dict(self.mats)
+        object.__setattr__(self, "_mats", d)  # not a field, as in spans.Span
         for x in self.source.base:
             m = d[x]
             if len(m) != self.target.dim(x):
@@ -115,7 +116,7 @@ class FamilyMap:
                 raise ValueError("column count mismatch")
 
     def mat(self, x):
-        return dict(self.mats)[x]
+        return self._mats[x]
 
     @staticmethod
     def build(source, target, fn):

@@ -7,13 +7,13 @@ canonical comparison, the limit of the diagram's restriction to the
 bottom layer (intervals of length <= 1, singleton subsets) under the
 object.  Cartesian replacement rebuilds every label as that limit.
 
-Inside, the poset numbers its objects (the code of an object is its
-index in ``objects``) and a diagram holds every label value as its
-canonical position: the index of its last occurrence in its label list,
-so a value listed twice has one position.  Cover maps and composites are
-tuples of canonical target positions, one entry per source position,
-keyed by code pairs; slice limits are solved and sorted on these
-integers, and values are looked up only for the results.
+Labels are finite sets: with ``check`` on, a label list that repeats a
+value is rejected.  Inside, the poset numbers its objects (the code of an
+object is its index in ``objects``) and a diagram holds every label
+value as its position in its label list.  Cover maps and composites are
+tuples of target positions, one entry per source position, keyed by
+code pairs; slice limits are solved on these integers, and values are
+looked up only for the results.
 """
 
 from __future__ import annotations
@@ -43,20 +43,17 @@ class Span:
     right_map: tuple
 
     def __post_init__(self):
-        lm, rm = self._left, self._right
+        for name in ("left_foot", "apex", "right_foot"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError("%s lists an element twice" % name)
+        # leg lookups built here, not lazily (a cached_property locks on first
+        # access before Python 3.12); not fields, so ==, repr, hash skip them
+        lm, rm = dict(self.left_map), dict(self.right_map)
+        object.__setattr__(self, "_left", lm)
+        object.__setattr__(self, "_right", rm)
         for a in self.apex:
             if lm.get(a) not in self.left_foot or rm.get(a) not in self.right_foot:
                 raise ValueError("span legs not total")
-
-    # the leg lookups are built once; cached_property stores into the
-    # instance __dict__, which __eq__, __repr__ and the hash never read
-    @cached_property
-    def _left(self):
-        return dict(self.left_map)
-
-    @cached_property
-    def _right(self):
-        return dict(self.right_map)
 
     def left(self, a):
         return self._left[a]
@@ -179,11 +176,10 @@ class GeneralizedSpanDiagram:
     step must give the same composite (functoriality).
 
     Every composite, the cover maps among them, is kept in
-    ``_composites`` per slot as a tuple of canonical positions (see the
-    module docstring) keyed by the code pair of its arrow.  ``_values``
-    and ``_positions`` hold, per code and slot, the label list as built
-    and its canonical positions.  ``get_map`` turns a composite back into
-    value dicts.
+    ``_composites`` per slot as a tuple of positions (see the module
+    docstring) keyed by the code pair of its arrow.  ``_values`` holds,
+    per code and slot, the label list as built.  ``get_map`` turns a
+    composite back into value dicts.
     """
 
     def __init__(self, poset, width, labels, maps, check=True):
@@ -199,9 +195,6 @@ class GeneralizedSpanDiagram:
         ranks = [[{v: p for p, v in enumerate(s)} for s in ls]
                  for ls in values]
         self._values = values
-        self._positions = pos = [[tuple(map(r.__getitem__, s))
-                                  for r, s in zip(rs, ls)]
-                                 for rs, ls in zip(ranks, values)]
         # the cover maps out of each object, aligned with up
         step = [[] for _ in up]
         for (a, m), ds in covers:
@@ -210,27 +203,30 @@ class GeneralizedSpanDiagram:
         self._composites = table = {}
         # smaller down-sets first: every cover target before its sources
         for a in sorted(range(len(up)), key=lambda c: len(down[c])):
-            table[a, a] = pos[a]
+            table[a, a] = ident = [tuple(range(len(s))) for s in values[a]]
             for b in down[a]:
                 routes = ([tuple(map(r.__getitem__, d))
                            for r, d in zip(table[m, b], ds)]
                           for m, ds in zip(up[a], step[a]) if b in down[m])
                 # only b == a has no route, and keeps its identity
-                table[a, b] = first = next(routes, pos[a])
+                table[a, b] = first = next(routes, ident)
                 if check and any(c != first for c in routes):
                     raise ValueError("diagram not functorial at %r -> %r"
                                      % (poset.objects[a], poset.objects[b]))
 
     def _check(self, values, covers):
-        for ls in values:
+        sets = [[set(s) for s in ls] for ls in values]
+        for ls, ss in zip(values, sets):
             if len(ls) != self.width:
                 raise ValueError("wrong number of label slots")
+            if any(len(s) != len(t) for s, t in zip(ls, ss)):
+                raise ValueError("label set repeats a value")
         for (a, b), ds in covers:
             for s in range(self.width):
                 d = ds[s]
-                if set(d) != set(values[a][s]):
+                if d.keys() != sets[a][s]:
                     raise ValueError("map not total on its label set")
-                if not set(d.values()) <= set(values[b][s]):
+                if not sets[b][s].issuperset(d.values()):
                     raise ValueError("map lands outside its target label set")
 
     def get_map(self, a, b):
@@ -248,29 +244,16 @@ class GeneralizedSpanDiagram:
 
 def _slice_positions(F, ys, slot):
     """Families over the bottom slice with codes ys, compatible with all
-    maps between its objects; returned as tuples of canonical positions
-    in slice order, sorted.
-
-    The solver sees the objects in a forcing order: by the number of
-    objects under each one, most first (stable), so every object comes
-    before the objects it maps to and an arrow sets the value at its
-    target instead of checking a value chosen freely there.  A slice
-    holds every object under each of its objects.  Its domains are the
-    canonical positions of the label lists, so a value listed twice is
-    tried twice where it is free.
-    """
+    maps between its objects; returned as tuples of positions in slice
+    order, sorted.  A slice holds every object under each of its
+    objects."""
     down, table = F.poset._down_c, F._composites
-    order = sorted(ys, key=lambda y: -len(down[y]))
-    at = {y: p for p, y in enumerate(order)}
+    at = {y: p for p, y in enumerate(ys)}
     arrows = [[(at[z], table[y, z][slot].__getitem__)
                for z in down[y] if z != y]
-              for y in order]
-    domains = [F._positions[y][slot] for y in order]
-    back = [at[y] for y in ys]
-    families = [tuple(fam[p] for p in back)
-                for fam in compatible_families(domains, arrows)]
-    families.sort()
-    return families
+              for y in ys]
+    return compatible_families([range(len(F._values[y][slot])) for y in ys],
+                               arrows)
 
 
 def _slice_values(F, ys, slot):
@@ -283,7 +266,7 @@ def _slice_values(F, ys, slot):
 def _slice_limit(F, objs, slot):
     """Families over the bottom slice objs under some x, compatible with
     all maps between its objects; returned as value tuples in slice
-    order, sorted by the canonical positions of their values."""
+    order, sorted by their values' positions in the label lists."""
     code = F.poset._code
     return _slice_values(F, [code[y] for y in objs], slot)
 
@@ -305,10 +288,8 @@ def is_cartesian(F):
     for x, ys in enumerate(F.poset._slices_c):
         for s in range(F.width):
             fams = _slice_positions(F, ys, s)
-            # one image per position; a repeated value gives one image
             image = set(zip(*[table[x, y][s] for y in ys]))
-            if len(image) != len(set(F._positions[x][s])) \
-                    or image != set(fams):
+            if len(image) != len(F._values[x][s]) or image != set(fams):
                 return False, (F.poset.objects[x], s)
     return True, None
 

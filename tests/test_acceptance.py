@@ -405,3 +405,17 @@ def test_17_dependent_koszul_cohomology_weight_12_pinned():
                                12)
     assert table == [(0, 1, 0), (1, 4, 0), (2, 7, 1), (3, 8, 4),
                      (4, 8, 7)] + [(w, 8, 8) for w in range(5, 13)]
+
+
+def test_18_full_window_limit_z3_level3_pinned():
+    # every simplex of the window (1, 1) at l = 3, degenerate ones
+    # included, for the nerve square of Z/3; the ordered family list is
+    # pinned from a solve in the simplices' own order (about 30 s there,
+    # where only the degeneracies force values)
+    cat = FinCategory.from_monoid(
+        [[(i + j) % 3 for j in range(3)] for i in range(3)], 0)
+    with budget(2):
+        fams = pn.labelled_limit_full(pn.SquareOfNerve(cat), 3, 1, 1)
+    assert len(fams) == 729
+    assert hashlib.sha256(repr(fams).encode()).hexdigest() == (
+        "6623fc1a5567975e8c9c705bf3454db17f2f97734061af107b63e47937c11db8")

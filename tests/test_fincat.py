@@ -103,14 +103,17 @@ class TestLimits:
 
     def test_compatible_families_on_arbitrary_arrows(self):
         # arrows need not come from a category: no identities, self
-        # arrows, backward arrows and several arrows into one position
+        # arrows, backward arrows, cycles and several arrows into one
+        # position; the solver walks its own order, the families come
+        # back in the caller's
         rng = random.Random(6)
-        for _ in range(200):
-            n = rng.randrange(0, 4)
+        selfs = cycles = long_reach = 0
+        for _ in range(300):
+            n = rng.randrange(0, 7)
             domains = [rng.sample(range(4), rng.randrange(1, 4))
                        for _ in range(n)]
             arrows = [[] for _ in range(n)]
-            for _ in range(rng.randrange(0, 5) if n else 0):
+            for _ in range(rng.randrange(0, 11) if n else 0):
                 i, j = rng.randrange(n), rng.randrange(n)
                 table = {x: rng.choice(domains[j]) for x in domains[i]}
                 arrows[i].append((j, table.__getitem__))
@@ -118,6 +121,21 @@ class TestLimits:
                     if all(f(fam[i]) == fam[j]
                            for i in range(n) for (j, f) in arrows[i])]
             assert fincat.compatible_families(domains, arrows) == want
+            # the shapes drawn: steps[i][j] is the fewest arrows i -> j
+            steps = [{j: 1 for j, _ in arrows[i]} for i in range(n)]
+            for i in range(n):
+                todo = list(steps[i])
+                while todo:
+                    k = todo.pop(0)
+                    for j, _ in arrows[k]:
+                        if j not in steps[i]:
+                            steps[i][j] = steps[i][k] + 1
+                            todo.append(j)
+            selfs += any(i == j for i in range(n) for j, _ in arrows[i])
+            cycles += any(steps[i].get(i, 0) > 1 for i in range(n))
+            long_reach += any(k >= 3 for s in steps for k in s.values())
+        assert selfs > 80 and cycles > 35 and long_reach > 15, \
+            (selfs, cycles, long_reach)
 
     def test_limit_of_pullback_shape(self):
         # cospan x -> z <- y with two-point fibers

@@ -14,9 +14,9 @@ def factor_leq(poset, a, b):
 
 
 def oracle_slice_limit(F, objs, slot):
-    """The slice limit solved in slice order, with the order relation
-    taken factor by factor: the families come out in the lexicographic
-    order of their values' positions in the label lists."""
+    """The slice limit with the order relation taken factor by factor
+    and the value maps of ``get_map``: the families come out in the
+    lexicographic order of their values' positions in the label lists."""
     arrows = [[(j, F.get_map(y, z)[slot].__getitem__)
                for j, z in enumerate(objs)
                if i != j and factor_leq(F.poset, y, z)]
@@ -24,36 +24,15 @@ def oracle_slice_limit(F, objs, slot):
     return compatible_families([F.labels[y][slot] for y in objs], arrows)
 
 
-def value_slice_limit(F, objs, slot):
-    """The slice limit as it was solved on label values: the forcing
-    order of ``_slice_limit``, with the label lists as domains and the
-    value maps of ``get_map`` as arrows, the families then sorted by the
-    last position of each value in its label list."""
-    down = F.poset._down
-    order = sorted(objs, key=lambda y: -len(down[y]))
-    at = {y: p for p, y in enumerate(order)}
-    arrows = [[(at[z], F.get_map(y, z)[slot].__getitem__)
-               for z in down[y] if z != y]
-              for y in order]
-    domains = [F.labels[y][slot] for y in order]
-    back = [at[y] for y in objs]
-    ranks = [{v: r for r, v in enumerate(F.labels[y][slot])} for y in objs]
-    families = [tuple(fam[p] for p in back)
-                for fam in compatible_families(domains, arrows)]
-    families.sort(key=lambda fam: [r[v] for r, v in zip(ranks, fam)])
-    return families
-
-
-def value_is_cartesian(F):
-    """``is_cartesian`` on label values, over ``value_slice_limit``: one
-    image per distinct value of the label."""
+def oracle_is_cartesian(F):
+    """``is_cartesian`` over ``oracle_slice_limit``: every label maps one
+    to one onto its slice limit."""
     for x in F.poset.objects:
         objs = F.poset._slices[x]
         for s in range(F.width):
-            fams = value_slice_limit(F, objs, s)
+            fams = oracle_slice_limit(F, objs, s)
             legs = [F.get_map(x, y)[s] for y in objs]
-            image = [tuple(leg[e] for leg in legs)
-                     for e in dict.fromkeys(F.labels[x][s])]
+            image = [tuple(leg[e] for leg in legs) for e in F.labels[x][s]]
             if len(set(image)) != len(image) or set(image) != set(fams):
                 return False, (x, s)
     return True, None
@@ -89,6 +68,14 @@ class TestSpanComposition:
             for t in (left, right):
                 assert sorted((t.left(a), t.right(a)) for a in t.apex) == \
                     sorted((s.left(a), s.right(a)) for a in s.apex)
+
+    def test_element_listed_twice_rejected(self):
+        legs = (("a", 0), ("b", 0))
+        for feet, apex in [((0, 0), ("a", "b")), ((0,), ("a", "a"))]:
+            with pytest.raises(ValueError, match="lists an element twice"):
+                sp.Span(feet, apex, (0,), legs, legs)
+            with pytest.raises(ValueError, match="lists an element twice"):
+                sp.Span((0,), apex, feet, legs, legs)
 
     def test_incompatible_feet_rejected(self):
         s1 = sp.Span((0,), ("a",), (1,), (("a", 0),), (("a", 1),))
@@ -133,6 +120,19 @@ class TestCartesian:
             F = random_bottom_diagram(rng, *levels)
             ok, witness = sp.is_cartesian(F)
             assert ok, witness
+
+    def test_label_set_repeating_a_value_rejected(self):
+        # a repeated value would be one element listed twice: the
+        # replaced label would list its family twice
+        p = sp.ProductPoset((1,), ())
+        left, right, edge = p.objects
+        assert (edge, left) in p.covers and (edge, right) in p.covers
+        labels = {edge: [["u", "v", "u"]], left: [["u", "v"]],
+                  right: [["u", "v"]]}
+        ident = [{"u": "u", "v": "v"}]
+        maps = {(edge, left): ident, (edge, right): ident}
+        with pytest.raises(ValueError, match="label set repeats a value"):
+            sp.GeneralizedSpanDiagram(p, 1, labels, maps)
 
     def test_failure_witness(self):
         rng = random.Random(2)
@@ -245,8 +245,8 @@ class TestComposites:
 
 
 class TestSliceLimit:
-    """The forcing order inside ``_slice_limit`` changes how the solver
-    walks a slice, never which families it returns or their order."""
+    """``_slice_limit`` on positions and composite tables returns the
+    families of the oracle on values, in the same order."""
 
     SHAPES = ([((k,), (l,)) for k in range(3) for l in range(3)]
               + [((1, 1), (1,))])
@@ -256,11 +256,7 @@ class TestSliceLimit:
         """A bottom-generated diagram with every bottom label list
         shuffled.  ``top`` then doubles the first value of the top label
         and ``extra`` gives a minimal object a value that no map reaches,
-        which breaks cartesianness wherever those labels take part.
-        ``repeat`` lists a value of a bottom label twice: where a bottom
-        cover reaches that object, a value some cover map sends there, so
-        it is free in the object's own slice and forced in the slices
-        above it."""
+        which breaks cartesianness wherever those labels take part."""
         F = random_bottom_diagram(rng, *levels, width=rng.randint(1, 2))
         p = F.poset
         labels = {x: [list(s) for s in F.labels[x]] for x in p.objects}
@@ -281,15 +277,6 @@ class TestSliceLimit:
             x = rng.choice([y for y in p.objects if y not in sources])
             labels[x][0].insert(rng.randint(0, len(labels[x][0])),
                                 ("extra",))
-        elif variant == "repeat":
-            bottom = [(a, b) for (a, b) in p.covers if p.is_bottom(a)]
-            if bottom:
-                a, x = rng.choice(bottom)
-                v = rng.choice(list(maps[(a, x)][0].values()))
-            else:
-                x = rng.choice(p.bottom())
-                v = rng.choice(labels[x][0])
-            labels[x][0].insert(rng.randint(0, len(labels[x][0])), v)
         return sp.GeneralizedSpanDiagram(p, F.width, labels, maps,
                                          check=False)
 
@@ -311,31 +298,29 @@ class TestSliceLimit:
         assert reordered > 100 and broken > 30, (reordered, broken)
 
 
-    def test_repeated_values_match_solving_on_values(self):
+    def test_cartesian_check_and_replacement_match_the_oracle(self):
         rng = random.Random(19)
-        repeats = reordered = broken = 0
+        reordered = broken = 0
         for levels in self.SHAPES:
-            for variant in ("repeat",) * 8 + ("bottom", "top", "extra"):
+            for variant in ("bottom", "top", "extra") * 3:
                 F = self.shuffled(rng, levels, variant)
                 slices = F.poset._slices
-                want = {x: [value_slice_limit(F, slices[x], s)
+                want = {x: [oracle_slice_limit(F, slices[x], s)
                             for s in range(F.width)]
                         for x in F.poset.objects}
                 for x, fams in want.items():
                     for s, fam in enumerate(fams):
                         assert sp._slice_limit(F, slices[x], s) == fam, \
                             (levels, variant, x, s)
-                        repeats += len(set(fam)) < len(fam)
                         reordered += fam != sorted(fam)
-                flag = value_is_cartesian(F)
+                flag = oracle_is_cartesian(F)
                 broken += not flag[0]
                 assert sp.is_cartesian(F) == flag, (levels, variant)
                 G, _ = sp.cartesian_replacement(F)
                 assert G.labels == want, (levels, variant)
-        # families repeat where a doubled value is free, and the label
-        # order differs from the value order
-        assert repeats > 100 and reordered > 500 and broken > 5, \
-            (repeats, reordered, broken)
+        # the label order differs from the value order, and some
+        # diagrams are not cartesian
+        assert reordered > 500 and broken > 20, (reordered, broken)
 
 
 class TestHashing:

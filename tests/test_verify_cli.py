@@ -422,6 +422,21 @@ class TestCompose:
         assert result["left_map"] == {"a,c": "x"}
         assert result["right_map"] == {"a,c": "w"}
 
+    @pytest.mark.parametrize("key", ["left_foot", "apex", "right_foot"])
+    def test_element_listed_twice_exits_two(self, run_cli, tmp_path, key):
+        # a pullback has one point per pair: a doubled apex element
+        # would print its composite twice
+        doc = json.loads(json.dumps(self.SPAN1))
+        doc[key].append(doc[key][0])
+        f1 = tmp_path / "s1.json"
+        f1.write_text(json.dumps(doc))
+        out = run_cli("compose", "--kind", "span", str(f1),
+                      str(GOLDEN / "compose_s2.json"))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert json.loads(out.stderr) == {
+            "error": "span: %s lists an element twice" % key}
+
     def test_incompatible_feet_exit_two(self, run_cli, tmp_path):
         f1 = tmp_path / "s1.json"
         f2 = tmp_path / "s2.json"
