@@ -1,8 +1,8 @@
 """Finite categories and finite-set-valued diagrams.
 
 Limits as compatible families, found by ``compatible_families``: the one
-forced-value backtracker, which ``spans`` and ``pathnerve`` also use for
-their slice and labelled limits in its own solving order.  Twisted arrow
+forced-value backtracker, on positions and tables, for which ``limit``,
+``spans`` and ``pathnerve`` number their own values.  Twisted arrow
 categories, ends and coends, right Kan extensions via the comma-category
 limit formula and via the end-of-cotensor formula, and cotensors.
 
@@ -66,16 +66,14 @@ class FinCategory:
                 raise ValueError("right unit law fails")
             if self.comp[(self.identities[df], f)] != f:
                 raise ValueError("left unit law fails")
-        for f in range(len(self.morphisms)):
-            for g in range(len(self.morphisms)):
-                if self.dst(f) != self.src(g):
-                    continue
-                for h in range(len(self.morphisms)):
-                    if self.dst(g) != self.src(h):
-                        continue
-                    if (self.comp[(h, self.comp[(g, f)])]
-                            != self.comp[(self.comp[(h, g)], f)]):
-                        raise ValueError("associativity fails")
+        out = [[] for _ in range(self.n_objects)]  # morphisms by source
+        for h, (sh, _) in enumerate(self.morphisms):
+            out[sh].append(h)
+        comp = self.comp  # now exactly the composable pairs
+        for (g, f), gf in comp.items():
+            for h in out[self.dst(g)]:
+                if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
+                    raise ValueError("associativity fails")
 
     # -- builders ----------------------------------------------------------
 
@@ -138,8 +136,8 @@ class FinFunctor:
 class Diagram:
     """A finite-set-valued functor on a FinCategory.
 
-    ``on_objects[a]`` is a list; ``on_morphisms[f]`` a dict mapping each
-    element of the source value set to one of the target value set.
+    ``on_objects[a]`` is a list with no repeats; ``on_morphisms[f]`` a
+    dict mapping each element of the source value set to one of the target's.
     """
 
     def __init__(self, shape, on_objects, on_morphisms, check=True):
@@ -182,83 +180,83 @@ class LimitResult:
         self.apex = apex
 
 
-def compatible_families(domains, arrows):
-    """Every tuple ``fam`` with ``fam[i]`` in ``domains[i]`` and
-    ``f(fam[i]) == fam[j]`` for each ``(j, f)`` in ``arrows[i]``, in the
-    lexicographic order of the positions and their domains.  Arrows may
-    point anywhere, several times at one position.  Precondition: no
-    domain lists an element twice.
+def compatible_families(sizes, arrows):
+    """Every tuple ``fam`` of positions, ``fam[i]`` in ``range(sizes[i])``,
+    with ``table[fam[i]] == fam[j]`` for each ``(j, table)`` in
+    ``arrows[i]``, sorted.  A table (list, tuple or dict) maps positions
+    of domain i to positions of domain j; it is read only where tried.
+    Arrows may point anywhere, several times at one position.
 
-    The solver backtracks in its own order: the roots, most arrows first
-    (stable), each followed breadth first by every position its arrows
-    reach.  An arrow into a later position forces the value there
-    (trusted to lie in its domain), so only roots are chosen.
+    When no arrow points back (j >= i), the caller's order forces every
+    position an arrow reaches, and the solver keeps it.  Otherwise it
+    backtracks in its own order: the roots, most arrows first (stable),
+    each followed breadth first by every position its arrows reach.  An
+    arrow into a later position forces the value there, so only roots
+    are chosen.
     """
-    n = len(domains)
-    order, at, k = [], [None] * n, 0  # at: the inverse of order
-    roots = sorted(range(n), key=lambda i: -len(arrows[i])) if n > 1 else ()
-    for root in roots:
-        if at[root] is None:
-            at[root] = len(order)
-            order.append(root)
-        while k < len(order):  # breadth first, with order as the queue
-            for j, _ in arrows[order[k]]:
-                if at[j] is None:
-                    at[j] = len(order)
-                    order.append(j)
-            k += 1
-    moved = order != sorted(order)
-    doms, arrs = domains, arrows
-    if moved:
-        doms = [domains[i] for i in order]
-        arrs = [[(at[j], f) for j, f in arrows[i]] for i in order]
-    fam = [None] * n
-    forced = {}
-    families = []
+    n = len(sizes)
+    order = identity = list(range(n))
+    if any(j < i for i in identity for j, _ in arrows[i]):  # so n >= 2
+        order, at, k = [], [None] * n, 0  # at: the inverse of order
+        for root in sorted(identity, key=lambda i: -len(arrows[i])):
+            if at[root] is None:
+                at[root] = len(order)
+                order.append(root)
+            while k < len(order):  # breadth first, with order as the queue
+                for j, _ in arrows[order[k]]:
+                    if at[j] is None:
+                        at[j] = len(order)
+                        order.append(j)
+                k += 1
+        sizes = [sizes[i] for i in order]
+        arrows = [[(at[j], table) for j, table in arrows[i]] for i in order]
+    # the order fixes, per position, whether it is chosen or forced (by
+    # the first arrow into it), and which arrows then only check
+    plan, known = [], [False] * n
+    for pos in range(n):
+        free, known[pos] = not known[pos], True
+        forces, checks = [], []
+        for j, table in arrows[pos]:
+            (checks if known[j] else forces).append((j, table))
+            known[j] = True
+        plan.append((free, forces, checks))
+    fam, families = [None] * n, []
 
     def extend(pos):
         if pos == n:
             families.append(tuple(fam))
             return
-        for x in ([forced[pos]] if pos in forced else doms[pos]):
+        free, forces, checks = plan[pos]
+        for x in range(sizes[pos]) if free else (fam[pos],):
             fam[pos] = x
-            new = []
-            for (j, f) in arrs[pos]:
-                y = f(x)
-                if j <= pos:
-                    if fam[j] != y:
-                        break
-                elif j in forced:
-                    if forced[j] != y:
-                        break
-                else:
-                    forced[j] = y
-                    new.append(j)
+            for j, table in forces:
+                fam[j] = table[x]
+            for j, table in checks:
+                if fam[j] != table[x]:
+                    break
             else:
                 extend(pos + 1)
-            for j in new:
-                del forced[j]
 
     extend(0)
-    if moved:  # n >= 2 here, so the getter returns tuples
-        families = list(map(operator.itemgetter(*at), families))
-        if all(d == range(len(d)) for d in domains):
-            families.sort()  # each value is its own rank
-        elif len(families) > 1:
-            ranks = [dict(zip(d, range(len(d)))) for d in domains]
-            families.sort(key=lambda t: list(map(dict.__getitem__, ranks, t)))
+    if order != identity:
+        families = sorted(map(operator.itemgetter(*at), families))
     return families
 
 
 def limit(diagram):
     """Limit of a finite-set diagram: its compatible families, one arrow
-    per morphism of the shape but the identities (which always hold)."""
-    A = diagram.shape
-    arrows = [[] for _ in range(A.n_objects)]
+    per morphism of the shape but the identities (which always hold).
+    Each value is solved as its position in its ``on_objects`` list."""
+    A, values = diagram.shape, diagram.on_objects
+    ranks = [{x: p for p, x in enumerate(vs)} for vs in values]
+    arrows = [[] for _ in values]
     for f, (s, d) in enumerate(A.morphisms):
         if f != A.identities[s]:
-            arrows[s].append((d, diagram.on_morphisms[f].__getitem__))
-    return LimitResult(A, compatible_families(diagram.on_objects, arrows))
+            m, rank = diagram.on_morphisms[f], ranks[d]
+            arrows[s].append((d, [rank[m[x]] for x in values[s]]))
+    fams = compatible_families(list(map(len, values)), arrows)
+    return LimitResult(A, [tuple(map(list.__getitem__, values, fam))
+                           for fam in fams])
 
 
 def limit_bruteforce(diagram):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 
 from .fincat import FinCategory, compatible_families
 from .simplex import MonotoneMap, PointedMap, underlying_monoid
@@ -191,16 +191,9 @@ class GridElement:
     objs: tuple   # sorted tuple of (node, obj)
     edges: tuple  # sorted tuple of ((node, axis), morphism)
 
-    # Grids are memo keys and lookup tables in inner loops, so the hash
-    # and the maps are computed once.  cached_property stores into the
-    # instance __dict__, which __eq__, __repr__ and the hash never read.
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self):
-        return hash((self.dims, self.objs, self.edges))
-
+    # The maps are read per node, so they are built once.  cached_property
+    # stores into the instance __dict__, which __eq__, __repr__ and the
+    # hash never read.
     @cached_property
     def _obj_map(self):
         return dict(self.objs)
@@ -367,29 +360,46 @@ def labelled_limit_full(X, l, ubound=None, vbound=None):
     return _limit_over(X, simplices, _generators)
 
 
+class _FaceTable(dict):
+    """A face (alpha, beta) of X on positions: entry p is the position in
+    ``rank`` of X.act(alpha, beta, source[p]), acted out on first lookup."""
+
+    def __init__(self, X, face, source, rank):
+        self.X, self.face, self.source, self.rank = X, face, source, rank
+
+    def __missing__(self, p):
+        q = self[p] = self.rank[self.X.act(*self.face, self.source[p])]
+        return q
+
+
 def _limit_over(X, simplices, maps):
     """The compatible families over ``simplices``, as dicts keyed by
     simplex.  Each simplex s has an arrow to every other listed simplex
     act(s, alpha, beta), for alpha in maps(s.u) and beta in maps(s.v),
-    where maps(n) lists maps into [n].  Each pair (alpha, beta) is one
-    memoized X.act shared by all its simplices, so an inner-loop lookup
-    hashes only the element, and X.values runs once per (u, v)."""
+    where maps(n) lists maps into [n].  The solver runs on positions in
+    each X.values(u, v), called once per (u, v); each face (alpha, beta)
+    is one table, shared by its simplices and filled as the solver reads
+    it (a full window forces most values of its largest shapes)."""
     index = {s: i for i, s in enumerate(simplices)}
-    faces = {}  # (alpha, beta) -> memoized partial(X.act, alpha, beta)
+    values = {uv: X.values(*uv)
+              for uv in dict.fromkeys((s.u, s.v) for s in simplices)}
+    ranks = {uv: {x: p for p, x in enumerate(vs)}
+             for uv, vs in values.items()}
+    tables = {}  # (alpha, beta) -> its _FaceTable
     arrows = [[] for _ in simplices]
     for i, s in enumerate(simplices):
         for alpha in maps(s.u):
             for beta in maps(s.v):
                 t = act(s, alpha, beta)
                 if t in index and t != s:
-                    if (alpha, beta) not in faces:
-                        faces[alpha, beta] = cache(
-                            partial(X.act, alpha, beta))
-                    arrows[i].append((index[t], faces[alpha, beta]))
-    domain = cache(X.values)
-    values = [domain(s.u, s.v) for s in simplices]
-    return [dict(zip(simplices, fam))
-            for fam in compatible_families(values, arrows)]
+                    if (alpha, beta) not in tables:
+                        tables[alpha, beta] = _FaceTable(
+                            X, (alpha, beta), values[s.u, s.v],
+                            ranks[t.u, t.v])
+                    arrows[i].append((index[t], tables[alpha, beta]))
+    domains = [values[s.u, s.v] for s in simplices]
+    return [dict(zip(simplices, [d[p] for d, p in zip(domains, fam)]))
+            for fam in compatible_families(list(map(len, domains)), arrows)]
 
 
 def spine_square_simplex(l):

@@ -249,10 +249,9 @@ def _slice_positions(F, ys, slot):
     objects."""
     down, table = F.poset._down_c, F._composites
     at = {y: p for p, y in enumerate(ys)}
-    arrows = [[(at[z], table[y, z][slot].__getitem__)
-               for z in down[y] if z != y]
+    arrows = [[(at[z], table[y, z][slot]) for z in down[y] if z != y]
               for y in ys]
-    return compatible_families([range(len(F._values[y][slot])) for y in ys],
+    return compatible_families([len(F._values[y][slot]) for y in ys],
                                arrows)
 
 
@@ -261,14 +260,6 @@ def _slice_values(F, ys, slot):
     values = [F._values[y][slot] for y in ys]
     return [tuple(v[p] for v, p in zip(values, fam))
             for fam in _slice_positions(F, ys, slot)]
-
-
-def _slice_limit(F, objs, slot):
-    """Families over the bottom slice objs under some x, compatible with
-    all maps between its objects; returned as value tuples in slice
-    order, sorted by their values' positions in the label lists."""
-    code = F.poset._code
-    return _slice_values(F, [code[y] for y in objs], slot)
 
 
 def comparison_map(F, x, slot):

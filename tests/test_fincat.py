@@ -33,6 +33,19 @@ class TestFinCategory:
             FinCategory(1, [(0, 0), (0, 0)], [0],
                         {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0})
 
+    def test_non_associative_rejected(self):
+        # unital but (1.1).2 = 1 while 1.(1.2) = 2
+        with pytest.raises(ValueError, match="associativity fails"):
+            FinCategory.from_monoid([[0, 1, 2], [1, 2, 1], [2, 2, 1]], 0)
+        # Z/2 = {0, 1} on object 0 and p = 3, q = 4 : 0 -> 1 with p.1 = q
+        # and q.1 = q, so (p.1).1 = q but p.(1.1) = p
+        comp = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0, (2, 2): 2,
+                (3, 0): 3, (4, 0): 4, (3, 1): 4, (4, 1): 4,
+                (2, 3): 3, (2, 4): 4}
+        with pytest.raises(ValueError, match="associativity fails"):
+            FinCategory(2, [(0, 0), (0, 0), (1, 1), (0, 1), (0, 1)], [0, 2],
+                        comp)
+
 
 def zk_set_diagram(rng, k):
     """A random Z/k-set as a diagram on the one-object category Z/k:
@@ -104,23 +117,28 @@ class TestLimits:
     def test_compatible_families_on_arbitrary_arrows(self):
         # arrows need not come from a category: no identities, self
         # arrows, backward arrows, cycles and several arrows into one
-        # position; the solver walks its own order, the families come
-        # back in the caller's
+        # position; the solver keeps the caller's order only when no
+        # arrow points back, and the families come out sorted either way
         rng = random.Random(6)
-        selfs = cycles = long_reach = 0
+        selfs = cycles = long_reach = forward = 0
         for _ in range(300):
             n = rng.randrange(0, 7)
-            domains = [rng.sample(range(4), rng.randrange(1, 4))
-                       for _ in range(n)]
+            sizes = [rng.randrange(1, 4) for _ in range(n)]
             arrows = [[] for _ in range(n)]
+            ahead = rng.random() < 0.3  # then no arrow points back
             for _ in range(rng.randrange(0, 11) if n else 0):
                 i, j = rng.randrange(n), rng.randrange(n)
-                table = {x: rng.choice(domains[j]) for x in domains[i]}
-                arrows[i].append((j, table.__getitem__))
-            want = [fam for fam in itertools.product(*domains)
-                    if all(f(fam[i]) == fam[j]
-                           for i in range(n) for (j, f) in arrows[i])]
-            assert fincat.compatible_families(domains, arrows) == want
+                if ahead:
+                    i, j = min(i, j), max(i, j)
+                table = [rng.randrange(sizes[j]) for _ in range(sizes[i])]
+                arrows[i].append((j, rng.choice(
+                    [table, tuple(table), dict(enumerate(table))])))
+            want = [fam for fam in itertools.product(*map(range, sizes))
+                    if all(table[fam[i]] == fam[j]
+                           for i in range(n) for (j, table) in arrows[i])]
+            assert fincat.compatible_families(sizes, arrows) == want
+            forward += any(j > i for i in range(n) for j, _ in arrows[i]) \
+                and all(j >= i for i in range(n) for j, _ in arrows[i])
             # the shapes drawn: steps[i][j] is the fewest arrows i -> j
             steps = [{j: 1 for j, _ in arrows[i]} for i in range(n)]
             for i in range(n):
@@ -134,8 +152,8 @@ class TestLimits:
             selfs += any(i == j for i in range(n) for j, _ in arrows[i])
             cycles += any(steps[i].get(i, 0) > 1 for i in range(n))
             long_reach += any(k >= 3 for s in steps for k in s.values())
-        assert selfs > 80 and cycles > 35 and long_reach > 15, \
-            (selfs, cycles, long_reach)
+        assert (selfs > 80 and cycles > 35 and long_reach > 15
+                and forward > 50), (selfs, cycles, long_reach, forward)
 
     def test_limit_of_pullback_shape(self):
         # cospan x -> z <- y with two-point fibers

@@ -334,6 +334,14 @@ class TestLimitBuilder:
         assert hashlib.sha256(repr(fams).encode()).hexdigest() == (
             "a5ffad41dbda7bb1aef5bbe523ac750976e5a77d31ed43aa7ce26c7678d969d2")
 
+    def test_nerve_square_z2_level3_pinned(self):
+        # the growth law |G|^(2^(l+1) - l - 2) breaks here: 2^9, not 2^11
+        C2 = fincat.FinCategory.from_monoid([[0, 1], [1, 0]], 0)
+        fams = pn.labelled_limit(pn.SquareOfNerve(C2), 3)
+        assert len(fams) == 2 ** 9
+        assert hashlib.sha256(repr(fams).encode()).hexdigest() == (
+            "d2b96e9301de326ee2ba5bf0d25fda8d8116de5bf3bb449063702fe3e72cf886")
+
 
 class TestSymmetricMonoidal:
     def test_from_commutative_monoid(self):

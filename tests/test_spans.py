@@ -15,13 +15,19 @@ def factor_leq(poset, a, b):
 
 def oracle_slice_limit(F, objs, slot):
     """The slice limit with the order relation taken factor by factor
-    and the value maps of ``get_map``: the families come out in the
-    lexicographic order of their values' positions in the label lists."""
-    arrows = [[(j, F.get_map(y, z)[slot].__getitem__)
-               for j, z in enumerate(objs)
-               if i != j and factor_leq(F.poset, y, z)]
-              for i, y in enumerate(objs)]
-    return compatible_families([F.labels[y][slot] for y in objs], arrows)
+    and the value maps of ``get_map``, each value numbered by its
+    position in its label list: the families come out in the
+    lexicographic order of those positions."""
+    labels = [F.labels[y][slot] for y in objs]
+    arrows = [[] for _ in objs]
+    for i, y in enumerate(objs):
+        for j, z in enumerate(objs):
+            if i != j and factor_leq(F.poset, y, z):
+                m = F.get_map(y, z)[slot]
+                arrows[i].append((j, [labels[j].index(m[v])
+                                      for v in labels[i]]))
+    fams = compatible_families(list(map(len, labels)), arrows)
+    return [tuple(map(list.__getitem__, labels, fam)) for fam in fams]
 
 
 def oracle_is_cartesian(F):
@@ -36,6 +42,11 @@ def oracle_is_cartesian(F):
             if len(set(image)) != len(image) or set(image) != set(fams):
                 return False, (x, s)
     return True, None
+
+
+def slice_values(F, objs, slot):
+    """``_slice_values`` on the codes of objs."""
+    return sp._slice_values(F, [F.poset._code[y] for y in objs], slot)
 
 
 def random_span(rng, name, apex_size, feet_size):
@@ -245,8 +256,8 @@ class TestComposites:
 
 
 class TestSliceLimit:
-    """``_slice_limit`` on positions and composite tables returns the
-    families of the oracle on values, in the same order."""
+    """``_slice_values`` on codes and composite tables returns the
+    families of the oracle on labels and value maps, in the same order."""
 
     SHAPES = ([((k,), (l,)) for k in range(3) for l in range(3)]
               + [((1, 1), (1,))])
@@ -291,7 +302,7 @@ class TestSliceLimit:
                     objs = F.poset._slices[x]
                     for s in range(F.width):
                         want = oracle_slice_limit(F, objs, s)
-                        assert sp._slice_limit(F, objs, s) == want, \
+                        assert slice_values(F, objs, s) == want, \
                             (levels, variant, x, s)
                         reordered += want != sorted(want)
         # the shuffles make the label order differ from the value order
@@ -310,7 +321,7 @@ class TestSliceLimit:
                         for x in F.poset.objects}
                 for x, fams in want.items():
                     for s, fam in enumerate(fams):
-                        assert sp._slice_limit(F, slices[x], s) == fam, \
+                        assert slice_values(F, slices[x], s) == fam, \
                             (levels, variant, x, s)
                         reordered += fam != sorted(fam)
                 flag = oracle_is_cartesian(F)
