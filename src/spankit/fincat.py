@@ -1,10 +1,19 @@
 """Finite categories and finite-set-valued diagrams.
 
+A category checks only the composites its table holds, and counts them
+against its composable pairs.  Products number object (a, b) as
+``a*m + b`` and morphism (f, g) as ``f*k + g`` (the second factor has m
+objects and k morphisms), so a functor of two variables, such as a
+monoidal tensor C x C -> C, is a ``FinFunctor`` or ``Diagram`` on a
+product, checked as any other.
+
 Limits as compatible families, found by ``compatible_families``: the one
 forced-value backtracker, on positions and tables, for which ``limit``,
 ``spans`` and ``pathnerve`` number their own values.  Twisted arrow
-categories, ends and coends, right Kan extensions via the comma-category
-limit formula and via the end-of-cotensor formula, and cotensors.
+categories; ends and coends of diagrams on A^op x A, such as the hom
+diagram of two diagrams on A; right Kan extensions via the
+comma-category limit formula and via the end-of-cotensor formula, and
+cotensors.
 
 Conventions: the limit of the empty diagram is a singleton; all finite
 sets are lists with a fixed element order so results are deterministic.
@@ -20,8 +29,8 @@ class FinCategory:
     """A finite category given by a total composition table.
 
     Morphisms are indexed 0..k-1 with source/target object indices;
-    ``comp[(g, f)]`` is g∘f for target(f) == source(g).  Associativity
-    and unit laws are checked on construction.
+    ``comp[(g, f)]`` is g∘f for target(f) == source(g).  The table, the
+    associativity and the unit laws are checked on construction.
     """
 
     def __init__(self, n_objects, morphisms, identities, comp):
@@ -45,33 +54,35 @@ class FinCategory:
         return [i for i, (s, d) in enumerate(self.morphisms) if s == a and d == b]
 
     def _check(self):
+        mors, comp, k = self.morphisms, self.comp, len(self.morphisms)
         if len(self.identities) != self.n_objects:
             raise ValueError("one identity per object required")
         for a, e in enumerate(self.identities):
-            if self.morphisms[e] != (a, a):
+            if mors[e] != (a, a):
                 raise ValueError("identity has wrong endpoints")
-        for f, (sf, df) in enumerate(self.morphisms):
-            for g, (sg, dg) in enumerate(self.morphisms):
-                if sg != df:
-                    if (g, f) in self.comp:
-                        raise ValueError("composite of non-composable pair")
-                    continue
-                if (g, f) not in self.comp:
-                    raise ValueError("missing composite")
-                h = self.comp[(g, f)]
-                if self.morphisms[h] != (sf, dg):
-                    raise ValueError("composite has wrong endpoints")
-        for f, (sf, df) in enumerate(self.morphisms):
-            if self.comp[(f, self.identities[sf])] != f:
-                raise ValueError("right unit law fails")
-            if self.comp[(self.identities[df], f)] != f:
-                raise ValueError("left unit law fails")
         out = [[] for _ in range(self.n_objects)]  # morphisms by source
-        for h, (sh, _) in enumerate(self.morphisms):
+        into = [0] * self.n_objects
+        for h, (sh, dh) in enumerate(mors):
             out[sh].append(h)
-        comp = self.comp  # now exactly the composable pairs
+            into[dh] += 1
+        for (g, f), h in comp.items():
+            if not (0 <= g < k and 0 <= f < k and 0 <= h < k):
+                raise ValueError("composite names an unknown morphism")
+            (sg, dg), (sf, df) = mors[g], mors[f]
+            if sg != df:
+                raise ValueError("composite of non-composable pair")
+            if mors[h] != (sf, dg):
+                raise ValueError("composite has wrong endpoints")
+        # every key is a distinct composable pair, so the count finds a gap
+        if len(comp) != sum(map(operator.mul, into, map(len, out))):
+            raise ValueError("missing composite")
+        for f, (sf, df) in enumerate(mors):
+            if comp[(f, self.identities[sf])] != f:
+                raise ValueError("right unit law fails")
+            if comp[(self.identities[df], f)] != f:
+                raise ValueError("left unit law fails")
         for (g, f), gf in comp.items():
-            for h in out[self.dst(g)]:
+            for h in out[mors[g][1]]:
                 if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
                     raise ValueError("associativity fails")
 
@@ -83,11 +94,9 @@ class FinCategory:
         morphisms = [(a, b) for a in range(n) for b in range(n) if leq(a, b)]
         index = {m: i for i, m in enumerate(morphisms)}
         identities = [index[(a, a)] for a in range(n)]
-        comp = {}
-        for g, (sg, dg) in enumerate(morphisms):
-            for f, (sf, df) in enumerate(morphisms):
-                if df == sg:
-                    comp[(g, f)] = index[(sf, dg)]
+        comp = {(g, index[(a, b)]): index[(a, c)]
+                for g, (b, c) in enumerate(morphisms)
+                for a in range(n) if (a, b) in index}
         return FinCategory(n, morphisms, identities, comp)
 
     @staticmethod
@@ -107,6 +116,23 @@ class FinCategory:
         morphisms = [(d, s) for (s, d) in self.morphisms]
         comp = {(f, g): h for (g, f), h in self.comp.items()}
         return FinCategory(self.n_objects, morphisms, self.identities, comp)
+
+    def product(self, other):
+        """The product category, with ``factors`` (self, other).  Object
+        (a, b) is ``a*m + b`` and morphism (f, g) is ``f*k + g``, where
+        other has m objects and k morphisms."""
+        m, k = other.n_objects, len(other.morphisms)
+        morphisms = [(s1 * m + s2, d1 * m + d2)
+                     for (s1, d1) in self.morphisms
+                     for (s2, d2) in other.morphisms]
+        identities = [e1 * k + e2 for e1 in self.identities
+                      for e2 in other.identities]
+        comp = {(g1 * k + g2, f1 * k + f2): h1 * k + h2
+                for (g1, f1), h1 in self.comp.items()
+                for (g2, f2), h2 in other.comp.items()}
+        P = FinCategory(self.n_objects * m, morphisms, identities, comp)
+        P.factors = (self, other)
+        return P
 
 
 class FinFunctor:
@@ -149,13 +175,13 @@ class Diagram:
 
     def _check(self):
         A = self.shape
+        sets = [set(v) for v in self.on_objects]
         for f, (s, d) in enumerate(A.morphisms):
             m = self.on_morphisms[f]
-            if set(m.keys()) != set(self.on_objects[s]):
+            if m.keys() != sets[s]:
                 raise ValueError("morphism map has wrong domain")
-            for v in m.values():
-                if v not in self.on_objects[d]:
-                    raise ValueError("morphism map misses target set")
+            if not sets[d].issuperset(m.values()):
+                raise ValueError("morphism map misses target set")
         for a, e in enumerate(A.identities):
             for x in self.on_objects[a]:
                 if self.on_morphisms[e][x] != x:
@@ -284,102 +310,61 @@ def twisted_arrow(A):
     g = q ∘ f ∘ p.  Returns (Tw, arrows) where arrows[i] is
     (f_index, g_index, p, q) describing morphism i of Tw.
     """
-    k = len(A.morphisms)
-    arrows = []
-    for f in range(k):
-        for g in range(k):
-            for p in A.hom(A.src(g), A.src(f)):
-                for q in A.hom(A.dst(f), A.dst(g)):
-                    if A.comp[(q, A.comp[(f, p)])] == g:
-                        arrows.append((f, g, p, q))
+    n, k = A.n_objects, len(A.morphisms)
+    into, out = [[] for _ in range(n)], [[] for _ in range(n)]
+    for h, (s, d) in enumerate(A.morphisms):
+        out[s].append(h)
+        into[d].append(h)
+    # one arrow per p into src(f) and q out of dst(f), in (f, g, p, q) order
+    arrows = sorted((f, A.comp[(q, A.comp[(f, p)])], p, q)
+                    for f, (a, b) in enumerate(A.morphisms)
+                    for p in into[a] for q in out[b])
     index = {t: i for i, t in enumerate(arrows)}
     morphisms = [(f, g) for (f, g, p, q) in arrows]
     identities = [index[(f, f, A.identities[A.src(f)], A.identities[A.dst(f)])]
                   for f in range(k)]
-    comp = {}
-    for i, (f1, g1, p1, q1) in enumerate(arrows):
-        for j, (f2, g2, p2, q2) in enumerate(arrows):
-            if f2 != g1:
-                continue
-            comp[(j, i)] = index[(f1, g2, A.comp[(p1, p2)], A.comp[(q2, q1)])]
+    leaving = [[] for _ in range(k)]  # arrows of Tw by source
+    for j, t in enumerate(arrows):
+        leaving[t[0]].append((j, t))
+    comp = {(j, i): index[(f1, g2, A.comp[(p1, p2)], A.comp[(q2, q1)])]
+            for i, (f1, g1, p1, q1) in enumerate(arrows)
+            for j, (_, g2, p2, q2) in leaving[g1]}
     tw = FinCategory(k, morphisms, identities, comp)
     return tw, arrows
 
 
-class Bifunctor:
-    """H : A^op x A -> Set with a total mixed action table.
-
-    ``values[(a, b)]`` is a list; ``action[(p, q)]`` (p: a' -> a,
-    q: b -> b') is a dict H(a, b) -> H(a', b').
-    """
-
-    def __init__(self, shape, values, action):
-        self.shape = shape
-        self.values = {k: list(v) for k, v in values.items()}
-        self.action = {k: dict(v) for k, v in action.items()}
-        self._check()
-
-    def _check(self):
-        A = self.shape
-        for (p, q), m in self.action.items():
-            a, b = A.dst(p), A.src(q)
-            ap, bp = A.src(p), A.dst(q)
-            if set(m.keys()) != set(self.values[(a, b)]):
-                raise ValueError("action has wrong domain")
-            for v in m.values():
-                if v not in self.values[(ap, bp)]:
-                    raise ValueError("action misses target set")
-        for a in range(A.n_objects):
-            for b in range(A.n_objects):
-                m = self.action[(A.identities[a], A.identities[b])]
-                for x in self.values[(a, b)]:
-                    if m[x] != x:
-                        raise ValueError("bifunctor breaks identities")
-        for (p1, q1) in self.action:
-            for (p2, q2) in self.action:
-                A_ = A
-                if A_.src(p1) != A_.dst(p2) or A_.dst(q1) != A_.src(q2):
-                    continue
-                m12 = self.action[(A_.comp[(p1, p2)], A_.comp[(q2, q1)])]
-                m1, m2 = self.action[(p1, q1)], self.action[(p2, q2)]
-                for x in self.values[(A_.dst(p1), A_.src(q1))]:
-                    if m2[m1[x]] != m12[x]:
-                        raise ValueError("bifunctor breaks composition")
-
-
 def hom_bifunctor(F, G):
-    """The bifunctor (a, b) -> Set(F(a), G(b)) for diagrams F, G on one shape."""
+    """The functor (a, b) -> Set(F(a), G(b)) on A^op x A, for diagrams F,
+    G on one shape A, as a diagram on ``A.opposite().product(A)``: its
+    morphism (p, q), p: a' -> a and q: b -> b' in A, acts as
+    h -> G(q) . h . F(p)."""
     A = F.shape
-    values = {}
-    for a in range(A.n_objects):
-        for b in range(A.n_objects):
-            funcs = []
-            for images in itertools.product(G.on_objects[b],
-                                            repeat=len(F.on_objects[a])):
-                funcs.append(tuple(zip(F.on_objects[a], images)))
-            values[(a, b)] = funcs
-    action = {}
-    for p in range(len(A.morphisms)):
-        for q in range(len(A.morphisms)):
-            a, b = A.dst(p), A.src(q)
-            m = {}
-            for h in values[(a, b)]:
+    values = [[tuple(zip(F.on_objects[a], images))
+               for images in itertools.product(G.on_objects[b],
+                                               repeat=len(F.on_objects[a]))]
+              for a in range(A.n_objects) for b in range(A.n_objects)]
+    action = []
+    for p, (ap, a) in enumerate(A.morphisms):
+        for q, (b, _) in enumerate(A.morphisms):
+            fp, gq, m = F.on_morphisms[p], G.on_morphisms[q], {}
+            for h in values[a * A.n_objects + b]:
                 hd = dict(h)
-                m[h] = tuple((x, G.on_morphisms[q][hd[F.on_morphisms[p][x]]])
-                             for x in F.on_objects[A.src(p)])
-            action[(p, q)] = m
-    return Bifunctor(A, values, action)
+                m[h] = tuple((x, gq[hd[fp[x]]]) for x in F.on_objects[ap])
+            action.append(m)
+    return Diagram(A.opposite().product(A), values, action)
 
 
 def end(H):
-    """End of a bifunctor: limit over the twisted arrow category.
+    """End of a diagram H on A^op x A (``H.shape.factors[1]`` is A, as
+    ``hom_bifunctor`` builds it): the limit over the twisted arrow category.
 
     Returns the list of wedges as dicts {object a: element of H(a, a)}.
     """
-    A = H.shape
+    A = H.shape.factors[1]
+    n, k = A.n_objects, len(A.morphisms)
     tw, arrows = twisted_arrow(A)
-    on_objects = [H.values[(A.src(f), A.dst(f))] for f in range(tw.n_objects)]
-    on_morphisms = [H.action[(p, q)] for (f, g, p, q) in arrows]
+    on_objects = [H.on_objects[s * n + d] for (s, d) in A.morphisms]
+    on_morphisms = [H.on_morphisms[p * k + q] for (f, g, p, q) in arrows]
     diag = Diagram(tw, on_objects, on_morphisms, check=False)
     res = limit(diag)
     out = []
@@ -412,13 +397,15 @@ def nat_transformations(F, G):
 
 
 def coend(H):
-    """Coend: disjoint union of diagonal values modulo the zig-zag relation.
+    """Coend of a diagram H on A^op x A, as ``end`` reads it: the disjoint
+    union of the diagonal values modulo the zig-zag relation.
 
     Returns (classes, quotient) where classes is a sorted list of frozensets
     of pairs (a, element) and quotient maps each pair to its class index.
     """
-    A = H.shape
-    points = [(a, x) for a in range(A.n_objects) for x in H.values[(a, a)]]
+    A = H.shape.factors[1]
+    n, k = A.n_objects, len(A.morphisms)
+    points = [(a, x) for a in range(n) for x in H.on_objects[a * n + a]]
     parent = {p: p for p in points}
 
     def find(p):
@@ -434,9 +421,9 @@ def coend(H):
 
     for f, (a, b) in enumerate(A.morphisms):
         ida, idb = A.identities[a], A.identities[b]
-        for x in H.values[(b, a)]:
-            left = H.action[(f, ida)][x]    # in H(a, a)
-            right = H.action[(idb, f)][x]   # in H(b, b)
+        for x in H.on_objects[b * n + a]:
+            left = H.on_morphisms[f * k + ida][x]    # in H(a, a)
+            right = H.on_morphisms[idb * k + f][x]   # in H(b, b)
             union((a, left), (b, right))
 
     classes = {}
@@ -479,12 +466,12 @@ def comma_category(F, b):
     for k, ((i, j), f) in enumerate(zip(morphisms, tags)):
         index_m[(i, f)] = k
     identities = [index_m[(i, A.identities[a])] for i, (a, m) in enumerate(objs)]
-    comp = {}
-    for k1, ((i1, j1), f1) in enumerate(zip(morphisms, tags)):
-        for k2, ((i2, j2), f2) in enumerate(zip(morphisms, tags)):
-            if i2 != j1:
-                continue
-            comp[(k2, k1)] = index_m[(i1, A.comp[(f2, f1)])]
+    out = [[] for _ in objs]  # arrows of C by source
+    for k2, ((i2, _), f2) in enumerate(zip(morphisms, tags)):
+        out[i2].append((k2, f2))
+    comp = {(k2, k1): index_m[(i1, A.comp[(f2, f1)])]
+            for k1, ((i1, j1), f1) in enumerate(zip(morphisms, tags))
+            for k2, f2 in out[j1]}
     C = FinCategory(len(objs), morphisms, identities, comp)
     return C, objs, tags
 

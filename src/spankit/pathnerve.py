@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fincat import FinCategory, compatible_families
+from .fincat import FinCategory, FinFunctor, compatible_families
 from .simplex import MonotoneMap, PointedMap, underlying_monoid
 
 
@@ -77,6 +77,18 @@ class BiSimplex:
     v: int
     objs: tuple
     chains: tuple  # chains[a][b] is the b-th subset from i_a to i_{a+1}
+
+    # the dataclass's field hash, worked out on first use and kept
+    # outside the fields (== and repr skip it): a labelled limit keys
+    # every family by the same simplices
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.u, self.v, self.objs, self.chains))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 def _weak_chains(homs, length):
@@ -391,12 +403,13 @@ def _limit_over(X, simplices, maps):
         for alpha in maps(s.u):
             for beta in maps(s.v):
                 t = act(s, alpha, beta)
-                if t in index and t != s:
+                j = index.get(t, i)
+                if j != i:
                     if (alpha, beta) not in tables:
                         tables[alpha, beta] = _FaceTable(
                             X, (alpha, beta), values[s.u, s.v],
                             ranks[t.u, t.v])
-                    arrows[i].append((index[t], tables[alpha, beta]))
+                    arrows[i].append((j, tables[alpha, beta]))
     domains = [values[s.u, s.v] for s in simplices]
     return [dict(zip(simplices, [d[p] for d, p in zip(domains, fam)]))
             for fam in compatible_families(list(map(len, domains)), arrows)]
@@ -421,7 +434,8 @@ def xi(element, l):
 
 class FinSymMonCat:
     """A finite category with a strictly associative, strictly unital,
-    strictly commutative tensor on objects and morphisms."""
+    strictly commutative tensor on objects and morphisms, which is a
+    functor ``cat.product(cat) -> cat``."""
 
     def __init__(self, cat, unit, obj_tensor, mor_tensor):
         self.cat = cat
@@ -431,52 +445,35 @@ class FinSymMonCat:
         self._check()
 
     def _check(self):
-        C = self.cat
-        n, k = C.n_objects, len(C.morphisms)
-        for a in range(n):
-            for b in range(n):
-                if (a, b) not in self.obj_tensor:
+        C, t, m, unit = self.cat, self.obj_tensor, self.mor_tensor, self.unit
+        objs, mors = range(C.n_objects), range(len(C.morphisms))
+        for a in objs:
+            for b in objs:
+                if (a, b) not in t:
                     raise ValueError("object tensor not total")
-                if self.obj_tensor[(a, b)] != self.obj_tensor[(b, a)]:
+                if t[(a, b)] != t[(b, a)]:
                     raise ValueError("object tensor not commutative")
-            if (self.obj_tensor[(a, self.unit)] != a
-                    or self.obj_tensor[(self.unit, a)] != a):
+            if t[(a, unit)] != a or t[(unit, a)] != a:
                 raise ValueError("unit law fails on objects")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if (self.obj_tensor[(self.obj_tensor[(a, b)], c)]
-                            != self.obj_tensor[(a, self.obj_tensor[(b, c)])]):
+        for a in objs:
+            for b in objs:
+                for c in objs:
+                    if t[(t[(a, b)], c)] != t[(a, t[(b, c)])]:
                         raise ValueError("object tensor not associative")
-        for f in range(k):
-            for g in range(k):
-                fg = self.mor_tensor[(f, g)]
-                want = (self.obj_tensor[(C.src(f), C.src(g))],
-                        self.obj_tensor[(C.dst(f), C.dst(g))])
-                if C.morphisms[fg] != want:
-                    raise ValueError("morphism tensor breaks endpoints")
-                if fg != self.mor_tensor[(g, f)]:
+        for f in mors:
+            for g in mors:
+                if m[(f, g)] != m[(g, f)]:
                     raise ValueError("morphism tensor not commutative")
-            if self.mor_tensor[(f, C.identities[self.unit])] != f:
+            if m[(f, C.identities[unit])] != f:
                 raise ValueError("unit law fails on morphisms")
-        for f in range(k):
-            for g in range(k):
-                for h in range(k):
-                    if (self.mor_tensor[(self.mor_tensor[(f, g)], h)]
-                            != self.mor_tensor[(f, self.mor_tensor[(g, h)])]):
+        for f in mors:
+            for g in mors:
+                for h in mors:
+                    if m[(m[(f, g)], h)] != m[(f, m[(g, h)])]:
                         raise ValueError("morphism tensor not associative")
-        for a in range(n):
-            for b in range(n):
-                ia, ib = C.identities[a], C.identities[b]
-                if self.mor_tensor[(ia, ib)] != C.identities[self.obj_tensor[(a, b)]]:
-                    raise ValueError("tensor of identities is not an identity")
-        for (g1, f1) in C.comp:
-            for (g2, f2) in C.comp:
-                left = self.mor_tensor[(C.comp[(g1, f1)], C.comp[(g2, f2)])]
-                right_g = self.mor_tensor[(g1, g2)]
-                right_f = self.mor_tensor[(f1, f2)]
-                if C.comp[(right_g, right_f)] != left:
-                    raise ValueError("tensor not functorial")
+        # a functor C x C -> C: endpoints, identities and interchange
+        FinFunctor(C.product(C), C, [t[(a, b)] for a in objs for b in objs],
+                   [m[(f, g)] for f in mors for g in mors])
 
     @staticmethod
     def from_commutative_monoid(table, unit):

@@ -32,15 +32,10 @@ class SetMap:
     values: tuple  # pairs (source element, target element)
 
     def __post_init__(self):
-        d = self._map
+        d = dict(self.values)
+        object.__setattr__(self, "_map", d)  # not a field, as in spans.Span
         if set(d) != set(self.source) or not set(d.values()) <= set(self.target):
             raise ValueError("map not total or lands outside target")
-
-    # the lookup is built once; cached_property stores into the instance
-    # __dict__, which __eq__, __repr__ and the hash never read
-    @functools.cached_property
-    def _map(self):
-        return dict(self.values)
 
     def __call__(self, x):
         return self._map[x]
@@ -69,13 +64,10 @@ class VectorFamily:
     dims: tuple  # pairs (point, non-negative dimension)
 
     def __post_init__(self):
-        d = self._dims
+        d = dict(self.dims)
+        object.__setattr__(self, "_dims", d)  # not a field, as in spans.Span
         if set(d) != set(self.base) or any(v < 0 for v in d.values()):
             raise ValueError("bad dimension data")
-
-    @functools.cached_property
-    def _dims(self):
-        return dict(self.dims)
 
     def dim(self, x):
         return self._dims[x]

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .fincat import compatible_families
 from .simplex import (SpanPoset, build_sigma, build_theta, push_sigma,
@@ -135,25 +134,9 @@ class ProductPoset:
         self.covers = [(objs[a], objs[b]) for a, b in self._covers_c]
         self._code = {o: c for c, o in enumerate(objs)}
 
-    # the same tables keyed by objects, built on first use: hashing the
-    # objects costs more than building the coded tables
-    @cached_property
-    def _up(self):
-        return {a: [self.objects[b] for b in bs]
-                for a, bs in zip(self.objects, self._up_c)}
-
-    @cached_property
-    def _down(self):
-        return {a: dict.fromkeys(map(self.objects.__getitem__, bs))
-                for a, bs in zip(self.objects, self._down_c)}
-
-    @cached_property
-    def _slices(self):
-        return {a: [self.objects[y] for y in ys]
-                for a, ys in zip(self.objects, self._slices_c)}
-
     def leq(self, a, b):
-        return b in self._down[a]
+        code = self._code
+        return code[b] in self._down_c[code[a]]
 
     def is_bottom(self, obj):
         return all(_is_small(f, x) for f, x in zip(self.factors, obj))

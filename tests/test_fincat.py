@@ -32,6 +32,42 @@ class TestFinCategory:
         with pytest.raises(ValueError):
             FinCategory(1, [(0, 0), (0, 0)], [0],
                         {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0})
+        # a composite of morphism 1 in a category with one morphism
+        with pytest.raises(ValueError, match="unknown morphism"):
+            FinCategory(1, [(0, 0)], [0], {(0, 0): 0, (0, 1): 0})
+
+    # [1] is id0 = 0, 0 -> 1 = 1 and id1 = 2
+    CHAIN1 = {(0, 0): 0, (1, 0): 1, (2, 1): 1, (2, 2): 2}
+
+    @pytest.mark.parametrize("change, message", [
+        ({(0, 1): 1}, "composite of non-composable pair"),
+        ({(2, 1): None}, "missing composite"),
+        ({(1, 0): 0}, "composite has wrong endpoints"),
+        ({(5, 0): 1}, "unknown morphism"),
+        ({(-1, 1): 1}, "unknown morphism"),
+        ({(1, 0): 3}, "unknown morphism"),
+    ])
+    def test_table_defects_rejected(self, change, message):
+        comp = dict(self.CHAIN1)
+        for key, h in change.items():
+            if h is None:
+                del comp[key]
+            else:
+                comp[key] = h
+        with pytest.raises(ValueError, match=message):
+            FinCategory(2, [(0, 0), (0, 1), (1, 1)], [0, 2], comp)
+
+    def test_product_codes(self):
+        a = FinCategory.chain(1)
+        b = FinCategory.from_monoid([[0, 1], [1, 0]], 0)
+        p = a.product(b)
+        assert p.factors == (a, b) and p.n_objects == 2
+        for f, (sf, df) in enumerate(a.morphisms):
+            for g in range(2):
+                assert p.morphisms[f * 2 + g] == (sf, df)
+        for (g1, f1), h1 in a.comp.items():
+            for (g2, f2), h2 in b.comp.items():
+                assert p.compose(g1 * 2 + g2, f1 * 2 + f2) == h1 * 2 + h2
 
     def test_non_associative_rejected(self):
         # unital but (1.1).2 = 1 while 1.(1.2) = 2
@@ -191,6 +227,20 @@ class TestEndsAndNat:
                 tuple(sorted(eta[a].items())
                       for a in range(len(eta))) for eta in nats)
             assert wedge_keys == nat_keys
+
+    def test_altered_hom_action_rejected(self):
+        # on [1], the action of (p, p) for p : 0 -> 1 is the composite
+        # of (p, id) and (id, p), so one altered value breaks composition
+        shape = FinCategory.chain(1)
+        f = Diagram(shape, [[0, 1], [0, 1]], [{0: 0, 1: 1}] * 3)
+        h = fincat.hom_bifunctor(f, f)
+        assert h.shape.factors[1] is shape
+        maps = [dict(m) for m in h.on_morphisms]
+        pq = 1 * 3 + 1
+        x, y = next(iter(maps[pq].items()))
+        maps[pq][x] = next(z for z in h.on_objects[1] if z != y)  # H(0, 1)
+        with pytest.raises(ValueError, match="diagram breaks composition"):
+            Diagram(h.shape, h.on_objects, maps)
 
     def test_coend_point_count(self):
         rng = random.Random(3)

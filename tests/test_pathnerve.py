@@ -353,10 +353,31 @@ class TestSymmetricMonoidal:
         assert q.cat.n_objects == 4
 
     def test_non_symmetric_rejected(self):
-        # a noncommutative monoid breaks the symmetry requirement
-        s3_like = [[0, 1], [0, 1]]  # left projection; not commutative
-        with pytest.raises(ValueError):
-            pn.FinSymMonCat.from_commutative_monoid(s3_like, 0)
+        # a left-zero band {1, 2} with a unit 0 adjoined: a monoid, so a
+        # category, whose product is not commutative
+        band = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]
+        with pytest.raises(ValueError, match="not commutative"):
+            pn.FinSymMonCat.from_commutative_monoid(band, 0)
+
+    def test_tensor_breaking_endpoints_rejected(self):
+        # subsets of {0}: id of {} = 0, {} <= {0} = 1, id of {0} = 2;
+        # 1 (x) 2 must be the identity of {0}, and 1 keeps the tensor
+        # commutative, unital and associative
+        q = pn.FinSymMonCat.subsets_under_union(1)
+        mor = dict(q.mor_tensor)
+        assert mor[(1, 2)] == 2
+        mor[(1, 2)] = mor[(2, 1)] = 1
+        with pytest.raises(ValueError, match="functor breaks endpoints"):
+            pn.FinSymMonCat(q.cat, q.unit, q.obj_tensor, mor)
+
+    def test_tensor_breaking_interchange_rejected(self):
+        # max on {0, 1} is a commutative monoid but does not commute with
+        # composition in Z/2: max(1 + 0, 0 + 1) = 1, max(1, 0) + max(0, 1) = 0
+        q = pn.FinSymMonCat.from_commutative_monoid([[0, 1], [1, 0]], 0)
+        mor = dict(q.mor_tensor)
+        mor[(1, 1)] = 1
+        with pytest.raises(ValueError, match="functor breaks composition"):
+            pn.FinSymMonCat(q.cat, q.unit, q.obj_tensor, mor)
 
 
 class TestTensorPipeline:

@@ -13,6 +13,11 @@ def factor_leq(poset, a, b):
     return all(f.leq(x, y) for f, x, y in zip(poset.factors, a, b))
 
 
+def slice_objects(poset, x):
+    """The bottom objects under x, in ``bottom()`` order."""
+    return [poset.objects[y] for y in poset._slices_c[poset._code[x]]]
+
+
 def oracle_slice_limit(F, objs, slot):
     """The slice limit with the order relation taken factor by factor
     and the value maps of ``get_map``, each value numbered by its
@@ -34,7 +39,7 @@ def oracle_is_cartesian(F):
     """``is_cartesian`` over ``oracle_slice_limit``: every label maps one
     to one onto its slice limit."""
     for x in F.poset.objects:
-        objs = F.poset._slices[x]
+        objs = slice_objects(F.poset, x)
         for s in range(F.width):
             fams = oracle_slice_limit(F, objs, s)
             legs = [F.get_map(x, y)[s] for y in objs]
@@ -118,7 +123,8 @@ class TestProductPoset:
             p = sp.ProductPoset(*levels)
             for a in p.objects:
                 want = [b for b in p.objects if factor_leq(p, a, b)]
-                assert list(p._down[a]) == want, (levels, a)
+                down = p._down_c[p._code[a]]
+                assert [p.objects[b] for b in down] == want, (levels, a)
                 below = set(want)
                 for b in p.objects:
                     assert p.leq(a, b) == (b in below), (levels, a, b)
@@ -202,7 +208,7 @@ class TestCartesian:
         # of top that lies above corner: via_sigma, with the swap
         unchecked = sp.GeneralizedSpanDiagram(p, 1, F.labels, maps,
                                               check=False)
-        assert p._up[top][0] == via_sigma
+        assert p.objects[p._up_c[p._code[top]][0]] == via_sigma
         uu, uv, vu, vv = [("u",) * 6, ("u", "v") * 3, ("v", "u") * 3,
                           ("v",) * 6]
         assert F.labels[top][0] == [uu, uv, vu, vv]
@@ -276,7 +282,7 @@ class TestSliceLimit:
             for s in labels[x]:
                 rng.shuffle(s)
         if variant == "top":
-            top = max(p.objects, key=lambda x: len(p._down[x]))
+            top = max(p.objects, key=lambda x: len(p._down_c[p._code[x]]))
             if labels[top][0]:
                 labels[top][0].append(("extra",))
                 for (a, b) in p.covers:
@@ -299,7 +305,7 @@ class TestSliceLimit:
                 F = self.shuffled(rng, levels, variant)
                 broken += not sp.is_cartesian(F)[0]
                 for x in F.poset.objects:
-                    objs = F.poset._slices[x]
+                    objs = slice_objects(F.poset, x)
                     for s in range(F.width):
                         want = oracle_slice_limit(F, objs, s)
                         assert slice_values(F, objs, s) == want, \
@@ -315,7 +321,8 @@ class TestSliceLimit:
         for levels in self.SHAPES:
             for variant in ("bottom", "top", "extra") * 3:
                 F = self.shuffled(rng, levels, variant)
-                slices = F.poset._slices
+                slices = {x: slice_objects(F.poset, x)
+                          for x in F.poset.objects}
                 want = {x: [oracle_slice_limit(F, slices[x], s)
                             for s in range(F.width)]
                         for x in F.poset.objects}
