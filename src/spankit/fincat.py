@@ -5,7 +5,8 @@ against its composable pairs.  Products number object (a, b) as
 ``a*m + b`` and morphism (f, g) as ``f*k + g`` (the second factor has m
 objects and k morphisms), so a functor of two variables, such as a
 monoidal tensor C x C -> C, is a ``FinFunctor`` or ``Diagram`` on a
-product, checked as any other.
+product, checked as any other.  The product itself is not checked: the
+product of two checked categories is always a category.
 
 Limits as compatible families, found by ``compatible_families``: the one
 forced-value backtracker, on positions and tables, for which ``limit``,
@@ -55,16 +56,21 @@ class FinCategory:
 
     def _check(self):
         mors, comp, k = self.morphisms, self.comp, len(self.morphisms)
-        if len(self.identities) != self.n_objects:
-            raise ValueError("one identity per object required")
-        for a, e in enumerate(self.identities):
-            if mors[e] != (a, a):
-                raise ValueError("identity has wrong endpoints")
-        out = [[] for _ in range(self.n_objects)]  # morphisms by source
-        into = [0] * self.n_objects
+        n = self.n_objects
+        out = [[] for _ in range(n)]  # morphisms by source
+        into = [0] * n
         for h, (sh, dh) in enumerate(mors):
+            if not (0 <= sh < n and 0 <= dh < n):
+                raise ValueError("morphism names an unknown object")
             out[sh].append(h)
             into[dh] += 1
+        if len(self.identities) != n:
+            raise ValueError("one identity per object required")
+        for a, e in enumerate(self.identities):
+            if not 0 <= e < k:
+                raise ValueError("identity names an unknown morphism")
+            if mors[e] != (a, a):
+                raise ValueError("identity has wrong endpoints")
         for (g, f), h in comp.items():
             if not (0 <= g < k and 0 <= f < k and 0 <= h < k):
                 raise ValueError("composite names an unknown morphism")
@@ -120,7 +126,8 @@ class FinCategory:
     def product(self, other):
         """The product category, with ``factors`` (self, other).  Object
         (a, b) is ``a*m + b`` and morphism (f, g) is ``f*k + g``, where
-        other has m objects and k morphisms."""
+        other has m objects and k morphisms.  The product of two checked
+        categories is a category, so its tables are not checked again."""
         m, k = other.n_objects, len(other.morphisms)
         morphisms = [(s1 * m + s2, d1 * m + d2)
                      for (s1, d1) in self.morphisms
@@ -130,7 +137,9 @@ class FinCategory:
         comp = {(g1 * k + g2, f1 * k + f2): h1 * k + h2
                 for (g1, f1), h1 in self.comp.items()
                 for (g2, f2), h2 in other.comp.items()}
-        P = FinCategory(self.n_objects * m, morphisms, identities, comp)
+        P = FinCategory.__new__(FinCategory)
+        P.n_objects, P.morphisms = self.n_objects * m, morphisms
+        P.identities, P.comp = identities, comp
         P.factors = (self, other)
         return P
 

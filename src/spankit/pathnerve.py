@@ -5,7 +5,12 @@ containing both endpoints; horizontal composition is union.  Its nerve
 in two simplicial directions consists of (u,v)-simplices: a chain of
 u+1 objects together with, for each consecutive pair, a weak chain of
 v+1 nested subsets.  Nondegenerate simplices live only in the range
-u + v <= l and every simplex is the degeneracy of a unique one.
+u + v <= l and every simplex is the degeneracy of a unique one.  They
+are generated, not filtered out of the nerve: hom(i, i) has one
+element, so a simplex is nondegenerate in u exactly when its objects
+strictly increase, and it is nondegenerate in v exactly when each step
+b of [v] is a strict step c_b != c_{b+1} of some row, that is when the
+strict-step bitmasks of its rows OR to all v bits.
 
 The labelled limit glues values of a two-variable simplicial object X
 over the nondegenerate simplices; commutative-square objects of a
@@ -174,15 +179,62 @@ def nondegenerate_core(simplex):
     return s
 
 
+def _stepping_chains(homs, above, length, need):
+    """The weak chains of ``_weak_chains(homs, length)`` that step up
+    strictly at every bit b of ``need`` (c_b != c_{b+1}), in that order,
+    each with the bitmask of all its strict steps.  ``above[k]`` lists
+    the indices of the subsets in homs that contain homs[k]."""
+    chains = [((k,), 0) for k in range(len(homs))]
+    for b in range(length - 1):
+        bit = 1 << b
+        chains = [(c + (k,), m if k == c[-1] else m | bit)
+                  for c, m in chains for k in above[c[-1]]
+                  if k != c[-1] or not need & bit]
+    return [(tuple(homs[k] for k in c), m) for c, m in chains]
+
+
 def nondegenerate_table(l, bound=5):
-    """Counts and lists of nondegenerate (u,v)-simplices for u+v <= bound."""
+    """Lists of nondegenerate (u,v)-simplices for u+v <= bound, each in
+    the order of ``nerve(l, u, v)``, generated directly.
+
+    hom(i, i) is {(i,)}, so a simplex is u-degenerate exactly when an
+    object repeats: the objects are the strict chains, which
+    ``combinations`` lists in the order ``combinations_with_replacement``
+    gives them in the nerve.  A simplex is v-degenerate at b exactly when
+    no row steps up strictly at b, so it is nondegenerate exactly when
+    the strict-step masks of its rows OR to every bit of [v).  The rows
+    are picked in product order, the last one only among the chains
+    that step at each bit the earlier ones miss.  For u == 0 there is no
+    row and the mask is empty, so only the (0, 0)-simplices remain."""
     if l > bound:
         raise ValueError("level exceeds configured bound")
+    path = Path2Cat(l)
+    above = {}  # (i, j) -> for each subset, the subsets containing it
+    for ij, homs in path.homs.items():
+        sets = [set(h) for h in homs]
+        above[ij] = [[k for k, t in enumerate(sets) if s <= t] for s in sets]
+    chains = {}  # (i, j, v, need) -> _stepping_chains of hom(i, j)
+
+    def row(ij, v, need):
+        key = ij + (v, need)
+        if key not in chains:
+            chains[key] = _stepping_chains(path.homs[ij], above[ij], v + 1,
+                                           need)
+        return chains[key]
+
     table = {}
     for u in range(bound + 1):
         for v in range(bound + 1 - u):
-            nd = [s for s in nerve(l, u, v) if not is_degenerate(s)]
-            table[(u, v)] = nd
+            full = (1 << v) - 1
+            nd = table[(u, v)] = []
+            for objs in itertools.combinations(range(l + 1), u + 1):
+                picks = [((), 0)]
+                for a, ij in enumerate(zip(objs, objs[1:]), 1):
+                    want = full if a == u else 0  # the last row completes
+                    picks = [(p + (c,), m | mc) for p, m in picks
+                             for c, mc in row(ij, v, want & ~m)]
+                nd.extend(BiSimplex(u, v, objs, p)
+                          for p, m in picks if m == full)
     return table
 
 
@@ -447,10 +499,18 @@ class FinSymMonCat:
     def _check(self):
         C, t, m, unit = self.cat, self.obj_tensor, self.mor_tensor, self.unit
         objs, mors = range(C.n_objects), range(len(C.morphisms))
+        if unit not in objs:
+            raise ValueError("unit names an unknown object")
+        for table, elems, what in ((t, objs, "object"), (m, mors, "morphism")):
+            for a in elems:
+                for b in elems:
+                    if (a, b) not in table:
+                        raise ValueError(what + " tensor not total")
+                    if table[(a, b)] not in elems:
+                        raise ValueError(what + " tensor names an unknown "
+                                         + what)
         for a in objs:
             for b in objs:
-                if (a, b) not in t:
-                    raise ValueError("object tensor not total")
                 if t[(a, b)] != t[(b, a)]:
                     raise ValueError("object tensor not commutative")
             if t[(a, unit)] != a or t[(unit, a)] != a:

@@ -419,3 +419,15 @@ def test_18_full_window_limit_z3_level3_pinned():
     assert len(fams) == 729
     assert hashlib.sha256(repr(fams).encode()).hexdigest() == (
         "6623fc1a5567975e8c9c705bf3454db17f2f97734061af107b63e47937c11db8")
+
+
+def test_19_nondegenerate_table_level7_pinned():
+    # the nondegenerate simplices of the binerve of Path(7), generated
+    # rather than filtered out of the nerve (886,614 simplices on strict
+    # object chains alone); the table is pinned from the filter over the
+    # nerve, which took about 13 s for it
+    with budget(3):
+        table = pn.nondegenerate_table(7, bound=7)
+    assert sum(map(len, table.values())) == 48237
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == (
+        "63db265b9d6807a087af04d8722c026b757799226d13fe53d7e6e8d48d92444b")

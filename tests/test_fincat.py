@@ -46,16 +46,42 @@ class TestFinCategory:
         ({(5, 0): 1}, "unknown morphism"),
         ({(-1, 1): 1}, "unknown morphism"),
         ({(1, 0): 3}, "unknown morphism"),
+        ({"identities": [5, 2]}, "identity names an unknown morphism"),
+        ({"identities": [-1, 2]}, "identity names an unknown morphism"),
+        ({"morphisms": [(0, 0), (0, 2), (1, 1)]},
+         "morphism names an unknown object"),
+        ({"morphisms": [(0, 0), (-1, 1), (1, 1)]},
+         "morphism names an unknown object"),
     ])
     def test_table_defects_rejected(self, change, message):
-        comp = dict(self.CHAIN1)
+        fields = {"morphisms": [(0, 0), (0, 1), (1, 1)], "identities": [0, 2],
+                  "comp": dict(self.CHAIN1)}
         for key, h in change.items():
-            if h is None:
-                del comp[key]
+            if key in fields:
+                fields[key] = h
+            elif h is None:
+                del fields["comp"][key]
             else:
-                comp[key] = h
+                fields["comp"][key] = h
         with pytest.raises(ValueError, match=message):
-            FinCategory(2, [(0, 0), (0, 1), (1, 1)], [0, 2], comp)
+            FinCategory(2, **fields)
+
+    def test_product_tables_pass_the_check(self):
+        # product skips the check, so its tables must pass it on their own
+        # and hold the fields that __init__ would make of them
+        rng = random.Random(7)
+        monoids = [([[(i + j) % k for j in range(k)] for i in range(k)], 0)
+                   for k in (1, 2, 3)]
+        monoids.append(([[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0))  # a band
+        cats = [FinCategory.from_monoid(*m) for m in monoids]
+        cats += [random_poset_category(rng, n) for n in (1, 2, 3, 3, 4)]
+        for a in cats:
+            for b in rng.sample(cats, 4):
+                p = a.product(b)
+                q = FinCategory(p.n_objects, p.morphisms, p.identities,
+                                p.comp)
+                assert (q.morphisms, q.identities, q.comp) == (
+                    p.morphisms, p.identities, p.comp)
 
     def test_product_codes(self):
         a = FinCategory.chain(1)

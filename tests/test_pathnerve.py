@@ -45,6 +45,20 @@ class TestNerveCells:
                 if u + v > l:
                     assert cells == []
 
+    def test_generated_table_matches_the_filtered_nerve(self):
+        # the filter over the whole nerve is the independent oracle
+        for l in range(5):
+            for bound in (l, l + 2):
+                table = pn.nondegenerate_table(l, bound=bound)
+                assert list(table) == [(u, v) for u in range(bound + 1)
+                                       for v in range(bound + 1 - u)]
+                for (u, v), cells in table.items():
+                    assert cells == [s for s in pn.nerve(l, u, v)
+                                     if not pn.is_degenerate(s)]
+                    assert all(pn.nondegenerate_core(s) == s for s in cells)
+        table = pn.nondegenerate_table(5)
+        assert sum(map(len, table.values())) == 851
+
     def test_degeneracy_detection(self):
         # a (0,1) cell is constant in the u direction, hence degenerate
         cells = pn.nerve(2, 0, 1)
@@ -358,6 +372,27 @@ class TestSymmetricMonoidal:
         band = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]
         with pytest.raises(ValueError, match="not commutative"):
             pn.FinSymMonCat.from_commutative_monoid(band, 0)
+
+    @pytest.mark.parametrize("field, key, value, message", [
+        ("mor_tensor", (1, 1), None, "morphism tensor not total"),
+        ("obj_tensor", (0, 0), None, "object tensor not total"),
+        ("mor_tensor", (1, 1), 2, "morphism tensor names an unknown"),
+        ("obj_tensor", (0, 0), 1, "object tensor names an unknown"),
+        ("unit", None, 1, "unit names an unknown object"),
+    ])
+    def test_tensor_table_defects_rejected(self, field, key, value, message):
+        # Z/2; a value of None deletes the key
+        q = pn.FinSymMonCat.from_commutative_monoid([[0, 1], [1, 0]], 0)
+        fields = {"unit": q.unit, "obj_tensor": dict(q.obj_tensor),
+                  "mor_tensor": dict(q.mor_tensor)}
+        if key is None:
+            fields[field] = value
+        elif value is None:
+            del fields[field][key]
+        else:
+            fields[field][key] = value
+        with pytest.raises(ValueError, match=message):
+            pn.FinSymMonCat(q.cat, **fields)
 
     def test_tensor_breaking_endpoints_rejected(self):
         # subsets of {0}: id of {} = 0, {} <= {0} = 1, id of {0} = 2;

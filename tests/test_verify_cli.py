@@ -389,6 +389,8 @@ class TestDeterminism:
         ("crw_cycle_4.csv",
          ["crw", "cohomology", str(GOLDEN / "crw_cycle.json"), "--bound", "4",
           "--format", "csv"]),
+        ("enumerate_nerve_6.csv",
+         ["enumerate", "nerve", "6", "--bound", "6", "--format", "csv"]),
     ])
     def test_matches_golden(self, run_cli, name, argv):
         out = run_cli(*argv)
