@@ -10,7 +10,11 @@ product of two checked categories is always a category.
 
 Limits as compatible families, found by ``compatible_families``: the one
 forced-value backtracker, on positions and tables, for which ``limit``,
-``spans`` and ``pathnerve`` number their own values.  Twisted arrow
+``spans`` and ``pathnerve`` (labelled limits and commutative grids)
+number their own values; only the oracles (``limit_bruteforce``,
+``nat_transformations``, ``right_kan_end_formula``) search on their
+own.  Diagrams and functors check that they have one value or image
+per object and morphism of their shape.  Twisted arrow
 categories; ends and coends of diagrams on A^op x A, such as the hom
 diagram of two diagrams on A; right Kan extensions via the
 comma-category limit formula and via the end-of-cotensor formula, and
@@ -156,6 +160,10 @@ class FinFunctor:
 
     def _check(self):
         A, B = self.source, self.target
+        if len(self.obj_map) != A.n_objects:
+            raise ValueError("one object image per source object required")
+        if len(self.mor_map) != len(A.morphisms):
+            raise ValueError("one morphism image per source morphism required")
         for f, (s, d) in enumerate(A.morphisms):
             ff = self.mor_map[f]
             if B.morphisms[ff] != (self.obj_map[s], self.obj_map[d]):
@@ -184,6 +192,10 @@ class Diagram:
 
     def _check(self):
         A = self.shape
+        if len(self.on_objects) != A.n_objects:
+            raise ValueError("one value list per object required")
+        if len(self.on_morphisms) != len(A.morphisms):
+            raise ValueError("one morphism map per morphism required")
         sets = [set(v) for v in self.on_objects]
         for f, (s, d) in enumerate(A.morphisms):
             m = self.on_morphisms[f]
@@ -502,48 +514,30 @@ def right_kan_end_formula(F, G, b):
     """(RKan_F G)(b) via the end of a ↦ Hom(B(b, F(a)), G(a)).
 
     Elements are dicts a -> (function B(b, F(a)) -> G(a) as a tuple of
-    pairs), natural in a.  Enumerated by backtracking.
+    pairs), natural in a.  Enumerated by its own backtracking, object by
+    object, as an oracle for ``right_kan``: each morphism f: s -> d of A
+    is checked, eta_d(F(f)∘m) == G(f)(eta_s(m)) for every m: b -> F(s),
+    once both eta_s and eta_d are chosen, at object max(s, d).
     """
     A, B = F.source, F.target
-    homs = [B.hom(b, F.obj_map[a]) for a in range(A.n_objects)]
-    out = []
+    n = A.n_objects
+    homs = [B.hom(b, F.obj_map[a]) for a in range(n)]
+    filed = [[] for _ in range(n)]
+    for f, (s, d) in enumerate(A.morphisms):
+        filed[max(s, d)].append((F.mor_map[f], G.on_morphisms[f], s, d))
+    eta, out = [None] * n, []
 
-    def extend(a, partial):
-        if a == A.n_objects:
-            out.append({i: tuple(sorted(partial[i].items()))
-                        for i in range(A.n_objects)})
+    def extend(a):
+        if a == n:
+            out.append({i: tuple(sorted(eta[i].items())) for i in range(n)})
             return
         for images in itertools.product(G.on_objects[a], repeat=len(homs[a])):
-            eta_a = dict(zip(homs[a], images))
-            ok = True
-            for f in range(len(A.morphisms)):
-                s, d = A.src(f), A.dst(f)
-                if s == a and d < a:
-                    for m in homs[a]:
-                        m2 = B.comp[(F.mor_map[f], m)]
-                        if partial[d][m2] != G.on_morphisms[f][eta_a[m]]:
-                            ok = False
-                            break
-                elif d == a and s < a:
-                    for m in homs[s]:
-                        m2 = B.comp[(F.mor_map[f], m)]
-                        if eta_a[m2] != G.on_morphisms[f][partial[s][m]]:
-                            ok = False
-                            break
-                elif s == a and d == a:
-                    for m in homs[a]:
-                        m2 = B.comp[(F.mor_map[f], m)]
-                        if eta_a[m2] != G.on_morphisms[f][eta_a[m]]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                partial[a] = eta_a
-                extend(a + 1, partial)
-        partial[a] = None
+            eta[a] = dict(zip(homs[a], images))
+            if all(eta[d][B.comp[(ff, m)]] == gf[eta[s][m]]
+                   for ff, gf, s, d in filed[a] for m in homs[s]):
+                extend(a + 1)
 
-    extend(0, [None] * A.n_objects)
+    extend(0)
     return out
 
 

@@ -5,8 +5,9 @@ containing both endpoints; horizontal composition is union.  Its nerve
 in two simplicial directions consists of (u,v)-simplices: a chain of
 u+1 objects together with, for each consecutive pair, a weak chain of
 v+1 nested subsets.  Nondegenerate simplices live only in the range
-u + v <= l and every simplex is the degeneracy of a unique one.  They
-are generated, not filtered out of the nerve: hom(i, i) has one
+u + v <= l and every simplex is the degeneracy of a unique one.  The
+nerve and its nondegenerate simplices come from one generator, and the
+latter are not filtered out of the former: hom(i, i) has one
 element, so a simplex is nondegenerate in u exactly when its objects
 strictly increase, and it is nondegenerate in v exactly when each step
 b of [v] is a strict step c_b != c_{b+1} of some row, that is when the
@@ -14,7 +15,10 @@ strict-step bitmasks of its rows OR to all v bits.
 
 The labelled limit glues values of a two-variable simplicial object X
 over the nondegenerate simplices; commutative-square objects of a
-finite category (grid diagrams) provide the instances, and the strict
+finite category (grid diagrams) provide the instances.  The nerve of a
+category is 2-coskeletal, so a grid is a compatible family of its
+cells (objects, morphisms and commutative squares), found by the
+shared solver ``fincat.compatible_families``.  The strict
 monoidal pipeline build_cq stacks the tensor-width, grid, and labelled
 limit constructions.
 """
@@ -96,31 +100,9 @@ class BiSimplex:
         return h
 
 
-def _weak_chains(homs, length):
-    """All weak chains c_0 <= ... <= c_{length-1} of subsets from homs,
-    listed in the lexicographic order of product(homs, repeat=length)."""
-    sets = [set(h) for h in homs]
-    above = [[k for k, t in enumerate(sets) if s <= t] for s in sets]
-    chains = [(k,) for k in range(len(homs))]
-    for _ in range(length - 1):
-        chains = [c + (k,) for c in chains for k in above[c[-1]]]
-    return [tuple(homs[k] for k in c) for c in chains]
-
-
 def nerve(l, u, v):
     """All (u,v)-simplices of the binerve of Path(l)."""
-    path = Path2Cat(l)
-    chains = {}  # (i, j) -> weak chains of hom(i, j)
-    simplices = []
-    for objs in itertools.combinations_with_replacement(range(l + 1), u + 1):
-        per_pair = []
-        for ij in zip(objs, objs[1:]):
-            if ij not in chains:
-                chains[ij] = _weak_chains(path.hom(*ij), v + 1)
-            per_pair.append(chains[ij])
-        for pick in itertools.product(*per_pair):
-            simplices.append(BiSimplex(u, v, objs, tuple(pick)))
-    return simplices
+    return _bisimplices(l, [(u, v)], False)[u, v]
 
 
 def act(simplex, alpha, beta):
@@ -180,10 +162,11 @@ def nondegenerate_core(simplex):
 
 
 def _stepping_chains(homs, above, length, need):
-    """The weak chains of ``_weak_chains(homs, length)`` that step up
-    strictly at every bit b of ``need`` (c_b != c_{b+1}), in that order,
-    each with the bitmask of all its strict steps.  ``above[k]`` lists
-    the indices of the subsets in homs that contain homs[k]."""
+    """The weak chains c_0 <= ... <= c_{length-1} of subsets from homs
+    that step up strictly at every bit b of ``need`` (c_b != c_{b+1}),
+    in the lexicographic order of product(homs, repeat=length), each
+    with the bitmask of all its strict steps.  ``above[k]`` lists the
+    indices of the subsets in homs that contain homs[k]."""
     chains = [((k,), 0) for k in range(len(homs))]
     for b in range(length - 1):
         bit = 1 << b
@@ -193,21 +176,16 @@ def _stepping_chains(homs, above, length, need):
     return [(tuple(homs[k] for k in c), m) for c, m in chains]
 
 
-def nondegenerate_table(l, bound=5):
-    """Lists of nondegenerate (u,v)-simplices for u+v <= bound, each in
-    the order of ``nerve(l, u, v)``, generated directly.
-
-    hom(i, i) is {(i,)}, so a simplex is u-degenerate exactly when an
-    object repeats: the objects are the strict chains, which
-    ``combinations`` lists in the order ``combinations_with_replacement``
-    gives them in the nerve.  A simplex is v-degenerate at b exactly when
-    no row steps up strictly at b, so it is nondegenerate exactly when
-    the strict-step masks of its rows OR to every bit of [v).  The rows
-    are picked in product order, the last one only among the chains
-    that step at each bit the earlier ones miss.  For u == 0 there is no
-    row and the mask is empty, so only the (0, 0)-simplices remain."""
-    if l > bound:
-        raise ValueError("level exceeds configured bound")
+def _bisimplices(l, shapes, strict):
+    """For each (u, v) in shapes, the list of (u,v)-simplices of the
+    binerve of Path(l) in the order of the nerve: objects first, then
+    the rows in product order.  If ``strict``, only the nondegenerate
+    ones: the objects strictly increase, and the rows' strict steps
+    cover [v), the last row picked only among the chains that step at
+    each bit the earlier ones miss (for u == 0 there is no row, so only
+    v == 0 is kept)."""
+    objects = (itertools.combinations if strict
+               else itertools.combinations_with_replacement)
     path = Path2Cat(l)
     above = {}  # (i, j) -> for each subset, the subsets containing it
     for ij, homs in path.homs.items():
@@ -223,19 +201,34 @@ def nondegenerate_table(l, bound=5):
         return chains[key]
 
     table = {}
-    for u in range(bound + 1):
-        for v in range(bound + 1 - u):
-            full = (1 << v) - 1
-            nd = table[(u, v)] = []
-            for objs in itertools.combinations(range(l + 1), u + 1):
-                picks = [((), 0)]
-                for a, ij in enumerate(zip(objs, objs[1:]), 1):
-                    want = full if a == u else 0  # the last row completes
-                    picks = [(p + (c,), m | mc) for p, m in picks
-                             for c, mc in row(ij, v, want & ~m)]
-                nd.extend(BiSimplex(u, v, objs, p)
-                          for p, m in picks if m == full)
+    for u, v in shapes:
+        full = (1 << v) - 1 if strict else 0
+        table[u, v] = out = []
+        for objs in objects(range(l + 1), u + 1):
+            picks = [((), 0)]
+            for a, ij in enumerate(zip(objs, objs[1:]), 1):
+                want = full if a == u else 0  # the last row completes
+                picks = [(p + (c,), m | mc) for p, m in picks
+                         for c, mc in row(ij, v, want & ~m)]
+            out.extend(BiSimplex(u, v, objs, p)
+                       for p, m in picks if m & full == full)
     return table
+
+
+def nondegenerate_table(l, bound=5):
+    """Lists of nondegenerate (u,v)-simplices for u+v <= bound, each in
+    the order of ``nerve(l, u, v)``, generated directly.
+
+    hom(i, i) is {(i,)}, so a simplex is u-degenerate exactly when an
+    object repeats: the objects are the strict chains, which
+    ``combinations`` lists in the order ``combinations_with_replacement``
+    gives them in the nerve.  A simplex is v-degenerate at b exactly when
+    no row steps up strictly at b, so it is nondegenerate exactly when
+    the strict-step masks of its rows OR to every bit of [v)."""
+    if l > bound:
+        raise ValueError("level exceeds configured bound")
+    return _bisimplices(l, [(u, v) for u in range(bound + 1)
+                            for v in range(bound + 1 - u)], True)
 
 
 # ---------------------------------------------------------------------------
@@ -277,53 +270,59 @@ def _grid_nodes(dims):
     return list(itertools.product(*[range(k + 1) for k in dims]))
 
 
+def _shifted(node, ax, by=1):
+    """The node ``by`` steps from node along axis ax."""
+    return tuple(c + by if i == ax else c for i, c in enumerate(node))
+
+
 def square_n(cat, dims):
     """All commutative-grid diagrams of shape prod_i [k_i] in ``cat``.
 
     This realizes the commutative n-cube object of the nerve of ``cat``:
     the (k_1,..,k_n) component is the set of maps from the product of
-    standard simplices, i.e. functors out of the grid poset.
+    standard simplices, i.e. functors out of the grid poset.  The nerve
+    is 2-coskeletal, so a grid is a compatible family of its cells: each
+    node takes an object, each edge a morphism with a table to each
+    endpoint, and each unit square (one per pair of axes) one of the
+    commutative squares c∘a = d∘b of ``cat`` with a table to each of its
+    four edges.  The positions are each node's object then the edges
+    into it in axis order, squares last, so the sorted families list the
+    grids in the order of their nodes' objects and edges.
     """
+    dims = tuple(dims)
     nodes = _grid_nodes(dims)
-    n = len(dims)
-    results = []
-
-    def extend(pos, objs, edges):
-        if pos == len(nodes):
-            results.append(GridElement(tuple(dims), tuple(sorted(objs.items())),
-                                       tuple(sorted(edges.items()))))
-            return
-        node = nodes[pos]
-        preds = []
-        for ax in range(n):
-            if node[ax] > 0:
-                prev = tuple(c - 1 if i == ax else c for i, c in enumerate(node))
-                preds.append((ax, prev))
-        for obj in range(cat.n_objects):
-            choices = []
-            for ax, prev in preds:
-                choices.append([(ax, prev, f) for f in cat.hom(objs[prev], obj)])
-            for combo in itertools.product(*choices):
-                ok = True
-                new_edges = {(prev, ax): f for (ax, prev, f) in combo}
-                # unit squares ending at this node must commute
-                for (ax1, p1, f1), (ax2, p2, f2) in itertools.combinations(combo, 2):
-                    pp = tuple(min(a, b) for a, b in zip(p1, p2))
-                    g1 = edges[(pp, ax2)]   # pp -> p1 along ax2
-                    g2 = edges[(pp, ax1)]   # pp -> p2 along ax1
-                    if cat.comp[(f1, g1)] != cat.comp[(f2, g2)]:
-                        ok = False
-                        break
-                if ok:
-                    objs[node] = obj
-                    edges.update(new_edges)
-                    extend(pos + 1, objs, edges)
-                    for k in new_edges:
-                        del edges[k]
-                    del objs[node]
-
-    extend(0, {}, {})
-    return results
+    sources = [s for s, _ in cat.morphisms]
+    targets = [d for _, d in cat.morphisms]
+    # objs: node -> position, edges: (node, axis) -> position
+    sizes, arrows, objs, edges = [], [], {}, {}
+    for node in nodes:
+        objs[node] = len(sizes)
+        sizes.append(cat.n_objects)
+        arrows.append([])
+        for ax, c in enumerate(node):
+            if c:
+                prev = _shifted(node, ax, -1)
+                edges[prev, ax] = len(sizes)
+                sizes.append(len(cat.morphisms))
+                arrows.append([(objs[prev], sources), (objs[node], targets)])
+    units = [(p, ax1, ax2) for p in nodes
+             for ax1, ax2 in itertools.combinations(range(len(dims)), 2)
+             if p[ax1] < dims[ax1] and p[ax2] < dims[ax2]]
+    if units:
+        paths = [[] for _ in cat.morphisms]  # composite -> its (a, c)
+        for (c, a), h in cat.comp.items():
+            paths[h].append((a, c))
+        squares = [(a, b, c, d) for ps in paths for a, c in ps for b, d in ps]
+        sides = [[sq[i] for sq in squares] for i in range(4)]
+        for p, ax1, ax2 in units:
+            sizes.append(len(squares))
+            arrows.append(list(zip(
+                (edges[p, ax1], edges[p, ax2], edges[_shifted(p, ax1), ax2],
+                 edges[_shifted(p, ax2), ax1]), sides)))
+    keys = sorted(edges)
+    return [GridElement(dims, tuple((node, fam[objs[node]]) for node in nodes),
+                        tuple((key, fam[edges[key]]) for key in keys))
+            for fam in compatible_families(sizes, arrows)]
 
 
 def grid_composite(cat, grid, start, end):
@@ -333,7 +332,7 @@ def grid_composite(cat, grid, start, end):
     for ax in range(len(grid.dims)):
         while node[ax] < end[ax]:
             f = cat.comp[(grid.edge(node, ax), f)]
-            node = tuple(c + 1 if i == ax else c for i, c in enumerate(node))
+            node = _shifted(node, ax)
     return f
 
 
@@ -348,8 +347,7 @@ def grid_act(cat, grid, maps):
         objs[node] = grid.obj(old)
         for ax in range(len(dims)):
             if node[ax] < dims[ax]:
-                nxt = tuple(c + 1 if i == ax else c for i, c in enumerate(node))
-                old_nxt = tuple(m(c) for m, c in zip(maps, nxt))
+                old_nxt = tuple(m(c) for m, c in zip(maps, _shifted(node, ax)))
                 edges[(node, ax)] = grid_composite(cat, grid, old, old_nxt)
     return GridElement(dims, tuple(sorted(objs.items())),
                        tuple(sorted(edges.items())))
@@ -399,8 +397,8 @@ def labelled_limit(X, l):
     binerve (u+v <= l) an element of X_{u,v}, compatibly with all face
     maps between nondegenerate simplices.  Returns a list of dicts.
     """
-    table = nondegenerate_table(l, bound=l)
-    simplices = [s for (u, v), nd in table.items() if u + v <= l for s in nd]
+    simplices = [s for nd in nondegenerate_table(l, bound=l).values()
+                 for s in nd]
     # this order fixes the output: the keys and the order of the families
     simplices.sort(key=lambda s: (-(s.u + s.v), s.objs, s.chains))
     return _limit_over(X, simplices, _injective_maps)
@@ -616,8 +614,7 @@ class TensorGridObject:
     def gamma_act(self, psi, element, v):
         """Γ-direction action on tuple width (tensor over preimages)."""
         out = []
-        for j in range(1, psi.target_size + 1):
-            pre = [k for k in range(1, psi.source_size + 1) if psi(k) == j]
+        for pre in psi.preimages():
             if not pre:
                 out.append(self.Q.unit_grid((v, self.n)))
                 continue

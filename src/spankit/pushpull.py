@@ -100,6 +100,9 @@ class FamilyMap:
             raise ValueError("families on different bases")
         d = dict(self.mats)
         object.__setattr__(self, "_mats", d)  # not a field, as in spans.Span
+        if (len(self.mats) != len(self.source.base)
+                or d.keys() != set(self.source.base)):
+            raise ValueError("blocks not indexed by the base")
         for x in self.source.base:
             m = d[x]
             if len(m) != self.target.dim(x):
@@ -224,10 +227,7 @@ def to_adjunct(f, phi, w):
     tgt = pushforward_ls(f, v)
 
     def block(y):
-        fib = f.fiber(y)
-        if not fib:
-            return ratlin.zeros(0, w.dim(y))
-        return ratlin.vstack([phi.mat(x) for x in fib])
+        return ratlin.vstack([phi.mat(x) for x in f.fiber(y)])
 
     return FamilyMap.build(w, tgt, block)
 
@@ -244,10 +244,8 @@ def adjunct_inverse(f, psi, w, v):
             off += v.dim(x)
 
     def block(x):
-        y = f(x)
-        m = psi.mat(y)
         o = offsets[x]
-        return tuple(m[o:o + v.dim(x)]) if v.dim(x) else ratlin.zeros(0, w.dim(y))
+        return tuple(psi.mat(f(x))[o:o + v.dim(x)])
 
     return FamilyMap.build(pullback_ls(f, w), v, block)
 

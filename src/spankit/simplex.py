@@ -114,6 +114,11 @@ class PointedMap:
             return 0
         return self.values[k - 1]
 
+    def preimages(self):
+        """For j = 1..target_size, the k >= 1 with self(k) == j, ascending."""
+        return [[k for k, i in enumerate(self.values, 1) if i == j]
+                for j in range(1, self.target_size + 1)]
+
     @property
     def is_inert(self):
         hit = [v for v in self.values if v != 0]

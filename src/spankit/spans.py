@@ -300,8 +300,7 @@ def gamma_act(psi, F):
     product of the slots in the preimage of j (singleton if empty)."""
     if psi.source_size != F.width:
         raise ValueError("width mismatch")
-    pre = [[k for k in range(1, psi.source_size + 1) if psi(k) == j]
-           for j in range(1, psi.target_size + 1)]
+    pre = psi.preimages()
     labels = {}
     for x in F.poset.objects:
         labels[x] = [
@@ -380,8 +379,7 @@ class DecoratedSpanDiagram:
 
     def gamma_act(self, psi):
         G = gamma_act(psi, self.diagram)
-        pre = [[k for k in range(1, psi.source_size + 1) if psi(k) == j]
-               for j in range(1, psi.target_size + 1)]
+        pre = psi.preimages()
         weights = {}
         for x in G.poset.objects:
             weights[x] = [

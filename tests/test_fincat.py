@@ -109,6 +109,33 @@ class TestFinCategory:
                         comp)
 
 
+class TestShapeCounts:
+    # one object, its identity
+    POINT = FinCategory.chain(0)
+
+    @pytest.mark.parametrize("on_objects, on_morphisms, message", [
+        # two value lists on one object used to make limit return pairs
+        ([["a"], ["b", "c"]], [{"a": "a"}], "one value list per object"),
+        ([], [{}], "one value list per object"),
+        ([["a"]], [], "one morphism map per morphism"),
+        ([["a"]], [{"a": "a"}, {"a": "a"}], "one morphism map per morphism"),
+    ])
+    def test_diagram_lists_match_the_shape(self, on_objects, on_morphisms,
+                                           message):
+        with pytest.raises(ValueError, match=message):
+            Diagram(self.POINT, on_objects, on_morphisms)
+
+    @pytest.mark.parametrize("obj_map, mor_map, message", [
+        ([0, 0], [0], "one object image per source object"),
+        ([], [0], "one object image per source object"),
+        ([0], [], "one morphism image per source morphism"),
+        ([0], [0, 0], "one morphism image per source morphism"),
+    ])
+    def test_functor_maps_match_the_source(self, obj_map, mor_map, message):
+        with pytest.raises(ValueError, match=message):
+            FinFunctor(self.POINT, self.POINT, obj_map, mor_map)
+
+
 def zk_set_diagram(rng, k):
     """A random Z/k-set as a diagram on the one-object category Z/k:
     a disjoint union of orbits, morphism i acting as the i-th power of
@@ -277,18 +304,51 @@ class TestEndsAndNat:
         assert sum(len(c) for c in classes) == len(quotient)
 
 
+def cyclic(k):
+    return FinCategory.from_monoid(
+        [[(i + j) % k for j in range(k)] for i in range(k)], 0)
+
+
+def kan_families(via_comma, n):
+    """Families of ``right_kan``, keyed by comma objects (a, m), in the
+    form of ``right_kan_end_formula``: a -> the pairs (m, value), sorted."""
+    return [{a: tuple(sorted((m, x) for (a2, m), x in fam.items() if a2 == a))
+             for a in range(n)} for fam in via_comma]
+
+
 class TestRightKan:
     def test_comma_equals_end_formula(self):
         rng = random.Random(4)
-        for _ in range(25)              :
+        cases = []
+        for _ in range(25):
             chain = FinCategory.chain(rng.randrange(1, 3))
             poset = random_poset_category(rng, rng.randrange(2, 4))
-            f = monotone_functor(rng, chain, poset)
-            g = chain_diagram(rng, chain.n_objects - 1)
-            for b in range(poset.n_objects):
+            cases.append((monotone_functor(rng, chain, poset),
+                          chain_diagram(rng, chain.n_objects - 1)))
+        # out of Z/k every morphism is an endomorphism: here a naturality
+        # square from an object to itself is not the identity's
+        for k in (2, 3):
+            zk = cyclic(k)
+            regular = Diagram(zk, [list(range(k))],
+                              [{x: (x + i) % k for x in range(k)}
+                               for i in range(k)])
+            functors = [FinFunctor(zk, zk, [0], range(k)),
+                        FinFunctor(zk, cyclic(6), [0],
+                                   [6 // k * i for i in range(k)]),
+                        FinFunctor(zk, cyclic(1), [0], [0] * k)]
+            cases += [(f, g) for f in functors
+                      for g in [regular] + [zk_set_diagram(rng, k)
+                                            for _ in range(3)]]
+        for f, g in cases:
+            for b in range(f.target.n_objects):
                 via_comma, _ = fincat.right_kan(f, g, b)
                 via_end = fincat.right_kan_end_formula(f, g, b)
-                assert len(via_comma) == len(via_end)
+                assert (sorted(map(repr, kan_families(via_comma,
+                                                      f.source.n_objects)))
+                        == sorted(map(repr, via_end)))
+        # the identity of Z/3 on its regular set: the three translations
+        via_end = fincat.right_kan_end_formula(functors[0], regular, 0)
+        assert len(via_end) == 3
 
     def test_kan_along_identity(self):
         rng = random.Random(5)

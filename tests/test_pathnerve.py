@@ -155,7 +155,76 @@ class TestAction:
             X.act(MonotoneMap.identity(2), MonotoneMap.identity(0), x)
 
 
+def grids_by_filtering(cat, dims):
+    """Every functor from the grid poset of shape dims to cat, as a pair
+    of dicts (node -> object, (node, axis) -> morphism), by product and
+    filter along the first axis: k + 1 grids of the remaining shape (the
+    slices) and, between consecutive slices, a morphism per node from
+    its hom-set, kept when every square these close commutes."""
+    if not dims:
+        return [({(): o}, {}) for o in range(cat.n_objects)]
+    nodes = list(itertools.product(*[range(r + 1) for r in dims[1:]]))
+    # a square per slice edge r -> r2 (axis ax) and step i -> i + 1, with
+    # the places in the joins of its morphisms out of r and out of r2
+    width = len(nodes)
+    squares = [(i, r, ax, i * width + a, i * width + nodes.index(r2))
+               for i in range(dims[0]) for a, r in enumerate(nodes)
+               for ax in range(len(dims) - 1) if r[ax] < dims[ax + 1]
+               for r2 in [tuple(c + (j == ax) for j, c in enumerate(r))]]
+    out = []
+    for seq in itertools.product(grids_by_filtering(cat, dims[1:]),
+                                 repeat=dims[0] + 1):
+        homs = [cat.hom(seq[i][0][r], seq[i + 1][0][r])
+                for i in range(dims[0]) for r in nodes]
+        for joins in itertools.product(*homs):
+            if all(cat.comp[joins[b], seq[i][1][r, ax]]
+                   == cat.comp[seq[i + 1][1][r, ax], joins[a]]
+                   for i, r, ax, a, b in squares):
+                objs = {(i,) + r: o for i, (g, _) in enumerate(seq)
+                        for r, o in g.items()}
+                edges = {((i,) + r, ax + 1): f for i, (_, g) in enumerate(seq)
+                         for (r, ax), f in g.items()}
+                edges.update({((i,) + r, 0): f for (i, r), f in zip(
+                    itertools.product(range(dims[0]), nodes), joins)})
+                out.append((objs, edges))
+    return out
+
+
+def square_n_by_filtering(cat, dims):
+    """The grids of ``grids_by_filtering`` in the order of square_n: by
+    each node's object, then the morphisms into it in axis order."""
+    nodes = list(itertools.product(*[range(k + 1) for k in dims]))
+
+    def key(grid):
+        objs, edges = grid
+        return [x for q in nodes for x in [objs[q]] + [
+            edges[tuple(c - (i == ax) for i, c in enumerate(q)), ax]
+            for ax in range(len(dims)) if q[ax]]]
+
+    return [pn.GridElement(dims, tuple(sorted(objs.items())),
+                           tuple(sorted(edges.items())))
+            for objs, edges in sorted(grids_by_filtering(cat, dims), key=key)]
+
+
 class TestGrids:
+    def test_square_n_matches_product_filter_in_order(self):
+        cyclic = [fincat.FinCategory.from_monoid(
+            [[(i + j) % k for j in range(k)] for i in range(k)], 0)
+            for k in (2, 3)]
+        vee = fincat.FinCategory.from_poset(
+            3, lambda a, b: a == b or (a, b) in {(0, 1), (0, 2)})
+        cats = cyclic + [fincat.FinCategory.chain(1),
+                         fincat.FinCategory.chain(2), vee]
+        shapes = [(u, v) for u in range(3) for v in range(2)]
+        shapes += [(1, 2), (0, 3), (1, 1, 1)]
+        for cat in cats:
+            for dims in shapes:
+                got, want = pn.square_n(cat, dims), square_n_by_filtering(
+                    cat, dims)
+                assert got == want and repr(got) == repr(want)
+        # twelve edges, five independent faces: the sixth commutes by the rest
+        assert len(pn.square_n(cyclic[1], (1, 1, 1))) == 3 ** 7
+
     def test_lookups_leave_identity_unchanged(self):
         cat = fincat.FinCategory.chain(2)
         for g in pn.square_n(cat, (1, 1)):

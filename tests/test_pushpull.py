@@ -78,6 +78,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             FamilyMap(v, w, ((0, ((1, 2, 3),)),))
 
+    def test_family_map_blocks_on_the_base(self):
+        v = VectorFamily.build((0,), lambda x: 1)
+        # a missing point used to raise KeyError, a stray or repeated one
+        # was kept
+        for mats in ((), ((0, ((1,),)), (1, ((1,),))),
+                     ((0, ((1,),)), (0, ((2,),)))):
+            with pytest.raises(ValueError, match="not indexed by the base"):
+                FamilyMap(v, v, mats)
+
     def test_family_map_ragged_block_rejected(self):
         # the first row has the right length, the second does not
         v = VectorFamily.build((0,), lambda x: 2)
