@@ -184,9 +184,22 @@ def _elt(x):
     return ",".join(map(str, x)) if isinstance(x, tuple) else x
 
 
+def _names(points, name, what):
+    """[name(p) for p in points], for distinct points.  Raises an
+    InputError naming two points that name writes alike, since a
+    document would merge them."""
+    seen = {}
+    for p in points:
+        first = seen.setdefault(name(p), p)
+        if first != p:
+            raise InputError("%s %r and %r are both written %r"
+                             % (what, first, p, name(p)))
+    return list(seen)
+
+
 def _span_to_json(s):
     return {"left_foot": [_elt(x) for x in s.left_foot],
-            "apex": [_elt(a) for a in s.apex],
+            "apex": _names(s.apex, _elt, "apex points"),
             "right_foot": [_elt(x) for x in s.right_foot],
             "left_map": {_elt(a): _elt(s.left(a)) for a in s.apex},
             "right_map": {_elt(a): _elt(s.right(a)) for a in s.apex}}
@@ -202,11 +215,12 @@ def _two_morphism_from_json(obj):
     dims = obj["dims"]
     from . import pushpull
     base = pushpull.intersection(src, tgt)
-    missing = [t for t in base if _pair_key(t) not in dims]
+    keys = _names(base, _pair_key, "2-morphism.dims: intersection points")
+    missing = [t for t, key in zip(base, keys) if key not in dims]
     if missing:
         raise InputError("2-morphism.dims: missing intersection points %r"
                          % missing)
-    stray = sorted(set(dims) - {_pair_key(t) for t in base})
+    stray = sorted(set(dims) - set(keys))
     if stray:
         raise InputError("2-morphism.dims: %r name no intersection point"
                          % stray)
@@ -215,10 +229,11 @@ def _two_morphism_from_json(obj):
 
 
 def _two_morphism_to_json(mm):
+    base = mm.payload.base
+    keys = _names(base, _pair_key, "intersection points")
     return {"span_source": _span_to_json(mm.span_source),
             "span_target": _span_to_json(mm.span_target),
-            "dims": {_pair_key(t): mm.payload.dim(t)
-                     for t in mm.payload.base}}
+            "dims": {key: mm.payload.dim(t) for key, t in zip(keys, base)}}
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ against its composable pairs.  Products number object (a, b) as
 ``a*m + b`` and morphism (f, g) as ``f*k + g`` (the second factor has m
 objects and k morphisms), so a functor of two variables, such as a
 monoidal tensor C x C -> C, is a ``FinFunctor`` or ``Diagram`` on a
-product, checked as any other.  The product itself is not checked: the
-product of two checked categories is always a category.
+product, checked as any other.  The opposite and product categories
+are not checked again: derived from checked categories, they are
+always categories.
 
 Limits as compatible families, found by ``compatible_families``: the one
 forced-value backtracker, on positions and tables, for which ``limit``,
@@ -14,11 +15,12 @@ forced-value backtracker, on positions and tables, for which ``limit``,
 number their own values; only the oracles (``limit_bruteforce``,
 ``nat_transformations``, ``right_kan_end_formula``) search on their
 own.  Diagrams and functors check that they have one value or image
-per object and morphism of their shape.  Twisted arrow
-categories; ends and coends of diagrams on A^op x A, such as the hom
-diagram of two diagrams on A; right Kan extensions via the
-comma-category limit formula and via the end-of-cotensor formula, and
-cotensors.
+per object and morphism of their shape.  Ends and coends of diagrams on
+A^op x A, such as the hom diagram of two diagrams on A; right Kan
+extensions via the comma-category limit formula and via the
+end-of-cotensor formula, and cotensors.  ``limit``, ``end`` and the
+comma formula ``right_kan`` each hand the solver a list of value lists
+and arrows; no twisted arrow or comma category is built.
 
 Conventions: the limit of the empty diagram is a singleton; all finite
 sets are lists with a fixed element order so results are deterministic.
@@ -35,7 +37,8 @@ class FinCategory:
 
     Morphisms are indexed 0..k-1 with source/target object indices;
     ``comp[(g, f)]`` is g∘f for target(f) == source(g).  The table, the
-    associativity and the unit laws are checked on construction.
+    associativity and the unit laws are checked on construction (but not
+    for ``opposite`` and ``product``).
     """
 
     def __init__(self, n_objects, morphisms, identities, comp):
@@ -122,16 +125,26 @@ class FinCategory:
         comp = {(g, f): table[g][f] for g in range(k) for f in range(k)}
         return FinCategory(1, morphisms, [unit], comp)
 
+    @staticmethod
+    def _unchecked(n_objects, morphisms, identities, comp):
+        """A category derived from checked ones, which is therefore a
+        category: its tables are taken as they are, not checked again."""
+        C = FinCategory.__new__(FinCategory)
+        C.n_objects, C.morphisms = n_objects, morphisms
+        C.identities, C.comp = identities, comp
+        return C
+
     def opposite(self):
+        """The opposite category, not checked again."""
         morphisms = [(d, s) for (s, d) in self.morphisms]
         comp = {(f, g): h for (g, f), h in self.comp.items()}
-        return FinCategory(self.n_objects, morphisms, self.identities, comp)
+        return FinCategory._unchecked(self.n_objects, morphisms,
+                                      list(self.identities), comp)
 
     def product(self, other):
         """The product category, with ``factors`` (self, other).  Object
         (a, b) is ``a*m + b`` and morphism (f, g) is ``f*k + g``, where
-        other has m objects and k morphisms.  The product of two checked
-        categories is a category, so its tables are not checked again."""
+        other has m objects and k morphisms.  It is not checked again."""
         m, k = other.n_objects, len(other.morphisms)
         morphisms = [(s1 * m + s2, d1 * m + d2)
                      for (s1, d1) in self.morphisms
@@ -141,9 +154,8 @@ class FinCategory:
         comp = {(g1 * k + g2, f1 * k + f2): h1 * k + h2
                 for (g1, f1), h1 in self.comp.items()
                 for (g2, f2), h2 in other.comp.items()}
-        P = FinCategory.__new__(FinCategory)
-        P.n_objects, P.morphisms = self.n_objects * m, morphisms
-        P.identities, P.comp = identities, comp
+        P = FinCategory._unchecked(self.n_objects * m, morphisms,
+                                   identities, comp)
         P.factors = (self, other)
         return P
 
@@ -183,12 +195,11 @@ class Diagram:
     dict mapping each element of the source value set to one of the target's.
     """
 
-    def __init__(self, shape, on_objects, on_morphisms, check=True):
+    def __init__(self, shape, on_objects, on_morphisms):
         self.shape = shape
         self.on_objects = [list(v) for v in on_objects]
         self.on_morphisms = [dict(m) for m in on_morphisms]
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         A = self.shape
@@ -290,20 +301,28 @@ def compatible_families(sizes, arrows):
     return families
 
 
+def _families(values, arrows):
+    """The compatible families of value lists under arrows ``(s, d, m)``,
+    each a dict m from ``values[s]`` into ``values[d]``: tuples of values
+    in the order of their position tuples.  Each value is solved as its
+    position in its list."""
+    ranks = [{x: p for p, x in enumerate(vs)} for vs in values]
+    tables = [[] for _ in values]
+    for s, d, m in arrows:
+        rank = ranks[d]
+        tables[s].append((d, [rank[m[x]] for x in values[s]]))
+    fams = compatible_families(list(map(len, values)), tables)
+    return [tuple(map(list.__getitem__, values, fam)) for fam in fams]
+
+
 def limit(diagram):
     """Limit of a finite-set diagram: its compatible families, one arrow
-    per morphism of the shape but the identities (which always hold).
-    Each value is solved as its position in its ``on_objects`` list."""
-    A, values = diagram.shape, diagram.on_objects
-    ranks = [{x: p for p, x in enumerate(vs)} for vs in values]
-    arrows = [[] for _ in values]
-    for f, (s, d) in enumerate(A.morphisms):
-        if f != A.identities[s]:
-            m, rank = diagram.on_morphisms[f], ranks[d]
-            arrows[s].append((d, [rank[m[x]] for x in values[s]]))
-    fams = compatible_families(list(map(len, values)), arrows)
-    return LimitResult(A, [tuple(map(list.__getitem__, values, fam))
-                           for fam in fams])
+    per morphism of the shape but the identities (which always hold)."""
+    A = diagram.shape
+    return LimitResult(A, _families(
+        diagram.on_objects,
+        [(s, d, diagram.on_morphisms[f])
+         for f, (s, d) in enumerate(A.morphisms) if f != A.identities[s]]))
 
 
 def limit_bruteforce(diagram):
@@ -321,38 +340,8 @@ def check_cone_terminal(diagram, result):
 
 
 # ---------------------------------------------------------------------------
-# twisted arrows, ends, coends
+# ends, coends
 # ---------------------------------------------------------------------------
-
-def twisted_arrow(A):
-    """Twisted arrow category of A.
-
-    Objects are the morphisms of A; an arrow f -> g is a factorization
-    g = q ∘ f ∘ p.  Returns (Tw, arrows) where arrows[i] is
-    (f_index, g_index, p, q) describing morphism i of Tw.
-    """
-    n, k = A.n_objects, len(A.morphisms)
-    into, out = [[] for _ in range(n)], [[] for _ in range(n)]
-    for h, (s, d) in enumerate(A.morphisms):
-        out[s].append(h)
-        into[d].append(h)
-    # one arrow per p into src(f) and q out of dst(f), in (f, g, p, q) order
-    arrows = sorted((f, A.comp[(q, A.comp[(f, p)])], p, q)
-                    for f, (a, b) in enumerate(A.morphisms)
-                    for p in into[a] for q in out[b])
-    index = {t: i for i, t in enumerate(arrows)}
-    morphisms = [(f, g) for (f, g, p, q) in arrows]
-    identities = [index[(f, f, A.identities[A.src(f)], A.identities[A.dst(f)])]
-                  for f in range(k)]
-    leaving = [[] for _ in range(k)]  # arrows of Tw by source
-    for j, t in enumerate(arrows):
-        leaving[t[0]].append((j, t))
-    comp = {(j, i): index[(f1, g2, A.comp[(p1, p2)], A.comp[(q2, q1)])]
-            for i, (f1, g1, p1, q1) in enumerate(arrows)
-            for j, (_, g2, p2, q2) in leaving[g1]}
-    tw = FinCategory(k, morphisms, identities, comp)
-    return tw, arrows
-
 
 def hom_bifunctor(F, G):
     """The functor (a, b) -> Set(F(a), G(b)) on A^op x A, for diagrams F,
@@ -377,21 +366,28 @@ def hom_bifunctor(F, G):
 
 def end(H):
     """End of a diagram H on A^op x A (``H.shape.factors[1]`` is A, as
-    ``hom_bifunctor`` builds it): the limit over the twisted arrow category.
+    ``hom_bifunctor`` builds it): the limit over the twisted arrow
+    category.  Its objects are the morphisms f: a -> b of A, valued
+    H(a, b); its arrows f -> q∘f∘p, for p into a and q out of b, act by
+    H(p, q).  The identities, (p, q) = (id_a, id_b), are left out.
 
     Returns the list of wedges as dicts {object a: element of H(a, a)}.
     """
     A = H.shape.factors[1]
     n, k = A.n_objects, len(A.morphisms)
-    tw, arrows = twisted_arrow(A)
-    on_objects = [H.on_objects[s * n + d] for (s, d) in A.morphisms]
-    on_morphisms = [H.on_morphisms[p * k + q] for (f, g, p, q) in arrows]
-    diag = Diagram(tw, on_objects, on_morphisms, check=False)
-    res = limit(diag)
-    out = []
-    for fam in res.apex:
-        out.append({a: fam[A.identities[a]] for a in range(A.n_objects)})
-    return out
+    into, out = [[] for _ in range(n)], [[] for _ in range(n)]
+    for h, (s, d) in enumerate(A.morphisms):
+        out[s].append(h)
+        into[d].append(h)
+    ids = A.identities
+    twisted = sorted((f, A.comp[(q, A.comp[(f, p)])], p, q)
+                     for f, (a, b) in enumerate(A.morphisms)
+                     for p in into[a] for q in out[b]
+                     if p != ids[a] or q != ids[b])
+    fams = _families([H.on_objects[s * n + d] for (s, d) in A.morphisms],
+                     [(f, g, H.on_morphisms[p * k + q])
+                      for f, g, p, q in twisted])
+    return [{a: fam[ids[a]] for a in range(n)} for fam in fams]
 
 
 def nat_transformations(F, G):
@@ -462,52 +458,24 @@ def coend(H):
 # right Kan extension and cotensor
 # ---------------------------------------------------------------------------
 
-def comma_category(F, b):
-    """The comma category b ↓ F for F : A -> B and an object b of B.
+def right_kan(F, G, b):
+    """(RKan_F G)(b) as the limit over the comma category b ↓ F.  Its
+    objects are the pairs (a, m), m: b -> F(a) in B, valued G(a); each
+    f: a -> a' of A but the identity is an arrow (a, m) -> (a', F(f)∘m)
+    acting by G(f).
 
-    Returns (C, objs) where objs[i] = (a, m) with m : b -> F(a) in B.
+    Returns (families as dicts {(a, m): element of G(a)}, the pairs).
     """
     A, B = F.source, F.target
-    objs = []
-    for a in range(A.n_objects):
-        for m in B.hom(b, F.obj_map[a]):
-            objs.append((a, m))
+    objs = [(a, m) for a in range(A.n_objects)
+            for m in B.hom(b, F.obj_map[a])]
     index = {o: i for i, o in enumerate(objs)}
-    morphisms = []
-    tags = []
-    for i, (a, m) in enumerate(objs):
-        for f in range(len(A.morphisms)):
-            if A.src(f) != a:
-                continue
-            m2 = B.comp[(F.mor_map[f], m)]
-            j = index[(A.dst(f), m2)]
-            morphisms.append((i, j))
-            tags.append(f)
-    index_m = {}
-    for k, ((i, j), f) in enumerate(zip(morphisms, tags)):
-        index_m[(i, f)] = k
-    identities = [index_m[(i, A.identities[a])] for i, (a, m) in enumerate(objs)]
-    out = [[] for _ in objs]  # arrows of C by source
-    for k2, ((i2, _), f2) in enumerate(zip(morphisms, tags)):
-        out[i2].append((k2, f2))
-    comp = {(k2, k1): index_m[(i1, A.comp[(f2, f1)])]
-            for k1, ((i1, j1), f1) in enumerate(zip(morphisms, tags))
-            for k2, f2 in out[j1]}
-    C = FinCategory(len(objs), morphisms, identities, comp)
-    return C, objs, tags
-
-
-def right_kan(F, G, b):
-    """(RKan_F G)(b) as the limit over the comma category b ↓ F.
-
-    Returns the list of families indexed by comma objects (a, m).
-    """
-    C, objs, tags = comma_category(F, b)
-    on_objects = [G.on_objects[a] for (a, m) in objs]
-    on_morphisms = [G.on_morphisms[f] for f in tags]
-    diag = Diagram(C, on_objects, on_morphisms, check=False)
-    res = limit(diag)
-    return [dict(zip(objs, fam)) for fam in res.apex], objs
+    arrows = [(i, index[(d, B.comp[(F.mor_map[f], m)])], G.on_morphisms[f])
+              for i, (a, m) in enumerate(objs)
+              for f, (s, d) in enumerate(A.morphisms)
+              if s == a and f != A.identities[a]]
+    fams = _families([G.on_objects[a] for a, _ in objs], arrows)
+    return [dict(zip(objs, fam)) for fam in fams], objs
 
 
 def right_kan_end_formula(F, G, b):

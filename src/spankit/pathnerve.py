@@ -499,7 +499,9 @@ class FinSymMonCat:
         objs, mors = range(C.n_objects), range(len(C.morphisms))
         if unit not in objs:
             raise ValueError("unit names an unknown object")
-        for table, elems, what in ((t, objs, "object"), (m, mors, "morphism")):
+        tables = ((t, objs, unit, "object"),
+                  (m, mors, C.identities[unit], "morphism"))
+        for table, elems, _, what in tables:
             for a in elems:
                 for b in elems:
                     if (a, b) not in table:
@@ -507,28 +509,19 @@ class FinSymMonCat:
                     if table[(a, b)] not in elems:
                         raise ValueError(what + " tensor names an unknown "
                                          + what)
-        for a in objs:
-            for b in objs:
-                if t[(a, b)] != t[(b, a)]:
-                    raise ValueError("object tensor not commutative")
-            if t[(a, unit)] != a or t[(unit, a)] != a:
-                raise ValueError("unit law fails on objects")
-        for a in objs:
-            for b in objs:
-                for c in objs:
-                    if t[(t[(a, b)], c)] != t[(a, t[(b, c)])]:
-                        raise ValueError("object tensor not associative")
-        for f in mors:
-            for g in mors:
-                if m[(f, g)] != m[(g, f)]:
-                    raise ValueError("morphism tensor not commutative")
-            if m[(f, C.identities[unit])] != f:
-                raise ValueError("unit law fails on morphisms")
-        for f in mors:
-            for g in mors:
-                for h in mors:
-                    if m[(m[(f, g)], h)] != m[(f, m[(g, h)])]:
-                        raise ValueError("morphism tensor not associative")
+        for table, elems, e, what in tables:
+            for a in elems:
+                for b in elems:
+                    if table[(a, b)] != table[(b, a)]:
+                        raise ValueError(what + " tensor not commutative")
+                if table[(a, e)] != a:  # so table[(e, a)] == a too
+                    raise ValueError("unit law fails on %ss" % what)
+            for a in elems:
+                for b in elems:
+                    for c in elems:
+                        if (table[(table[(a, b)], c)]
+                                != table[(a, table[(b, c)])]):
+                            raise ValueError(what + " tensor not associative")
         # a functor C x C -> C: endpoints, identities and interchange
         FinFunctor(C.product(C), C, [t[(a, b)] for a in objs for b in objs],
                    [m[(f, g)] for f in mors for g in mors])

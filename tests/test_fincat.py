@@ -67,8 +67,9 @@ class TestFinCategory:
             FinCategory(2, **fields)
 
     def test_product_tables_pass_the_check(self):
-        # product skips the check, so its tables must pass it on their own
-        # and hold the fields that __init__ would make of them
+        # product and opposite skip the check, so their tables must pass
+        # it on their own and hold the fields that __init__ would make of
+        # them
         rng = random.Random(7)
         monoids = [([[(i + j) % k for j in range(k)] for i in range(k)], 0)
                    for k in (1, 2, 3)]
@@ -76,8 +77,9 @@ class TestFinCategory:
         cats = [FinCategory.from_monoid(*m) for m in monoids]
         cats += [random_poset_category(rng, n) for n in (1, 2, 3, 3, 4)]
         for a in cats:
-            for b in rng.sample(cats, 4):
-                p = a.product(b)
+            derived = [a.opposite()] + [a.product(b)
+                                        for b in rng.sample(cats, 4)]
+            for p in derived:
                 q = FinCategory(p.n_objects, p.morphisms, p.identities,
                                 p.comp)
                 assert (q.morphisms, q.identities, q.comp) == (
@@ -266,10 +268,21 @@ class TestLimits:
 class TestEndsAndNat:
     def test_end_of_hom_is_nat(self):
         rng = random.Random(2)
+        pairs = []
         for _ in range(10):
             n = rng.randrange(1, 3)
-            f = chain_diagram(rng, n)
-            g = chain_diagram(rng, n)
+            pairs.append((chain_diagram(rng, n), chain_diagram(rng, n)))
+        # on Z/k a twisted arrow (p, q) from f to q.f.p may return to f
+        # with p and q not both identities, unlike on a chain
+        for k in (2, 3):
+            zk = cyclic(k)
+            regular = Diagram(zk, [list(range(k))],
+                              [{x: (x + i) % k for x in range(k)}
+                               for i in range(k)])
+            trivial = Diagram(zk, [["t0", "t1"]],
+                              [{"t0": "t0", "t1": "t1"}] * k)
+            pairs += itertools.product([regular, trivial], repeat=2)
+        for f, g in pairs:
             h = fincat.hom_bifunctor(f, g)
             wedges = fincat.end(h)
             nats = fincat.nat_transformations(f, g)

@@ -463,6 +463,35 @@ class TestSymmetricMonoidal:
         with pytest.raises(ValueError, match=message):
             pn.FinSymMonCat(q.cat, **fields)
 
+    BASES = {
+        # objects {} = 0 (the unit) and {0} = 1
+        "subsets of {0}": lambda: pn.FinSymMonCat.subsets_under_union(1),
+        "Z/2": lambda: pn.FinSymMonCat.from_commutative_monoid(
+            [[0, 1], [1, 0]], 0),
+        "Z/3": lambda: pn.FinSymMonCat.from_commutative_monoid(
+            [[(i + j) % 3 for j in range(3)] for i in range(3)], 0),
+    }
+
+    @pytest.mark.parametrize("base, field, change, message", [
+        # {0} (x) {} := {}
+        ("subsets of {0}", "obj_tensor", {(1, 0): 0, (0, 1): 0},
+         "unit law fails on objects"),
+        # 1 (x) 0 := 0
+        ("Z/2", "mor_tensor", {(1, 0): 0, (0, 1): 0},
+         "unit law fails on morphisms"),
+        # commutative and unital, but (1.1).2 = 1 while 1.(1.2) = 2
+        ("Z/3", "mor_tensor", {(1, 1): 2, (1, 2): 1, (2, 1): 1, (2, 2): 1},
+         "morphism tensor not associative"),
+    ])
+    def test_tensor_law_defects_rejected(self, base, field, change, message):
+        # each change keeps the tables total and commutative
+        q = self.BASES[base]()
+        fields = {"obj_tensor": dict(q.obj_tensor),
+                  "mor_tensor": dict(q.mor_tensor)}
+        fields[field].update(change)
+        with pytest.raises(ValueError, match=message):
+            pn.FinSymMonCat(q.cat, q.unit, **fields)
+
     def test_tensor_breaking_endpoints_rejected(self):
         # subsets of {0}: id of {} = 0, {} <= {0} = 1, id of {0} = 2;
         # 1 (x) 2 must be the identity of {0}, and 1 keeps the tensor

@@ -455,6 +455,51 @@ class TestCompose:
         dims = json.loads(out.stdout)["result"]["dims"]
         assert dims == {"a|a": 1, "a|b": 0, "b|a": 0, "b|b": 1}
 
+    @staticmethod
+    def over_points(apex, left="x", right="y"):
+        """The span {left} <- apex -> {right}."""
+        return {"left_foot": [left], "apex": apex, "right_foot": [right],
+                "left_map": {a: left for a in apex},
+                "right_map": {a: right for a in apex}}
+
+    def test_composite_apex_points_written_alike_exit_two(self, run_cli,
+                                                          tmp_path):
+        # the composite apex points ('a', 'b,c') and ('a,b', 'c') would
+        # both be written "a,b,c"
+        f1 = tmp_path / "s1.json"
+        f2 = tmp_path / "s2.json"
+        f1.write_text(json.dumps(self.over_points(["a", "a,b"])))
+        f2.write_text(json.dumps(self.over_points(["b,c", "c"], "y", "w")))
+        out = run_cli("compose", "--kind", "span", str(f1), str(f2))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert json.loads(out.stderr) == {
+            "error": "apex points ('a', 'b,c') and ('a,b', 'c') are both "
+                     "written 'a,b,c'"}
+
+    @pytest.mark.parametrize("apexes, where", [
+        # the first document's dims key both points "a|b|c"
+        ((["a", "a|b"], ["b|c", "c"], ["z"]), "2-morphism.dims: "),
+        # the two documents are sound, their composite's dims are not
+        ((["a", "a|b"], ["z"], ["b|c", "c"]), ""),
+    ], ids=["read", "written"])
+    def test_intersection_points_keyed_alike_exit_two(self, run_cli, tmp_path,
+                                                      apexes, where):
+        files = []
+        for i, (source, target) in enumerate(zip(apexes, apexes[1:])):
+            doc = {"span_source": self.over_points(source),
+                   "span_target": self.over_points(target),
+                   "dims": {"%s|%s" % (s, t): 1
+                            for s in source for t in target}}
+            files.append(tmp_path / ("m%d.json" % i))
+            files[-1].write_text(json.dumps(doc))
+        out = run_cli("compose", "--kind", "vertical", *map(str, files))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert json.loads(out.stderr) == {
+            "error": where + "intersection points ('a', 'b|c') and "
+                     "('a|b', 'c') are both written 'a|b|c'"}
+
 
 class TestCrwCommand:
     def test_intersect_transverse_point(self, run_cli, tmp_path):
