@@ -7,9 +7,11 @@ Subcommands
 ``verify``     run the property suites with per-check pass/fail output
 ``crw``        derived intersections, cohomology tables, worked examples
 
-All output is deterministic for fixed inputs, seed, and bounds; rational
-numbers are serialized as "p/q" strings.  Exit codes: 0 success, 1 a
-property failed, 2 malformed or incompatible input.
+Each handler builds its command's document once, and ``_write`` alone
+turns it into text: the JSON document, or with ``--format csv`` one row
+list of it.  All output is deterministic for fixed inputs, seed, and
+bounds; rational numbers are serialized as "p/q" strings.  Exit codes:
+0 success, 1 a property failed, 2 malformed or incompatible input.
 """
 
 from __future__ import annotations
@@ -36,13 +38,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# the writer and the JSON codec
 # ---------------------------------------------------------------------------
 
-def _emit(args, text):
-    if not text.endswith("\n"):
-        text += "\n"
-    if getattr(args, "out", None):
+def _cell(value):
+    """One CSV cell of a JSON value: a flag as 0 or 1, a list joined with
+    spaces, and a comma in text as ';'."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, list):
+        return " ".join(map(_cell, value))
+    return str(value).replace(",", ";")
+
+
+def _write(args, doc, rows=None, columns=()):
+    """Write a command's document to stdout or --out: as JSON, or with
+    --format csv as the list doc[rows], one line per row, a header of
+    columns and one cell per row key in columns."""
+    if getattr(args, "format", "json") == "csv":
+        lines = [columns] + [[_cell(row[c]) for c in columns]
+                             for row in doc[rows]]
+        text = "".join(",".join(line) + "\n" for line in lines)
+    else:
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
@@ -50,10 +69,6 @@ def _emit(args, text):
             raise InputError("cannot write %s: %s" % (args.out, exc))
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(args, payload):
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True))
 
 
 # The README formats.  A schema is a JSON leaf (str, int, or a tuple of
@@ -252,48 +267,31 @@ def cmd_enumerate(args):
         rows = [{"offset": o.values[0], "length": o.source_size,
                  "bottom": bool(f)}
                 for o, f in zip(p.objects, p.lambda_flags)]
-        payload = {"kind": "sigma", "level": args.level,
-                   "count": len(rows),
-                   "bottom_count": sum(r["bottom"] for r in rows),
-                   "objects": rows}
-        csv_rows = [("offset", "length", "bottom")] + [
-            (r["offset"], r["length"], int(r["bottom"])) for r in rows]
+        key, columns = "objects", ("offset", "length", "bottom")
     elif args.kind == "theta":
         from . import simplex
         p = simplex.build_theta(args.level)
         rows = [{"subset": list(o), "bottom": bool(f)}
                 for o, f in zip(p.objects, p.xi_flags)]
-        payload = {"kind": "theta", "level": args.level,
-                   "count": len(rows),
-                   "bottom_count": sum(r["bottom"] for r in rows),
-                   "objects": rows}
-        csv_rows = [("subset", "bottom")] + [
-            (" ".join(map(str, r["subset"])), int(r["bottom"]))
-            for r in rows]
+        key, columns = "objects", ("subset", "bottom")
     elif args.kind == "path":
         from . import pathnerve
         cat = pathnerve.build_path(args.level)
-        rows = []
-        for i in range(args.level + 1):
-            for j in range(i, args.level + 1):
-                rows.append({"source": i, "target": j,
-                             "hom_size": len(cat.hom(i, j))})
-        payload = {"kind": "path", "level": args.level, "homs": rows}
-        csv_rows = [("source", "target", "hom_size")] + [
-            (r["source"], r["target"], r["hom_size"]) for r in rows]
+        rows = [{"source": i, "target": j, "hom_size": len(cat.hom(i, j))}
+                for i in range(args.level + 1)
+                for j in range(i, args.level + 1)]
+        key, columns = "homs", ("source", "target", "hom_size")
     else:  # nerve
         from . import pathnerve
         table = pathnerve.nondegenerate_table(args.level, bound=args.bound)
-        counts = {(u, v): len(cells) for (u, v), cells in table.items()}
-        rows = [{"u": u, "v": v, "nondegenerate": c}
-                for (u, v), c in sorted(counts.items())]
-        payload = {"kind": "nerve", "level": args.level, "counts": rows}
-        csv_rows = [("u", "v", "nondegenerate")] + [
-            (r["u"], r["v"], r["nondegenerate"]) for r in rows]
-    if args.format == "csv":
-        _emit(args, "\n".join(",".join(map(str, row)) for row in csv_rows))
-    else:
-        _emit_json(args, payload)
+        rows = [{"u": u, "v": v, "nondegenerate": len(cells)}
+                for (u, v), cells in sorted(table.items())]
+        key, columns = "counts", ("u", "v", "nondegenerate")
+    doc = {"kind": args.kind, "level": args.level, key: rows}
+    if key == "objects":
+        doc.update(count=len(rows),
+                   bottom_count=sum(r["bottom"] for r in rows))
+    _write(args, doc, key, columns)
     return 0
 
 
@@ -312,9 +310,9 @@ def cmd_compose(args):
                 raise InputError("spans not composable: middle feet differ "
                                  "(%r vs %r)" % (s1.right_foot, s2.left_foot))
             out = compose_spans(s1, s2)
-            payload = {"kind": "span", "result": _span_to_json(out),
-                       "witness": {"pullback_pairs": [list(a)
-                                                      for a in out.apex]}}
+            doc = {"kind": "span", "result": _span_to_json(out),
+                   "witness": {"pullback_pairs": [list(a)
+                                                  for a in out.apex]}}
         elif args.kind == "vertical":
             mm = _two_morphism_from_json(first)
             nn = _two_morphism_from_json(second)
@@ -324,7 +322,7 @@ def cmd_compose(args):
                                  "span of the second")
             from . import pushpull
             out = pushpull.compose2_vertical(mm, nn)
-            payload = {
+            doc = {
                 "kind": "vertical", "result": _two_morphism_to_json(out),
                 "witness": {
                     "first_intersection": [_pair_key(t)
@@ -341,7 +339,7 @@ def cmd_compose(args):
                                  "the feet in the middle differ")
             from . import pushpull
             out = pushpull.compose2_horizontal(mm, mp)
-            payload = {
+            doc = {
                 "kind": "horizontal",
                 "result": {"dims": {str(t): out.payload.dim(t)
                                     for t in out.payload.base}},
@@ -350,7 +348,7 @@ def cmd_compose(args):
                                "pointwise pullback, zero elsewhere"}}
     except ValueError as exc:
         raise InputError(str(exc))
-    _emit_json(args, payload)
+    _write(args, doc)
     return 0
 
 
@@ -361,24 +359,15 @@ def cmd_compose(args):
 def cmd_verify(args):
     from . import verify
     results = verify.run_suite(args.suite, seed=args.seed, bound=args.bound)
-    failed = [r for r in results if not r[2]]
-    if args.format == "csv":
-        lines = ["suite,property,result"]
-        for suite, prop, ok, _ in results:
-            lines.append("%s,%s,%s" % (suite, prop.replace(",", ";"),
-                                       "pass" if ok else "fail"))
-        _emit(args, "\n".join(lines))
-    else:
-        payload = {"suite": args.suite, "seed": args.seed,
-                   "bound": args.bound,
-                   "checks": [{"suite": suite, "property": prop,
-                               "result": "pass" if ok else "fail",
-                               **({"counterexample": detail}
-                                  if detail else {})}
-                              for suite, prop, ok, detail in results],
-                   "failures": len(failed)}
-        _emit_json(args, payload)
-    return 1 if failed else 0
+    checks = [{"suite": suite, "property": prop,
+               "result": "pass" if ok else "fail",
+               **({"counterexample": detail} if detail else {})}
+              for suite, prop, ok, detail in results]
+    failures = sum(c["result"] == "fail" for c in checks)
+    doc = {"suite": args.suite, "seed": args.seed, "bound": args.bound,
+           "checks": checks, "failures": failures}
+    _write(args, doc, "checks", ("suite", "property", "result"))
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -421,32 +410,29 @@ def cmd_crw(args):
         if args.n is None or args.n < 2:
             raise InputError("intro requires --n with n >= 2")
         _, algebra, report = crw.build_intro_algebras(args.n)
-        payload = {"action": "intro", "n": args.n, "report": report,
-                   "critical_locus_presentation": _algebra_to_json(algebra)}
+        doc = {"action": "intro", "n": args.n, "report": report,
+               "critical_locus_presentation": _algebra_to_json(algebra)}
     else:
-        doc = _load_json(args.file, "presentation" if args.action ==
-                         "cohomology" else "intersection input")
+        given = _load_json(args.file, "presentation" if args.action ==
+                           "cohomology" else "intersection input")
         try:
             if args.action == "cohomology":
-                algebra = _algebra_from_json(doc)
-                payload = {"action": "cohomology"}
+                algebra = _algebra_from_json(given)
+                doc = {"action": "cohomology"}
             else:
-                ambient = _generators_from_json(doc["ambient"])
+                ambient = _generators_from_json(given["ambient"])
                 eqs1, eqs2 = ([_poly_from_json(len(ambient), p)
-                               for p in doc.get(k, [])]
+                               for p in given.get(k, [])]
                               for k in ("eqs1", "eqs2"))
                 algebra = crw.koszul_intersection(ambient, eqs1, eqs2)
-                payload = {"action": "intersect",
-                           "presentation": _algebra_to_json(algebra)}
+                doc = {"action": "intersect",
+                       "presentation": _algebra_to_json(algebra)}
         except ValueError as exc:
             raise InputError(str(exc))
     table = crw.cohomology(algebra, args.bound)
-    if args.format == "csv":
-        _emit(args, crw.cohomology_csv(table))
-    else:
-        payload["cohomology"] = [{"weight": w, "even_dim": e, "odd_dim": o}
-                                 for (w, e, o) in table]
-        _emit_json(args, payload)
+    doc["cohomology"] = [{"weight": w, "even_dim": e, "odd_dim": o}
+                         for (w, e, o) in table]
+    _write(args, doc, "cohomology", ("weight", "even_dim", "odd_dim"))
     return 0
 
 

@@ -475,13 +475,6 @@ def cohomology(algebra, weight_bound):
     return table
 
 
-def cohomology_csv(table):
-    lines = ["weight,even_dim,odd_dim"]
-    for w, e, o in table:
-        lines.append("%d,%d,%d" % (w, e, o))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # quotients and Koszul intersections
 # ---------------------------------------------------------------------------

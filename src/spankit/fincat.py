@@ -6,8 +6,8 @@ against its composable pairs.  Products number object (a, b) as
 objects and k morphisms), so a functor of two variables, such as a
 monoidal tensor C x C -> C, is a ``FinFunctor`` or ``Diagram`` on a
 product, checked as any other.  The opposite and product categories
-are not checked again: derived from checked categories, they are
-always categories.
+and the hom diagram of two diagrams are not checked again: derived from
+checked ones, they are always categories and functors.
 
 Limits as compatible families, found by ``compatible_families``: the one
 forced-value backtracker, on positions and tables, for which ``limit``,
@@ -176,6 +176,10 @@ class FinFunctor:
             raise ValueError("one object image per source object required")
         if len(self.mor_map) != len(A.morphisms):
             raise ValueError("one morphism image per source morphism required")
+        if not all(0 <= b < B.n_objects for b in self.obj_map):
+            raise ValueError("object image names an unknown object")
+        if not all(0 <= g < len(B.morphisms) for g in self.mor_map):
+            raise ValueError("morphism image names an unknown morphism")
         for f, (s, d) in enumerate(A.morphisms):
             ff = self.mor_map[f]
             if B.morphisms[ff] != (self.obj_map[s], self.obj_map[d]):
@@ -200,6 +204,14 @@ class Diagram:
         self.on_objects = [list(v) for v in on_objects]
         self.on_morphisms = [dict(m) for m in on_morphisms]
         self._check()
+
+    @staticmethod
+    def _unchecked(shape, on_objects, on_morphisms):
+        """A diagram derived from checked ones, which is therefore a
+        diagram: its lists are taken as they are, not checked again."""
+        D = Diagram.__new__(Diagram)
+        D.shape, D.on_objects, D.on_morphisms = shape, on_objects, on_morphisms
+        return D
 
     def _check(self):
         A = self.shape
@@ -347,7 +359,7 @@ def hom_bifunctor(F, G):
     """The functor (a, b) -> Set(F(a), G(b)) on A^op x A, for diagrams F,
     G on one shape A, as a diagram on ``A.opposite().product(A)``: its
     morphism (p, q), p: a' -> a and q: b -> b' in A, acts as
-    h -> G(q) . h . F(p)."""
+    h -> G(q) . h . F(p).  It is not checked again."""
     A = F.shape
     values = [[tuple(zip(F.on_objects[a], images))
                for images in itertools.product(G.on_objects[b],
@@ -361,7 +373,7 @@ def hom_bifunctor(F, G):
                 hd = dict(h)
                 m[h] = tuple((x, gq[hd[fp[x]]]) for x in F.on_objects[ap])
             action.append(m)
-    return Diagram(A.opposite().product(A), values, action)
+    return Diagram._unchecked(A.opposite().product(A), values, action)
 
 
 def end(H):

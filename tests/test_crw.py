@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import operator
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from spankit import crw, ratlin
+from spankit import cli, crw, ratlin
 from spankit.crw import Generator as G
 
 ONE = Fraction(1)
@@ -528,9 +529,18 @@ class TestCohomology:
                         assert ratlin.sparse_rank(crw.d_matrix(alg, w, p)) \
                             == ratlin.rank(oracle_d_matrix(alg, w, p))
 
-    def test_csv_format(self):
-        out = crw.cohomology_csv([(0, 1, 0), (1, 2, 3)])
-        assert out == "weight,even_dim,odd_dim\n0,1,0\n1,2,3\n"
+    def test_csv_format(self, capsys):
+        # the cell rule of the CLI writer: a flag as 0/1, a list joined
+        # with spaces, a comma in text as ';', anything else as str
+        assert [cli._cell(v) for v in (
+            True, False, 0, 7, [0, 2], [], [True], "a,b,c", "1/2")] == [
+            "1", "0", "0", "7", "0 2", "", "1", "a;b;c", "1/2"]
+        doc = {"cohomology": [{"weight": 0, "even_dim": 1, "odd_dim": 0},
+                              {"weight": 1, "even_dim": 2, "odd_dim": 3}]}
+        cli._write(argparse.Namespace(format="csv", out=None), doc,
+                   "cohomology", ("weight", "even_dim", "odd_dim"))
+        assert capsys.readouterr().out == (
+            "weight,even_dim,odd_dim\n0,1,0\n1,2,3\n")
 
 
 class TestQuotients:
@@ -762,8 +772,9 @@ class TestQuotients:
              "--bound", "4", "--format", "csv"],
             capture_output=True, text=True, timeout=10)
         assert out.returncode == 0, out.stderr
-        assert out.stdout == crw.cohomology_csv(
-            oracle_quotient_dims(gens, relations, 4))
+        assert out.stdout == "weight,even_dim,odd_dim\n" + "".join(
+            "%d,%d,%d\n" % row for row in oracle_quotient_dims(
+                gens, relations, 4))
 
     def test_odd_substitution_keeps_the_koszul_sign(self):
         # with a = c, d(x) = a*b + b*c = c*b + b*c = 0

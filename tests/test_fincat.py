@@ -137,6 +137,22 @@ class TestShapeCounts:
         with pytest.raises(ValueError, match=message):
             FinFunctor(self.POINT, self.POINT, obj_map, mor_map)
 
+    @pytest.mark.parametrize("n, obj_map, mor_map, message", [
+        # an IndexError once
+        (0, [0], [7], "morphism image names an unknown morphism"),
+        # a KeyError once: -2 passed the endpoint check as morphism 1
+        (1, [0, 1], [0, -2, 2], "morphism image names an unknown morphism"),
+        # accepted once, as object 1 and its identity
+        (0, [-1], [2], "object image names an unknown object"),
+        # "functor breaks endpoints" once
+        (0, [2], [2], "object image names an unknown object"),
+    ])
+    def test_functor_images_name_target_cells(self, n, obj_map, mor_map,
+                                              message):
+        with pytest.raises(ValueError, match=message):
+            FinFunctor(FinCategory.chain(n), FinCategory.chain(1), obj_map,
+                       mor_map)
+
 
 def zk_set_diagram(rng, k):
     """A random Z/k-set as a diagram on the one-object category Z/k:
@@ -293,6 +309,28 @@ class TestEndsAndNat:
                 tuple(sorted(eta[a].items())
                       for a in range(len(eta))) for eta in nats)
             assert wedge_keys == nat_keys
+
+    def test_hom_diagram_passes_the_check(self):
+        # hom_bifunctor builds its diagram unchecked, so the checked
+        # constructor must accept it
+        rng = random.Random(4)
+        pairs = []
+        for _ in range(10):
+            n = rng.randrange(1, 3)
+            pairs.append((chain_diagram(rng, n), chain_diagram(rng, n)))
+        for k in (2, 3, 4):
+            # the regular Z/k-set and random ones of at most 4 points
+            sets = [Diagram(cyclic(k), [list(range(k))],
+                            [{x: (x + i) % k for x in range(k)}
+                             for i in range(k)])]
+            while len(sets) < 4:
+                d = zk_set_diagram(rng, k)
+                if len(d.on_objects[0]) <= 4:
+                    sets.append(d)
+            pairs += itertools.product(sets, repeat=2)
+        for f, g in pairs:
+            h = fincat.hom_bifunctor(f, g)
+            Diagram(h.shape, h.on_objects, h.on_morphisms)
 
     def test_altered_hom_action_rejected(self):
         # on [1], the action of (p, p) for p : 0 -> 1 is the composite

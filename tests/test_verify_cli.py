@@ -77,12 +77,17 @@ class TestExitCodes:
         assert json.loads(out.stdout)["count"] == 6
 
     def test_property_failure_is_one(self, run_cli, monkeypatch):
+        # in either format; a comma in a property's name is ';' in CSV
         monkeypatch.setattr(verify, "run_suite",
-                            lambda *a, **k: [("posets", "demo", False,
+                            lambda *a, **k: [("posets", "de,mo", False,
                                              "synthetic failure")])
         out = run_cli("verify", "posets")
         assert out.returncode == 1
         assert json.loads(out.stdout)["failures"] == 1
+        assert json.loads(out.stdout)["checks"][0]["property"] == "de,mo"
+        out = run_cli("verify", "posets", "--format", "csv")
+        assert out.returncode == 1
+        assert out.stdout == "suite,property,result\nposets,de;mo,fail\n"
 
     def test_malformed_input_is_two(self, run_cli, tmp_path):
         bad = tmp_path / "bad.json"
@@ -293,6 +298,17 @@ class TestExitCodes:
         assert json.loads(out.stderr)["error"].startswith(
             "cannot write %s" % out_path)
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "theta", "2"],
+        ["verify", "posets", "--bound", "3", "--format", "csv"],
+    ])
+    def test_out_holds_what_stdout_would(self, run_cli, tmp_path, argv):
+        printed = run_cli(*argv)
+        out_path = tmp_path / "out.txt"
+        out = run_cli(*argv, "--out", str(out_path))
+        assert out == (0, "", "")
+        assert out_path.read_bytes() == printed.stdout.encode()
+
     def test_bad_level_is_two(self, run_cli):
         out = run_cli("enumerate", "sigma", "9", "--bound", "3")
         assert out.returncode == 2
@@ -391,6 +407,14 @@ class TestDeterminism:
           "--format", "csv"]),
         ("enumerate_nerve_6.csv",
          ["enumerate", "nerve", "6", "--bound", "6", "--format", "csv"]),
+        ("verify_all_4.csv", ["verify", "all", "--bound", "4", "--format",
+                              "csv"]),
+        ("enumerate_theta_2.json", ["enumerate", "theta", "2"]),
+        ("enumerate_path_3.json", ["enumerate", "path", "3"]),
+        ("crw_intro_2.json", ["crw", "intro", "--n", "2"]),
+        ("crw_intersect_dependent_6.csv",
+         ["crw", "intersect", str(GOLDEN / "crw_intersect_dependent.json"),
+          "--bound", "6", "--format", "csv"]),
     ])
     def test_matches_golden(self, run_cli, name, argv):
         out = run_cli(*argv)
