@@ -283,9 +283,10 @@ def cmd_enumerate(args):
         key, columns = "homs", ("source", "target", "hom_size")
     else:  # nerve
         from . import pathnerve
-        table = pathnerve.nondegenerate_table(args.level, bound=args.bound)
-        rows = [{"u": u, "v": v, "nondegenerate": len(cells)}
-                for (u, v), cells in sorted(table.items())]
+        rows = [{"u": u, "v": v, "nondegenerate":
+                 pathnerve.count_nondegenerate(args.level, u, v)}
+                for u in range(args.bound + 1)
+                for v in range(args.bound + 1 - u)]
         key, columns = "counts", ("u", "v", "nondegenerate")
     doc = {"kind": args.kind, "level": args.level, key: rows}
     if key == "objects":

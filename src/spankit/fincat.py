@@ -220,6 +220,8 @@ class Diagram:
         if len(self.on_morphisms) != len(A.morphisms):
             raise ValueError("one morphism map per morphism required")
         sets = [set(v) for v in self.on_objects]
+        if any(len(s) != len(v) for s, v in zip(sets, self.on_objects)):
+            raise ValueError("value list repeats a value")
         for f, (s, d) in enumerate(A.morphisms):
             m = self.on_morphisms[f]
             if m.keys() != sets[s]:

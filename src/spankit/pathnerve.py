@@ -26,8 +26,9 @@ limit constructions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .fincat import FinCategory, FinFunctor, compatible_families
 from .simplex import MonotoneMap, PointedMap, underlying_monoid
@@ -231,6 +232,29 @@ def nondegenerate_table(l, bound=5):
                             for v in range(bound + 1 - u)], True)
 
 
+def count_nondegenerate(l, u, v):
+    """The number of nondegenerate (u,v)-simplices of the binerve of
+    Path(l), ``len(nondegenerate_table(l, b)[u, v])``, built from none.
+
+    For u = 0 there is no row: l + 1 simplices at v = 0, none above.
+    For u >= 1 the objects i_0 < ... < i_u span d = i_u - i_0 in
+    u <= d <= l: i_0 takes l + 1 - d places and the u - 1 inner objects
+    C(d - 1, u - 1) sets of the d - 1 points between.  hom(i, j) is the
+    Boolean lattice on the j - i - 1 points inside, and a weak chain of
+    s + 1 subsets in it is a choice, per point, of the subset it enters
+    at or of never: (s + 2)^(j - i - 1) chains, so (s + 2)^(d - u) tuples
+    of rows.  The rows whose strict steps all lie in a fixed S of the v
+    steps are those chains of |S| + 1 subsets, and a simplex is
+    nondegenerate when its steps cover all v, so Moebius inversion over
+    S gives the sum over s = |S| with sign (-1)^(v - s) and C(v, s)."""
+    if u == 0:
+        return l + 1 if v == 0 else 0
+    return sum((-1) ** (v - s) * math.comb(v, s)
+               * sum((l + 1 - d) * math.comb(d - 1, u - 1) * (s + 2) ** (d - u)
+                     for d in range(u, l + 1))
+               for s in range(v + 1))
+
+
 # ---------------------------------------------------------------------------
 # grid diagrams (commutative cubes) in a finite category
 # ---------------------------------------------------------------------------
@@ -268,6 +292,12 @@ class GridElement:
 
 def _grid_nodes(dims):
     return list(itertools.product(*[range(k + 1) for k in dims]))
+
+
+def _grid_edge_keys(dims):
+    """The edge keys (node, axis) of a grid of shape dims, sorted."""
+    return [(node, ax) for node in _grid_nodes(dims)
+            for ax in range(len(dims)) if node[ax] < dims[ax]]
 
 
 def _shifted(node, ax, by=1):
@@ -325,32 +355,49 @@ def square_n(cat, dims):
             for fam in compatible_families(sizes, arrows)]
 
 
-def grid_composite(cat, grid, start, end):
-    """The composite morphism of a grid diagram from node start to end."""
-    node = start
-    f = cat.identities[grid.obj(start)]
-    for ax in range(len(grid.dims)):
-        while node[ax] < end[ax]:
-            f = cat.comp[(grid.edge(node, ax), f)]
-            node = _shifted(node, ax)
-    return f
+@lru_cache(maxsize=None)
+def _grid_plan(old_dims, maps):
+    """How ``grid_act`` reindexes a grid of shape old_dims along maps:
+    the new dims, nodes and edge keys; per new node the index of its old
+    node; per new edge (node, ax) the index of its old start node and
+    the indices of the old edges from there along axis ax to the old
+    node of node + e_ax.  A plan serves every grid of the shape."""
+    dims = tuple(m.source_size for m in maps)
+    nodes = _grid_nodes(dims)
+    old_nodes = {node: i for i, node in enumerate(_grid_nodes(old_dims))}
+    old_edges = {key: i for i, key in enumerate(_grid_edge_keys(old_dims))}
+    keys = _grid_edge_keys(dims)
+    paths = []
+    for node, ax in keys:
+        at = [m(c) for m, c in zip(maps, node)]
+        start, end = old_nodes[tuple(at)], maps[ax](node[ax] + 1)
+        path = []
+        while at[ax] < end:
+            path.append(old_edges[tuple(at), ax])
+            at[ax] += 1
+        paths.append((start, tuple(path)))
+    olds = tuple(old_nodes[tuple(m(c) for m, c in zip(maps, node))]
+                 for node in nodes)
+    return dims, tuple(nodes), tuple(keys), olds, tuple(paths)
 
 
 def grid_act(cat, grid, maps):
-    """Reindex a grid diagram along monotone maps, one per axis."""
-    dims = tuple(m.source_size for m in maps)
-    nodes = _grid_nodes(dims)
-    objs = {}
-    edges = {}
-    for node in nodes:
-        old = tuple(m(c) for m, c in zip(maps, node))
-        objs[node] = grid.obj(old)
-        for ax in range(len(dims)):
-            if node[ax] < dims[ax]:
-                old_nxt = tuple(m(c) for m, c in zip(maps, _shifted(node, ax)))
-                edges[(node, ax)] = grid_composite(cat, grid, old, old_nxt)
-    return GridElement(dims, tuple(sorted(objs.items())),
-                       tuple(sorted(edges.items())))
+    """Reindex a grid diagram along monotone maps, one per axis.  It
+    reads ``grid.objs`` and ``grid.edges`` as lists, in node order and
+    key order, and composes each new edge along its ``_grid_plan`` path
+    from the identity of its start object."""
+    dims, nodes, keys, olds, paths = _grid_plan(grid.dims, tuple(maps))
+    objs = [o for _, o in grid.objs]
+    edges = [f for _, f in grid.edges]
+    ids, comp = cat.identities, cat.comp
+    out = []
+    for start, path in paths:
+        f = ids[objs[start]]
+        for e in path:
+            f = comp[edges[e], f]
+        out.append(f)
+    return GridElement(dims, tuple(zip(nodes, [objs[i] for i in olds])),
+                       tuple(zip(keys, out)))
 
 
 class SquareOfNerve:
@@ -395,13 +442,12 @@ def labelled_limit(X, l):
 
     An element assigns to every nondegenerate (u,v)-simplex of the
     binerve (u+v <= l) an element of X_{u,v}, compatibly with all face
-    maps between nondegenerate simplices.  Returns a list of dicts.
+    maps between nondegenerate simplices.  Returns a list of dicts.  The
+    simplices and their faces are built once per level, for every X; the
+    face tables of X are built per call and fill as the solver reads
+    them.
     """
-    simplices = [s for nd in nondegenerate_table(l, bound=l).values()
-                 for s in nd]
-    # this order fixes the output: the keys and the order of the families
-    simplices.sort(key=lambda s: (-(s.u + s.v), s.objs, s.chains))
-    return _limit_over(X, simplices, _injective_maps)
+    return _limit_over(X, *_nondegenerate_window(l))
 
 
 def labelled_limit_full(X, l, ubound=None, vbound=None):
@@ -414,12 +460,43 @@ def labelled_limit_full(X, l, ubound=None, vbound=None):
     that keeps the families whose ``spine_square_simplex(2)`` square has
     identity edges along v.  The two agree where X_{0,v} holds no other
     element over a vertex: for C whose only endomorphisms are identities,
-    and for ``TensorGridObject``, whose X_{0,v} is {()}."""
+    and for ``TensorGridObject``, whose X_{0,v} is {()}.  The window is
+    built once per (l, ubound, vbound), as for ``labelled_limit``."""
     ubound = l if ubound is None else ubound
     vbound = l if vbound is None else vbound
+    return _limit_over(X, *_full_window(l, ubound, vbound))
+
+
+@lru_cache(maxsize=None)
+def _nondegenerate_window(l):
+    """``_faces`` of the nondegenerate simplices, u + v <= l, along the
+    injective maps."""
+    simplices = [s for nd in nondegenerate_table(l, bound=l).values()
+                 for s in nd]
+    # this order fixes the output: the keys and the order of the families
+    simplices.sort(key=lambda s: (-(s.u + s.v), s.objs, s.chains))
+    return _faces(simplices, _injective_maps)
+
+
+@lru_cache(maxsize=None)
+def _full_window(l, ubound, vbound):
+    """``_faces`` of every simplex, u <= ubound and v <= vbound, along
+    the faces and degeneracies."""
     simplices = [s for u in range(ubound + 1) for v in range(vbound + 1)
                  for s in nerve(l, u, v)]
-    return _limit_over(X, simplices, _generators)
+    return _faces(simplices, _generators)
+
+
+def _faces(simplices, maps):
+    """The simplices and, per simplex s, its arrows (j, alpha, beta) to
+    every other listed simplex simplices[j] = act(s, alpha, beta), for
+    alpha in maps(s.u) and beta in maps(s.v), where maps(n) lists maps
+    into [n].  All tuples: the windows cache them for every caller."""
+    index = {s: i for i, s in enumerate(simplices)}
+    return tuple(simplices), tuple(
+        tuple((j, alpha, beta) for alpha in maps(s.u) for beta in maps(s.v)
+              for j in [index.get(act(s, alpha, beta), i)] if j != i)
+        for i, s in enumerate(simplices))
 
 
 class _FaceTable(dict):
@@ -434,32 +511,25 @@ class _FaceTable(dict):
         return q
 
 
-def _limit_over(X, simplices, maps):
+def _limit_over(X, simplices, faces):
     """The compatible families over ``simplices``, as dicts keyed by
-    simplex.  Each simplex s has an arrow to every other listed simplex
-    act(s, alpha, beta), for alpha in maps(s.u) and beta in maps(s.v),
-    where maps(n) lists maps into [n].  The solver runs on positions in
-    each X.values(u, v), called once per (u, v); each face (alpha, beta)
-    is one table, shared by its simplices and filled as the solver reads
-    it (a full window forces most values of its largest shapes)."""
-    index = {s: i for i, s in enumerate(simplices)}
+    simplex, along the arrows ``faces`` (see ``_faces``), which a window
+    builds once per level.  The solver runs on positions in each
+    X.values(u, v), called once per (u, v); each face (alpha, beta) is
+    one table, shared by its simplices and filled as the solver reads it
+    (a full window forces most values of its largest shapes)."""
     values = {uv: X.values(*uv)
               for uv in dict.fromkeys((s.u, s.v) for s in simplices)}
     ranks = {uv: {x: p for p, x in enumerate(vs)}
              for uv, vs in values.items()}
     tables = {}  # (alpha, beta) -> its _FaceTable
-    arrows = [[] for _ in simplices]
-    for i, s in enumerate(simplices):
-        for alpha in maps(s.u):
-            for beta in maps(s.v):
-                t = act(s, alpha, beta)
-                j = index.get(t, i)
-                if j != i:
-                    if (alpha, beta) not in tables:
-                        tables[alpha, beta] = _FaceTable(
-                            X, (alpha, beta), values[s.u, s.v],
-                            ranks[t.u, t.v])
-                    arrows[i].append((j, tables[alpha, beta]))
+    for s, row in zip(simplices, faces):
+        for j, alpha, beta in row:
+            if (alpha, beta) not in tables:
+                t = simplices[j]
+                tables[alpha, beta] = _FaceTable(
+                    X, (alpha, beta), values[s.u, s.v], ranks[t.u, t.v])
+    arrows = [[(j, tables[a, b]) for j, a, b in row] for row in faces]
     domains = [values[s.u, s.v] for s in simplices]
     return [dict(zip(simplices, [d[p] for d, p in zip(domains, fam)]))
             for fam in compatible_families(list(map(len, domains)), arrows)]
@@ -565,14 +635,10 @@ class FinSymMonCat:
         return GridElement(g1.dims, objs, edges)
 
     def unit_grid(self, dims):
-        nodes = _grid_nodes(dims)
-        objs = tuple(sorted((node, self.unit) for node in nodes))
-        edges = []
-        for node in nodes:
-            for ax in range(len(dims)):
-                if node[ax] < dims[ax]:
-                    edges.append(((node, ax), self.cat.identities[self.unit]))
-        return GridElement(tuple(dims), objs, tuple(sorted(edges)))
+        e = self.cat.identities[self.unit]
+        return GridElement(tuple(dims),
+                           tuple((n, self.unit) for n in _grid_nodes(dims)),
+                           tuple((key, e) for key in _grid_edge_keys(dims)))
 
 
 class TensorGridObject:

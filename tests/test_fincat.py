@@ -127,6 +127,18 @@ class TestShapeCounts:
         with pytest.raises(ValueError, match=message):
             Diagram(self.POINT, on_objects, on_morphisms)
 
+    @pytest.mark.parametrize("on_objects", [[["a", "a"]],
+                                            [["a", "a"], ["b"]]])
+    def test_repeated_value_rejected(self, on_objects):
+        # a repeat used to make limit list one family twice
+        A = FinCategory.chain(len(on_objects) - 1)
+        on_morphisms = [{x: x if s == d else on_objects[d][0]
+                         for x in on_objects[s]} for s, d in A.morphisms]
+        with pytest.raises(ValueError, match="repeats a value"):
+            Diagram(A, on_objects, on_morphisms)
+        once = [list(dict.fromkeys(v)) for v in on_objects]
+        assert len(fincat.limit(Diagram(A, once, on_morphisms)).apex) == 1
+
     @pytest.mark.parametrize("obj_map, mor_map, message", [
         ([0, 0], [0], "one object image per source object"),
         ([], [0], "one object image per source object"),

@@ -59,6 +59,13 @@ class TestNerveCells:
         table = pn.nondegenerate_table(5)
         assert sum(map(len, table.values())) == 851
 
+    def test_count_matches_the_generated_table(self):
+        # the generated table is the oracle for the closed form
+        runs = [(l, b) for l in range(7) for b in (l, l + 2)] + [(7, 7)]
+        for l, bound in runs:
+            for (u, v), cells in pn.nondegenerate_table(l, bound).items():
+                assert pn.count_nondegenerate(l, u, v) == len(cells)
+
     def test_degeneracy_detection(self):
         # a (0,1) cell is constant in the u direction, hence degenerate
         cells = pn.nerve(2, 0, 1)
@@ -121,6 +128,30 @@ def face_maps(u, v):
                     yield MonotoneMap(up, u, a), MonotoneMap(vp, v, b)
 
 
+def grid_act_by_walking(cat, grid, maps):
+    """Oracle for grid_act: each new node takes the object of its old
+    node, and each new edge the composite, from the identity of its old
+    start object, of the old edges met walking node by node, axis by
+    axis, to its old end."""
+    dims = tuple(m.source_size for m in maps)
+    objs, edges = {}, {}
+    for node in itertools.product(*[range(k + 1) for k in dims]):
+        old = tuple(m(c) for m, c in zip(maps, node))
+        objs[node] = grid._obj_map[old]
+        for ax in range(len(dims)):
+            if node[ax] < dims[ax]:
+                end = tuple(m(c + (i == ax))
+                            for i, (m, c) in enumerate(zip(maps, node)))
+                at, f = old, cat.identities[grid._obj_map[old]]
+                for k in range(len(dims)):
+                    while at[k] < end[k]:
+                        f = cat.comp[grid._edge_map[at, k], f]
+                        at = tuple(c + (i == k) for i, c in enumerate(at))
+                edges[node, ax] = f
+    return pn.GridElement(dims, tuple(sorted(objs.items())),
+                          tuple(sorted(edges.items())))
+
+
 class TestAction:
     def test_square_of_nerve(self):
         X = pn.SquareOfNerve(fincat.FinCategory.from_monoid(
@@ -129,8 +160,25 @@ class TestAction:
             for v in range(3 - u):
                 for alpha, beta in face_maps(u, v):
                     for x in X.values(u, v):
-                        want = pn.grid_act(X.cat, x, (alpha, beta))
+                        want = grid_act_by_walking(X.cat, x, (alpha, beta))
                         assert X.act(alpha, beta, x) == want
+
+    def test_grid_act_matches_the_walk(self):
+        # every face and degeneracy of each axis, the others held fixed
+        diamond = fincat.FinCategory.from_poset(
+            4, lambda a, b: a == b or a == 0 or b == 3)
+        z3 = fincat.FinCategory.from_monoid(
+            [[(i + j) % 3 for j in range(3)] for i in range(3)], 0)
+        for cat in (z3, diamond):
+            for dims in ((2,), (1, 2), (2, 1), (1, 1, 1)):
+                grids = pn.square_n(cat, dims)
+                for ax, k in enumerate(dims):
+                    for g in pn._generators(k)[1:]:
+                        maps = tuple(g if i == ax else MonotoneMap.identity(n)
+                                     for i, n in enumerate(dims))
+                        for x in grids[::max(1, len(grids) // 100)]:
+                            got = pn.grid_act(cat, x, maps)
+                            assert got == grid_act_by_walking(cat, x, maps)
 
     def test_tensor_grid_object(self):
         Q = pn.FinSymMonCat.from_commutative_monoid([[0, 1], [1, 0]], 0)
@@ -142,8 +190,9 @@ class TestAction:
                     psi = simplex.PointedMap.identity(1).smash(
                         simplex.underlying_monoid(alpha))
                     for x in X.values(u, v):
-                        grids = tuple(pn.grid_act(Q.cat, g, (beta, idn))
-                                      for g in x)
+                        grids = tuple(
+                            grid_act_by_walking(Q.cat, g, (beta, idn))
+                            for g in x)
                         want = X.gamma_act(psi, grids, beta.source_size)
                         assert X.act(alpha, beta, x) == want
 
@@ -424,6 +473,27 @@ class TestLimitBuilder:
         assert len(fams) == 2 ** 9
         assert hashlib.sha256(repr(fams).encode()).hexdigest() == (
             "d2b96e9301de326ee2ba5bf0d25fda8d8116de5bf3bb449063702fe3e72cf886")
+
+
+    def test_cached_window_changes_no_result(self):
+        # a window is shared by every X at its level, so an X that used it
+        # first may leave no trace in the families of the next
+        C2 = fincat.FinCategory.from_monoid([[0, 1], [1, 0]], 0)
+        Q = pn.FinSymMonCat.from_commutative_monoid([[0, 1], [1, 0]], 0)
+        runs = [(pn.labelled_limit, pn.SquareOfNerve(C2),
+                 pn.TensorGridObject(Q, 1, 1), (3,), 2 ** 9,
+                 "d2b96e9301de326ee2ba5bf0d25fda8d8116de5bf3bb449063702fe3e72cf886"),
+                (pn.labelled_limit_full, pn.TensorGridObject(Q, 1, 1),
+                 pn.SquareOfNerve(C2), (2, 1, 1), 32,
+                 "c06a2a854008c1f303a73e1ee944d460202c22fd5201e367fbae14f9ec88962f")]
+        for limit, X, other, args, size, digest in runs:
+            pn._nondegenerate_window.cache_clear()
+            pn._full_window.cache_clear()
+            first = limit(X, *args)
+            limit(other, *args)
+            for fams in (first, limit(X, *args)):
+                assert len(fams) == size
+                assert hashlib.sha256(repr(fams).encode()).hexdigest() == digest
 
 
 class TestSymmetricMonoidal:
