@@ -474,7 +474,6 @@ class TestLimitBuilder:
         assert hashlib.sha256(repr(fams).encode()).hexdigest() == (
             "d2b96e9301de326ee2ba5bf0d25fda8d8116de5bf3bb449063702fe3e72cf886")
 
-
     def test_cached_window_changes_no_result(self):
         # a window is shared by every X at its level, so an X that used it
         # first may leave no trace in the families of the next
