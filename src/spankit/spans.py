@@ -14,6 +14,13 @@ value as its position in its label list.  Cover maps and composites are
 tuples of target positions, one entry per source position, keyed by
 code pairs; slice limits are solved on these integers, and values are
 looked up only for the results.
+
+A composite is filled on its first read, so a diagram built unchecked
+composes only the pairs that are read (replacement and the cartesian
+check read the pairs that end at a bottom object).  With ``check`` on,
+the constructor builds and checks every composite.  Cartesian
+replacement builds its result unchecked: each label is a limit and each
+map restricts families, so the result is a functor by construction.
 """
 
 from __future__ import annotations
@@ -50,6 +57,11 @@ class Span:
         lm, rm = dict(self.left_map), dict(self.right_map)
         object.__setattr__(self, "_left", lm)
         object.__setattr__(self, "_right", rm)
+        apex = set(self.apex)
+        for leg, d in ((self.left_map, lm), (self.right_map, rm)):
+            # one pair per apex element, and none for another point
+            if len(d) != len(leg) or not apex.issuperset(d):
+                raise ValueError("span leg is not a function on the apex")
         for a in self.apex:
             if lm.get(a) not in self.left_foot or rm.get(a) not in self.right_foot:
                 raise ValueError("span legs not total")
@@ -149,14 +161,44 @@ class ProductPoset:
 # generalized span diagrams
 # ---------------------------------------------------------------------------
 
+class _Composites(dict):
+    """The composite of every pair a >= b of object codes, per slot a
+    tuple of target positions, composed on first read along the first
+    cover step a -> m above b.  A pair that is not an arrow raises
+    ``KeyError``."""
+
+    def __init__(self, poset, values, step):
+        self.up, self.down = poset._up_c, poset._down_c
+        self._values, self.step = values, step
+
+    def routes(self, a, b):
+        """The composite a -> b along each cover step out of a above b,
+        in the order of ``_up_c``; for b == a, the identity alone."""
+        if b == a:
+            yield [tuple(range(len(s))) for s in self._values[a]]
+            return
+        for m, ds in zip(self.up[a], self.step[a]):
+            if b in self.down[m]:
+                yield [tuple(map(r.__getitem__, d))
+                       for r, d in zip(self[m, b], ds)]
+
+    def __missing__(self, key):
+        a, b = key
+        if b not in self.down[a]:
+            raise KeyError(key)
+        c = self[key] = next(self.routes(a, b))
+        return c
+
+
 class GeneralizedSpanDiagram:
     """A width-t labelling of a product poset by finite sets and maps.
 
     ``labels[obj]`` is a list of t label sets (lists); ``maps[(a, b)]``,
     for each covering arrow a -> b, is a list of t dicts.  The composite
-    for every pair a >= b is built once, on construction, along the
-    first cover step a -> m above b; with ``check`` on, every other first
-    step must give the same composite (functoriality).
+    for a pair a >= b is built once, on its first read, along the first
+    cover step a -> m above b.  With ``check`` on, the constructor builds
+    every composite, smaller down-sets first, and every other first step
+    must give the same composite (functoriality).
 
     Every composite, the cover maps among them, is kept in
     ``_composites`` per slot as a tuple of positions (see the module
@@ -170,7 +212,6 @@ class GeneralizedSpanDiagram:
         self.width = width
         self.labels = {o: [list(s) for s in labels[o]] for o in poset.objects}
         self.maps = {e: [dict(d) for d in maps[e]] for e in poset.covers}
-        up, down = poset._up_c, poset._down_c
         values = [[tuple(s) for s in ls] for ls in self.labels.values()]
         covers = list(zip(poset._covers_c, self.maps.values()))
         if check:
@@ -178,22 +219,21 @@ class GeneralizedSpanDiagram:
         ranks = [[{v: p for p, v in enumerate(s)} for s in ls]
                  for ls in values]
         self._values = values
-        # the cover maps out of each object, aligned with up
-        step = [[] for _ in up]
+        # the cover maps out of each object, aligned with _up_c
+        step = [[] for _ in values]
         for (a, m), ds in covers:
             step[a].append([tuple(r[d[v]] for v in s)
                             for d, s, r in zip(ds, values[a], ranks[m])])
-        self._composites = table = {}
+        self._composites = table = _Composites(poset, values, step)
+        if not check:
+            return
+        down = poset._down_c
         # smaller down-sets first: every cover target before its sources
-        for a in sorted(range(len(up)), key=lambda c: len(down[c])):
-            table[a, a] = ident = [tuple(range(len(s))) for s in values[a]]
+        for a in sorted(range(len(values)), key=lambda c: len(down[c])):
             for b in down[a]:
-                routes = ([tuple(map(r.__getitem__, d))
-                           for r, d in zip(table[m, b], ds)]
-                          for m, ds in zip(up[a], step[a]) if b in down[m])
-                # only b == a has no route, and keeps its identity
-                table[a, b] = first = next(routes, ident)
-                if check and any(c != first for c in routes):
+                routes = table.routes(a, b)
+                table[a, b] = first = next(routes)
+                if any(c != first for c in routes):
                     raise ValueError("diagram not functorial at %r -> %r"
                                      % (poset.objects[a], poset.objects[b]))
 
@@ -273,7 +313,8 @@ def cartesian_replacement(F):
 
     Returns (G, comparison) where G is the replaced diagram (labels are
     value tuples in slice order) and comparison[x][slot] is the
-    canonical map from F's label into G's.
+    canonical map from F's label into G's.  G is built unchecked (see
+    the module docstring), so F's labels must not repeat a value.
     """
     poset = F.poset
     slices = poset._slices_c
@@ -285,7 +326,8 @@ def cartesian_replacement(F):
         new_maps[e] = [{fam: tuple(fam[i] for i in sub) for fam in fams}
                        for fams in labels[a]]
     G = GeneralizedSpanDiagram(poset, F.width,
-                               dict(zip(poset.objects, labels)), new_maps)
+                               dict(zip(poset.objects, labels)), new_maps,
+                               check=False)
     comparison = {x: [comparison_map(F, x, s) for s in range(F.width)]
                   for x in poset.objects}
     return G, comparison
@@ -406,6 +448,9 @@ def diagram_from_bottom(poset, width, bottom_labels, bottom_maps):
     for x in poset.objects:
         if poset.is_bottom(x):
             labels[x] = [list(s) for s in bottom_labels[x]]
+            # F is not checked, nor is its replacement
+            if any(len(set(s)) != len(s) for s in labels[x]):
+                raise ValueError("label set repeats a value")
         else:
             labels[x] = [[] for _ in range(width)]
     for (a, b) in poset.covers:

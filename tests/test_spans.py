@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -93,6 +95,14 @@ class TestSpanComposition:
             with pytest.raises(ValueError, match="lists an element twice"):
                 sp.Span((0,), apex, feet, legs, legs)
 
+    def test_leg_not_a_function_on_the_apex_rejected(self):
+        # a leg lists one apex point twice, or a point outside the apex
+        for left in [(("a", "x1"), ("a", "x2")), (("a", "x1"), ("b", "x2"))]:
+            for legs in [(left, (("a", "y"),)), ((("a", "y"),), left)]:
+                with pytest.raises(ValueError, match="not a function"):
+                    sp.Span(("x1", "x2", "y"), ("a",), ("x1", "x2", "y"),
+                            *legs)
+
     def test_incompatible_feet_rejected(self):
         s1 = sp.Span((0,), ("a",), (1,), (("a", 0),), (("a", 1),))
         s2 = sp.Span((2,), ("b",), (3,), (("b", 2),), (("b", 3),))
@@ -150,6 +160,12 @@ class TestCartesian:
         maps = {(edge, left): ident, (edge, right): ident}
         with pytest.raises(ValueError, match="label set repeats a value"):
             sp.GeneralizedSpanDiagram(p, 1, labels, maps)
+        # the replacement is not checked, so the bottom labels are
+        bottom = {edge: [["u", "u"]], left: [["v"]], right: [["v"]]}
+        to_v = [{"u": "v"}]
+        with pytest.raises(ValueError, match="label set repeats a value"):
+            sp.diagram_from_bottom(p, 1, bottom,
+                                   {(edge, left): to_v, (edge, right): to_v})
 
     def test_failure_witness(self):
         rng = random.Random(2)
@@ -215,10 +231,11 @@ class TestCartesian:
         assert unchecked.get_map(top, corner) == [
             {uu: ("v",), uv: ("v",), vu: ("u",), vv: ("u",)}]
 
-    def test_replacement_fixes_and_is_idempotent(self):
-        rng = random.Random(3)
-        F = random_bottom_diagram(rng, (2,), (1,))
-        # scramble a non-bottom label set
+    @staticmethod
+    def scrambled():
+        """A bottom-generated diagram on Sigma^2 x Theta^1 whose top label
+        keeps only its first value: not cartesian, built unchecked."""
+        F = random_bottom_diagram(random.Random(3), (2,), (1,))
         top = max(F.poset.objects,
                   key=lambda x: (x[0].source_size, len(x[1])))
         F.labels[top][0] = F.labels[top][0][:1]
@@ -226,9 +243,11 @@ class TestCartesian:
             if a == top:
                 F.maps[(a, b)][0] = {e: F.maps[(a, b)][0][e]
                                      for e in F.labels[top][0]}
-        broken = sp.GeneralizedSpanDiagram(F.poset, F.width, F.labels,
-                                           F.maps, check=False)
-        G, comparison = sp.cartesian_replacement(broken)
+        return sp.GeneralizedSpanDiagram(F.poset, F.width, F.labels,
+                                         F.maps, check=False)
+
+    def test_replacement_fixes_and_is_idempotent(self):
+        G, comparison = sp.cartesian_replacement(self.scrambled())
         ok, witness = sp.is_cartesian(G)
         assert ok, witness
         H, _ = sp.cartesian_replacement(G)
@@ -236,29 +255,76 @@ class TestCartesian:
             assert [len(s) for s in H.labels[x]] == \
                 [len(s) for s in G.labels[x]]
 
+    def test_checked_constructor_accepts_every_replacement(self):
+        """The replacement is built unchecked; the checked constructor
+        accepts it (labels repeat no value, maps are total and land in
+        their targets, every route gives one composite)."""
+        rng = random.Random(28)
+        inputs = [self.scrambled()]
+        for levels in TestSliceLimit.SHAPES:
+            for width in (1, 2):
+                inputs.append(random_bottom_diagram(rng, *levels, width=width))
+                for variant in ("top", "extra"):
+                    inputs.append(TestSliceLimit.shuffled(rng, levels, variant,
+                                                          width))
+        for F in inputs:
+            G, _ = sp.cartesian_replacement(F)
+            sp.GeneralizedSpanDiagram(G.poset, G.width, G.labels, G.maps)
+
+    def test_replacement_pinned(self):
+        """labels, maps and get_map of every pair of the replacement of
+        seeded diagrams up to Sigma^3 x Theta^3, pinned to a digest."""
+        rng = random.Random(28)
+        h = hashlib.sha256()
+        pairs = 0
+        for k in range(4):
+            for l in range(4):
+                F = random_bottom_diagram(rng, (k,), (l,),
+                                          width=rng.randint(1, 2))
+                G, _ = sp.cartesian_replacement(F)
+                p = G.poset
+                h.update(repr([G.labels[x] for x in p.objects]).encode())
+                h.update(repr([G.maps[e] for e in p.covers]).encode())
+                for a in p.objects:
+                    for b in p.objects:
+                        if p.leq(a, b):
+                            # the keys are a's label, in its order
+                            h.update(repr([list(m.values())
+                                           for m in G.get_map(a, b)]).encode())
+                            pairs += 1
+        assert pairs == 5040
+        assert h.hexdigest() == (
+            "c478f6798eb73397a05abe7466ecbf369edd7effba82c6a33d27de07cb168a3e")
+
 
 class TestComposites:
     def test_get_map_is_the_composite_along_any_cover_path(self):
+        # pairs are read in a shuffled order: an unchecked diagram fills a
+        # composite on its first read, a checked one builds them all
         rng = random.Random(21)
         for levels in TestSliceLimit.SHAPES:
             F = random_bottom_diagram(rng, *levels, width=rng.randint(1, 2))
             p = F.poset
             out = {a: [b for (x, b) in p.covers if x == a] for a in p.objects}
-            for a in p.objects:
-                for b in p.objects:
+            pairs = list(itertools.product(p.objects, repeat=2))
+            for check in (True, False):
+                G = sp.GeneralizedSpanDiagram(p, F.width, F.labels, F.maps,
+                                              check=check)
+                rng.shuffle(pairs)
+                for a, b in pairs:
                     if not factor_leq(p, a, b):
                         with pytest.raises(ValueError, match="no arrow"):
-                            F.get_map(a, b)
+                            G.get_map(a, b)
                         continue
                     # compose the cover maps along a random path a -> b
-                    path, x = [{k: k for k in s} for s in F.labels[a]], a
+                    path, x = [{k: k for k in s} for s in G.labels[a]], a
                     while x != b:
                         m = rng.choice([m for m in out[x]
                                         if factor_leq(p, m, b)])
                         path = [{k: d[v] for k, v in c.items()}
-                                for c, d in zip(path, F.maps[(x, m)])]
+                                for c, d in zip(path, G.maps[(x, m)])]
                         x = m
-                    assert F.get_map(a, b) == path, (levels, a, b)
+                    assert G.get_map(a, b) == path, (levels, check, a, b)
 
 
 class TestSliceLimit:
@@ -269,12 +335,13 @@ class TestSliceLimit:
               + [((1, 1), (1,))])
 
     @staticmethod
-    def shuffled(rng, levels, variant):
-        """A bottom-generated diagram with every bottom label list
-        shuffled.  ``top`` then doubles the first value of the top label
+    def shuffled(rng, levels, variant, width=None):
+        """A bottom-generated diagram (of a random width unless given)
+        with every bottom label list shuffled.  ``top`` then doubles the first value of the top label
         and ``extra`` gives a minimal object a value that no map reaches,
         which breaks cartesianness wherever those labels take part."""
-        F = random_bottom_diagram(rng, *levels, width=rng.randint(1, 2))
+        F = random_bottom_diagram(rng, *levels,
+                                  width=width or rng.randint(1, 2))
         p = F.poset
         labels = {x: [list(s) for s in F.labels[x]] for x in p.objects}
         maps = {e: [dict(d) for d in F.maps[e]] for e in p.covers}
