@@ -12,8 +12,12 @@ value is rejected.  Inside, the poset numbers its objects (the code of an
 object is its index in ``objects``) and a diagram holds every label
 value as its position in its label list.  Cover maps and composites are
 tuples of target positions, one entry per source position, keyed by
-code pairs; slice limits are solved on these integers, and values are
-looked up only for the results.
+code pairs; slice limits are taken on these integers, and values are
+looked up only for the results.  Only bottom slices go to the solver:
+any other slice is the union of the slices of two covers, and its
+families are the pairs of theirs that agree where the two meet.  A
+slice limit is taken on its first read, so the cartesian check stops
+at the first label that fails.
 
 A composite is filled on its first read, so a diagram built unchecked
 composes only the pairs that are read (replacement and the cartesian
@@ -21,13 +25,16 @@ check read the pairs that end at a bottom object).  With ``check`` on,
 the constructor builds and checks every composite.  Cartesian
 replacement builds its result unchecked: each label is a limit and each
 map restricts families, so the result is a functor by construction.
+Its comparison maps are built on first read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .fincat import compatible_families
 from .simplex import (SpanPoset, build_sigma, build_theta, push_sigma,
@@ -278,11 +285,40 @@ def _slice_positions(F, ys, slot):
                                arrows)
 
 
-def _slice_values(F, ys, slot):
-    """``_slice_positions`` with each position replaced by its value."""
-    values = [F._values[y][slot] for y in ys]
-    return [tuple(v[p] for v, p in zip(values, fam))
-            for fam in _slice_positions(F, ys, slot)]
+class _SliceLimits(dict):
+    """``_slice_positions`` of each object's slice for one slot, keyed
+    by code and filled on first read: the solver's on a bottom slice,
+    else the join of the slices of two covers (two faces, or two
+    co-singletons, in one factor) that make it up; slices are
+    down-closed, so every arrow lies in one of the two."""
+
+    def __init__(self, F, slot):
+        self.F, self.slot = F, slot
+
+    def __missing__(self, x):
+        poset = self.F.poset
+        slices = poset._slices_c
+        ys = slices[x]
+        # a bottom slice holds x itself, which no cover's slice does
+        pair = next(((m1, m2) for m1, m2
+                     in itertools.combinations(poset._up_c[x], 2)
+                     if len({*slices[m1], *slices[m2]}) == len(ys)), None)
+        if pair is None:
+            fams = self[x] = _slice_positions(self.F, ys, self.slot)
+            return fams
+        at1, at2 = ({y: p for p, y in enumerate(slices[m])} for m in pair)
+        key1, key2 = ([at[y] for y in at2 if y in at1] for at in (at1, at2))
+        # x's slice order from the two families concatenated (a tuple,
+        # as x's slice holds two objects or more)
+        pick = itemgetter(*[at1[y] if y in at1 else len(at1) + at2[y]
+                            for y in ys])
+        index = {}
+        for f2 in self[pair[1]]:
+            index.setdefault(tuple(map(f2.__getitem__, key2)), []).append(f2)
+        fams = self[x] = sorted(
+            pick(f1 + f2) for f1 in self[pair[0]]
+            for f2 in index.get(tuple(map(f1.__getitem__, key1)), ()))
+        return fams
 
 
 def comparison_map(F, x, slot):
@@ -295,15 +331,38 @@ def comparison_map(F, x, slot):
             for e, qs in zip(F._values[x][slot], zip(*legs))}
 
 
+class _Comparison(Mapping):
+    """``comparison[x][slot]`` is ``comparison_map(F, x, slot)``; the
+    list for x is built on its first read and kept."""
+
+    def __init__(self, F):
+        self._F, self._maps = F, {}
+
+    def __getitem__(self, x):
+        if x not in self._maps:
+            F = self._F
+            self._maps[x] = [comparison_map(F, x, s) for s in range(F.width)]
+        return self._maps[x]
+
+    def __iter__(self):
+        return iter(self._F.poset.objects)
+
+    def __len__(self):
+        return len(self._F.poset.objects)
+
+    def __contains__(self, x):
+        return x in self._F.poset._code
+
+
 def is_cartesian(F):
     """True iff every comparison into the slice limit is a bijection.
     Returns (flag, witness); witness is (object, slot) on failure."""
     table = F._composites
+    limits = [_SliceLimits(F, s) for s in range(F.width)]
     for x, ys in enumerate(F.poset._slices_c):
-        for s in range(F.width):
-            fams = _slice_positions(F, ys, s)
+        for s, fams in enumerate(limits):
             image = set(zip(*[table[x, y][s] for y in ys]))
-            if len(image) != len(F._values[x][s]) or image != set(fams):
+            if len(image) != len(F._values[x][s]) or image != set(fams[x]):
                 return False, (F.poset.objects[x], s)
     return True, None
 
@@ -313,24 +372,27 @@ def cartesian_replacement(F):
 
     Returns (G, comparison) where G is the replaced diagram (labels are
     value tuples in slice order) and comparison[x][slot] is the
-    canonical map from F's label into G's.  G is built unchecked (see
-    the module docstring), so F's labels must not repeat a value.
+    canonical map from F's label into G's; comparison maps are built on
+    first read.  G is built unchecked (see the module docstring), so
+    F's labels must not repeat a value.
     """
     poset = F.poset
     slices = poset._slices_c
-    labels = [[_slice_values(F, ys, s) for s in range(F.width)]
-              for ys in slices]
+    limits = [_SliceLimits(F, s) for s in range(F.width)]
+    labels = []
+    for x, ys in enumerate(slices):
+        per_slot = zip(limits, zip(*[F._values[y] for y in ys]))
+        labels.append([[tuple(map(tuple.__getitem__, values, fam))
+                         for fam in fams[x]] for fams, values in per_slot])
     new_maps = {}
     for (a, b), e in zip(poset._covers_c, poset.covers):
         sub = [slices[a].index(y) for y in slices[b]]
-        new_maps[e] = [{fam: tuple(fam[i] for i in sub) for fam in fams}
+        new_maps[e] = [{fam: tuple(map(fam.__getitem__, sub)) for fam in fams}
                        for fams in labels[a]]
     G = GeneralizedSpanDiagram(poset, F.width,
                                dict(zip(poset.objects, labels)), new_maps,
                                check=False)
-    comparison = {x: [comparison_map(F, x, s) for s in range(F.width)]
-                  for x in poset.objects}
-    return G, comparison
+    return G, _Comparison(F)
 
 
 # ---------------------------------------------------------------------------

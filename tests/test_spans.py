@@ -51,9 +51,16 @@ def oracle_is_cartesian(F):
     return True, None
 
 
-def slice_values(F, objs, slot):
-    """``_slice_values`` on the codes of objs."""
-    return sp._slice_values(F, [F.poset._code[y] for y in objs], slot)
+def slice_values(F, slot):
+    """``_SliceLimits`` with each position replaced by its value, keyed
+    by object."""
+    out = {}
+    table = sp._SliceLimits(F, slot)
+    for x, code in F.poset._code.items():
+        fams = table[code]
+        values = [F.labels[y][slot] for y in slice_objects(F.poset, x)]
+        out[x] = [tuple(map(list.__getitem__, values, fam)) for fam in fams]
+    return out
 
 
 def random_span(rng, name, apex_size, feet_size):
@@ -255,6 +262,32 @@ class TestCartesian:
             assert [len(s) for s in H.labels[x]] == \
                 [len(s) for s in G.labels[x]]
 
+    def test_comparison_maps_built_on_first_read(self, monkeypatch):
+        F = TestSliceLimit.shuffled(random.Random(29), ((1,), (1,)), "top", 2)
+        assert not sp.is_cartesian(F)[0]
+        plain = sp.comparison_map
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return plain(*args)
+        monkeypatch.setattr(sp, "comparison_map", counting)
+        G, comparison = sp.cartesian_replacement(F)
+        p = F.poset
+        assert list(comparison) == p.objects
+        assert len(comparison) == len(p.objects)
+        assert all(x in comparison for x in p.objects)
+        assert "x" not in comparison
+        with pytest.raises(TypeError):
+            comparison[p.objects[0]] = []
+        assert calls[0] == 0
+        for x in p.objects:
+            assert comparison[x] is comparison[x]
+            for s in range(F.width):
+                assert comparison[x][s] == plain(F, x, s)
+                assert set(comparison[x][s].values()) <= set(G.labels[x][s])
+        assert calls[0] == len(p.objects) * F.width
+
     def test_checked_constructor_accepts_every_replacement(self):
         """The replacement is built unchecked; the checked constructor
         accepts it (labels repeat no value, maps are total and land in
@@ -328,11 +361,13 @@ class TestComposites:
 
 
 class TestSliceLimit:
-    """``_slice_values`` on codes and composite tables returns the
+    """``_SliceLimits`` on codes and composite tables returns the
     families of the oracle on labels and value maps, in the same order."""
 
     SHAPES = ([((k,), (l,)) for k in range(3) for l in range(3)]
               + [((1, 1), (1,))])
+    # slices joined from joined slices, and repeated factors
+    JOINS = [((3,), (1,)), ((), (1, 1)), ((1,), (1, 2)), ((2,), (1, 1))]
 
     @staticmethod
     def shuffled(rng, levels, variant, width=None):
@@ -367,16 +402,20 @@ class TestSliceLimit:
     def test_matches_solving_in_slice_order(self):
         rng = random.Random(12)
         reordered = broken = 0
-        for levels in self.SHAPES:
-            for variant in ("bottom", "top", "extra") * 4:
+        cases = ([(levels, ("bottom", "top", "extra") * 4)
+                  for levels in self.SHAPES]
+                 + [(levels, ("bottom", "top", "extra"))
+                    for levels in self.JOINS])
+        for levels, variants in cases:
+            for variant in variants:
                 F = self.shuffled(rng, levels, variant)
                 broken += not sp.is_cartesian(F)[0]
-                for x in F.poset.objects:
-                    objs = slice_objects(F.poset, x)
-                    for s in range(F.width):
-                        want = oracle_slice_limit(F, objs, s)
-                        assert slice_values(F, objs, s) == want, \
-                            (levels, variant, x, s)
+                for s in range(F.width):
+                    got = slice_values(F, s)
+                    for x in F.poset.objects:
+                        want = oracle_slice_limit(
+                            F, slice_objects(F.poset, x), s)
+                        assert got[x] == want, (levels, variant, x, s)
                         reordered += want != sorted(want)
         # the shuffles make the label order differ from the value order
         assert reordered > 100 and broken > 30, (reordered, broken)
@@ -385,18 +424,21 @@ class TestSliceLimit:
     def test_cartesian_check_and_replacement_match_the_oracle(self):
         rng = random.Random(19)
         reordered = broken = 0
-        for levels in self.SHAPES:
-            for variant in ("bottom", "top", "extra") * 3:
+        cases = ([(levels, ("bottom", "top", "extra") * 3)
+                  for levels in self.SHAPES]
+                 + [(levels, ("bottom", "top", "extra"))
+                    for levels in self.JOINS])
+        for levels, variants in cases:
+            for variant in variants:
                 F = self.shuffled(rng, levels, variant)
-                slices = {x: slice_objects(F.poset, x)
-                          for x in F.poset.objects}
-                want = {x: [oracle_slice_limit(F, slices[x], s)
+                got = [slice_values(F, s) for s in range(F.width)]
+                want = {x: [oracle_slice_limit(F, slice_objects(F.poset, x),
+                                               s)
                             for s in range(F.width)]
                         for x in F.poset.objects}
                 for x, fams in want.items():
                     for s, fam in enumerate(fams):
-                        assert slice_values(F, slices[x], s) == fam, \
-                            (levels, variant, x, s)
+                        assert got[s][x] == fam, (levels, variant, x, s)
                         reordered += fam != sorted(fam)
                 flag = oracle_is_cartesian(F)
                 broken += not flag[0]
