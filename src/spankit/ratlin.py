@@ -1,16 +1,22 @@
 """Small exact linear algebra over the rationals.
 
 Matrices are tuples of tuples of Fractions (rows).  Everything here is
-deterministic and exact; no floats.  Elimination runs in one kernel,
-``_reduce``, on sparse rows: sparse callers hand ``sparse_rank`` and
-``sparse_rref`` one {column: rational} dict per row, and the dense
-``rank`` and ``rref`` convert their tuples to such rows at their boundary.
+deterministic and exact; no floats.  Products work on integers:
+``matmul`` and ``kron`` bring each factor to integer rows over the lcm
+of its denominators and build one Fraction per output entry, so they
+return Fractions for any mix of int and Fraction entries.  Elimination
+runs in one kernel, ``_reduce``, on sparse integer rows that are
+divided by the gcd of their entries when they are stored: sparse
+callers hand ``sparse_rank`` and ``sparse_rref`` one {column: rational}
+dict per row, and the dense ``rank`` and ``rref`` convert their tuples
+to such rows at their boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def mat(rows):
@@ -30,13 +36,24 @@ def shape(a):
     return len(a), (len(a[0]) if a else 0)
 
 
+def _integral(a):
+    """(integer rows, d) with a == rows / d: d is the lcm of the entries'
+    denominators (entries may be ints or Fractions)."""
+    d = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in a], d
+
+
 def matmul(a, b):
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
+    """a b, each entry one integer dot product over the product of the
+    two factors' common denominators."""
+    if shape(a)[1] != len(b):
         raise ValueError("shape mismatch in matmul")
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(ca))
-                       for j in range(cb)) for i in range(ra))
+    (ai, da), (bi, db) = _integral(a), _integral(b)
+    d = da * db
+    cols = list(zip(*bi))
+    return tuple(tuple(Fraction(sum(map(mul, row, col)), d) for col in cols)
+                 for row in ai)
 
 
 def transpose(a):
@@ -58,17 +75,10 @@ def vstack(blocks):
 
 def kron(a, b):
     """Kronecker product; basis order (i, j) with the first factor major."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    out = [[Fraction(0)] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            if a[i][j] == 0:
-                continue
-            for p in range(rb):
-                for q in range(cb):
-                    out[i * rb + p][j * cb + q] = a[i][j] * b[p][q]
-    return tuple(tuple(row) for row in out)
+    (ai, da), (bi, db) = _integral(a), _integral(b)
+    d, zero = da * db, Fraction(0)
+    return tuple(tuple(Fraction(x * y, d) if x and y else zero
+                       for x in ra for y in rb) for ra in ai for rb in bi)
 
 
 def _primitive(row):
@@ -79,39 +89,62 @@ def _primitive(row):
 
 def _eliminate(row, pivot_row, col):
     """pv*row - f*pivot_row with pv, f the two entries at col (divided by
-    their gcd first), so the result is zero at col; then made primitive."""
+    their gcd first), so the result is zero at col: one pass that scales,
+    subtracts and drops the entries that become zero.  The result is not
+    made primitive (see ``_reduce``)."""
     f, pv = row[col], pivot_row[col]
     g = gcd(f, pv)
     f, pv = f // g, pv // g
     out = {j: pv * x for j, x in row.items()}
     for j, y in pivot_row.items():
-        out[j] = out.get(j, 0) - f * y
-    return _primitive({j: x for j, x in out.items() if x})
+        x = out.get(j, 0) - f * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return out
 
 
 def _reduce(rows, full):
     """Fraction-free echelon form of the sparse {column: rational} rows
     (zero values allowed): (rows, pivots), one sparse {column: int} row
-    per pivot column, in increasing pivot order.
+    per pivot column, in increasing pivot order, each row primitive (its
+    entries have gcd 1).
 
     Each row is scaled once by the lcm of its denominators.  From then
-    on rows stay integer and primitive: a row whose leading column
-    already has a pivot row is replaced by pv*row - f*pivot_row over the
-    gcd of its entries, until it leads in a new column or vanishes.
-    With full, the entries above each pivot are cleared too
-    (Gauss-Jordan), so row i divided by its pivot is row i of the
-    reduced echelon form."""
+    on rows stay integer: a row whose leading column already has a
+    pivot row is replaced by ``_eliminate``'s pv*row - f*pivot_row,
+    until it leads in a new column, where it is stored divided by the
+    gcd of its entries, or vanishes.  On its way the row is divided by
+    that gcd only when its leading entry has more than 128 bits and
+    more than twice the bits it had at the start or at the last
+    division, so that a long chain of updates cannot blow it up.  With
+    full, the entries above each pivot are cleared too (Gauss-Jordan),
+    and each updated row is made primitive again, so row i divided by
+    its pivot is row i of the reduced echelon form.
+
+    Every stored row is the one that dividing after each update would
+    give: leaving out a division leaves the row multiplied by some
+    c > 0, and updating c*v against the same pivot row gives, since
+    (f, pv) are divided by their gcd, a positive multiple of the update
+    of v.  So zero tests, leading columns, signs and the primitive rows
+    stored are unchanged."""
     by_lead = {}
     for row in rows:
         den = lcm(*(x.denominator for x in row.values() if x))
-        v = _primitive({j: x.numerator * (den // x.denominator)
-                        for j, x in row.items() if x})
+        v = {j: x.numerator * (den // x.denominator)
+             for j, x in row.items() if x}
+        cap = 0
         while v:
             lead = min(v)
             p = by_lead.get(lead)
             if p is None:
-                by_lead[lead] = v
+                by_lead[lead] = _primitive(v)
                 break
+            if v[lead].bit_length() > cap:
+                if cap:
+                    v = _primitive(v)
+                cap = 2 * max(v[lead].bit_length(), 64)
             v = _eliminate(v, p, lead)
     pivots = sorted(by_lead)
     if full:
@@ -119,7 +152,8 @@ def _reduce(rows, full):
             col = pivots[k]
             for c in pivots[:k]:
                 if col in by_lead[c]:
-                    by_lead[c] = _eliminate(by_lead[c], by_lead[col], col)
+                    by_lead[c] = _primitive(
+                        _eliminate(by_lead[c], by_lead[col], col))
     return [by_lead[c] for c in pivots], pivots
 
 

@@ -15,7 +15,8 @@ tuples of target positions, one entry per source position, keyed by
 code pairs; slice limits are taken on these integers, and values are
 looked up only for the results.  Only bottom slices go to the solver:
 any other slice is the union of the slices of two covers, and its
-families are the pairs of theirs that agree where the two meet.  A
+families are the pairs of theirs that agree where the two meet; the
+poset finds the pair, and where its slices meet, once per object.  A
 slice limit is taken on its first read, so the cartesian check stops
 at the first label that fails.
 
@@ -25,7 +26,9 @@ check read the pairs that end at a bottom object).  With ``check`` on,
 the constructor builds and checks every composite.  Cartesian
 replacement builds its result unchecked: each label is a limit and each
 map restricts families, so the result is a functor by construction.
-Its comparison maps are built on first read.
+Its comparison maps are built on first read.  The gamma and delta
+actions build theirs unchecked too: their maps are products or
+reindexings of the input's composites, so they compose as those do.
 """
 
 from __future__ import annotations
@@ -152,6 +155,7 @@ class ProductPoset:
         objs = self.objects
         self.covers = [(objs[a], objs[b]) for a, b in self._covers_c]
         self._code = {o: c for c, o in enumerate(objs)}
+        self._joins = _SliceJoins(self)
 
     def leq(self, a, b):
         code = self._code
@@ -285,38 +289,60 @@ def _slice_positions(F, ys, slot):
                                arrows)
 
 
+class _SliceJoins(dict):
+    """How each object's slice limit is taken, keyed by code and filled
+    on first read: None for a bottom slice, which goes to the solver;
+    else (m1, m2, key1, key2, pick) for the first two covers m1, m2 of
+    x (two faces, or two co-singletons, in one factor) whose slices make
+    up x's.  key1 and key2 are the positions, in the slices of m1 and
+    m2, of the objects the two slices share, and pick puts a family of
+    m1 followed by one of m2 in x's slice order.  Slices are
+    down-closed, so every arrow lies in one of the two."""
+
+    def __init__(self, poset):
+        self.up, self.slices = poset._up_c, poset._slices_c
+
+    def __missing__(self, x):
+        slices = self.slices
+        ys = slices[x]
+        # a bottom slice holds x itself, which no cover's slice does
+        pair = next(((m1, m2) for m1, m2
+                     in itertools.combinations(self.up[x], 2)
+                     if len({*slices[m1], *slices[m2]}) == len(ys)), None)
+        if pair is None:
+            self[x] = None
+            return None
+        at1, at2 = ({y: p for p, y in enumerate(slices[m])} for m in pair)
+        key1, key2 = ([at[y] for y in at2 if y in at1] for at in (at1, at2))
+        # x's slice holds two objects or more, so pick returns a tuple
+        pick = itemgetter(*[at1[y] if y in at1 else len(at1) + at2[y]
+                            for y in ys])
+        join = self[x] = (*pair, key1, key2, pick)
+        return join
+
+
 class _SliceLimits(dict):
     """``_slice_positions`` of each object's slice for one slot, keyed
     by code and filled on first read: the solver's on a bottom slice,
-    else the join of the slices of two covers (two faces, or two
-    co-singletons, in one factor) that make it up; slices are
-    down-closed, so every arrow lies in one of the two."""
+    else the join, as the poset's ``_joins`` gives it, of the limits of
+    two covers: the pairs of their families that agree where the two
+    slices meet."""
 
     def __init__(self, F, slot):
         self.F, self.slot = F, slot
 
     def __missing__(self, x):
-        poset = self.F.poset
-        slices = poset._slices_c
-        ys = slices[x]
-        # a bottom slice holds x itself, which no cover's slice does
-        pair = next(((m1, m2) for m1, m2
-                     in itertools.combinations(poset._up_c[x], 2)
-                     if len({*slices[m1], *slices[m2]}) == len(ys)), None)
-        if pair is None:
-            fams = self[x] = _slice_positions(self.F, ys, self.slot)
+        join = self.F.poset._joins[x]
+        if join is None:
+            fams = self[x] = _slice_positions(
+                self.F, self.F.poset._slices_c[x], self.slot)
             return fams
-        at1, at2 = ({y: p for p, y in enumerate(slices[m])} for m in pair)
-        key1, key2 = ([at[y] for y in at2 if y in at1] for at in (at1, at2))
-        # x's slice order from the two families concatenated (a tuple,
-        # as x's slice holds two objects or more)
-        pick = itemgetter(*[at1[y] if y in at1 else len(at1) + at2[y]
-                            for y in ys])
+        m1, m2, key1, key2, pick = join
         index = {}
-        for f2 in self[pair[1]]:
+        for f2 in self[m2]:
             index.setdefault(tuple(map(f2.__getitem__, key2)), []).append(f2)
         fams = self[x] = sorted(
-            pick(f1 + f2) for f1 in self[pair[0]]
+            pick(f1 + f2) for f1 in self[m1]
             for f2 in index.get(tuple(map(f1.__getitem__, key1)), ()))
         return fams
 
@@ -401,7 +427,9 @@ def cartesian_replacement(F):
 
 def gamma_act(psi, F):
     """Pointed-map action on tuple slots: slot j of the result is the
-    product of the slots in the preimage of j (singleton if empty)."""
+    product of the slots in the preimage of j (singleton if empty).
+    The result is built unchecked: its maps act slot by slot as F's
+    do, so it is a functor as F is."""
     if psi.source_size != F.width:
         raise ValueError("width mismatch")
     pre = psi.preimages()
@@ -417,7 +445,8 @@ def gamma_act(psi, F):
             {t: tuple(F.maps[(a, b)][k - 1][v] for k, v in zip(ks, t))
              for t in labels[a][j]}
             for j, ks in enumerate(pre)]
-    return GeneralizedSpanDiagram(F.poset, psi.target_size, labels, maps)
+    return GeneralizedSpanDiagram(F.poset, psi.target_size, labels, maps,
+                                  check=False)
 
 
 def delta_act(F, factor_index, alpha):
@@ -426,7 +455,9 @@ def delta_act(F, factor_index, alpha):
     For an interval (sigma) factor this is a pure reindex along the
     interval pushforward; for a subset (theta) factor the reindex along
     the image pushforward is followed by cartesian replacement (the
-    reindex alone can break cartesianness on collapsed faces).
+    reindex alone can break cartesianness on collapsed faces).  The
+    reindex is built unchecked: its maps are F's composites along the
+    pushed-forward arrows, so it is a functor as F is.
     """
     old = F.poset
     factor = old.factors[factor_index]
@@ -452,7 +483,7 @@ def delta_act(F, factor_index, alpha):
     maps = {}
     for (a, b) in new.covers:
         maps[(a, b)] = F.get_map(transport(a), transport(b))
-    G = GeneralizedSpanDiagram(new, F.width, labels, maps)
+    G = GeneralizedSpanDiagram(new, F.width, labels, maps, check=False)
     if not is_sigma:
         G, _ = cartesian_replacement(G)
     return G

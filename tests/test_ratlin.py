@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -76,6 +79,51 @@ def square_matrices(n=3):
         lambda k: st.lists(
             st.lists(entry, min_size=k, max_size=k),
             min_size=k, max_size=k).map(ratlin.mat))
+
+
+@st.composite
+def product_factors(draw):
+    """Two factors a, b for a b (r x k times k x c) with each of r, k, c
+    either 1 or one n <= 5, so row, column and square factors all come
+    up; entries are zeros, ints and fractions with denominators up to
+    10^6, mixed in one matrix."""
+    n = draw(st.integers(1, 5))
+    r, k, c = (draw(st.sampled_from((1, n))) for _ in range(3))
+    entry = st.one_of(
+        st.just(0), st.just(Fraction(0)), st.integers(-10**6, 10**6),
+        st.builds(Fraction, st.integers(-10**6, 10**6),
+                  st.integers(1, 10**6)))
+
+    def block(rows, cols):
+        return tuple(tuple(draw(st.lists(entry, min_size=cols,
+                                         max_size=cols)))
+                     for _ in range(rows))
+    return block(r, k), block(k, c)
+
+
+class TestProductsAgainstFractions:
+    """matmul and kron against products summed one Fraction at a time:
+    every entry is a Fraction, whatever mix of ints and Fractions goes
+    in."""
+
+    @staticmethod
+    def assert_fractions(got, want):
+        assert got == tuple(tuple(row) for row in want)
+        assert all(type(x) is Fraction for row in got for x in row)
+
+    @given(product_factors())
+    def test_matmul(self, factors):
+        a, b = factors
+        want = [[sum((Fraction(x) * y for x, y in zip(row, col)),
+                     Fraction(0)) for col in zip(*b)] for row in a]
+        self.assert_fractions(ratlin.matmul(a, b), want)
+
+    @given(product_factors(), st.booleans())
+    def test_kron(self, factors, swap):
+        a, b = factors[::-1] if swap else factors
+        want = [[Fraction(x) * y for x in ra for y in rb]
+                for ra in a for rb in b]
+        self.assert_fractions(ratlin.kron(a, b), want)
 
 
 class TestBasics:
@@ -231,3 +279,63 @@ class TestSparseRows:
             assert [tuple(Fraction(row.get(j, 0), row[p]) for j in range(c))
                     for row, p in zip(got, got_pivots)] \
                 == list(want[:len(pivots)])
+
+
+def pinned_inputs():
+    """200 seeded inputs for ``_reduce``: dense matrices (some of
+    low rank, with denominators up to 10^3) as {column: rational} rows,
+    and sparse rows keyed as crw keys its term order, (factor count, the
+    monomial negated), with int and Fraction values."""
+    rng = random.Random(30)
+    inputs = []
+    for _ in range(120):
+        r, c = rng.randint(0, 8), rng.randint(0, 8)
+        den = rng.choice((1, 4, 1000))
+
+        def entry():
+            if rng.random() < 0.25:
+                return Fraction(0)
+            return Fraction(rng.randint(-30, 30), rng.randint(1, den))
+        if rng.random() < 0.5 and r and c:
+            k = rng.randint(1, 3)
+            left = [[entry() for _ in range(k)] for _ in range(r)]
+            right = [[entry() for _ in range(c)] for _ in range(k)]
+            rows = [[sum((left[i][t] * right[t][j] for t in range(k)),
+                         Fraction(0)) for j in range(c)] for i in range(r)]
+        else:
+            rows = [[entry() for _ in range(c)] for _ in range(r)]
+        inputs.append([dict(enumerate(row)) for row in rows])
+    monos = [m for m in itertools.product(range(4), repeat=3) if sum(m) <= 4]
+    keys = [(sum(m), tuple(-e for e in m)) for m in monos]
+    for _ in range(80):
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            support = rng.sample(keys, rng.randint(1, 6))
+            rows.append({k: rng.choice((rng.randint(-6, 6),
+                                        Fraction(rng.randint(-9, 9),
+                                                 rng.randint(1, 12))))
+                         for k in support})
+        inputs.append(rows)
+    return inputs
+
+
+class TestPinnedRows:
+    """The integer rows and pivots ``_reduce`` returns, pinned by
+    digests: a row scaled differently or with its sign flipped changes
+    them, though the rational results built on the rows may not move."""
+
+    INPUTS = pinned_inputs()
+
+    @staticmethod
+    def digest(results):
+        return hashlib.sha256(repr(results).encode()).hexdigest()
+
+    def test_full_pass(self):
+        assert self.digest([ratlin.sparse_rref(rows)
+                            for rows in self.INPUTS]) == (
+            "1c805202677cb77c152a0d4be8772e3d83964d2c805cf14bf9f69aef85717c66")
+
+    def test_forward_pass(self):
+        assert self.digest([ratlin._reduce(rows, False)
+                            for rows in self.INPUTS]) == (
+            "09e12bad9ddd1625a4cdbe605cfbe3fa183975b90afe91bd63bfdda26c971564")

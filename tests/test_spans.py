@@ -534,6 +534,45 @@ class TestReindexing:
         assert len(G.labels[collapsed][0]) == (
             len(G.labels[p0][0]) * len(G.labels[p1][0]))
 
+    def test_actions_built_unchecked_match_the_checked_build(self,
+                                                            monkeypatch):
+        # both actions build their result unchecked; with every diagram
+        # forced through the checked constructor (which raises on a
+        # non-functorial diagram) they must give the same labels and
+        # the same composite for every arrow
+        checked_diagram = sp.GeneralizedSpanDiagram
+
+        def checked(poset, width, labels, maps, check=True):
+            return checked_diagram(poset, width, labels, maps)
+
+        def assert_same(got, want):
+            objs = want.poset.objects
+            assert got.labels == want.labels
+            for a, b in itertools.product(objs, repeat=2):
+                if want.poset.leq(a, b):
+                    assert got.get_map(a, b) == want.get_map(a, b)
+
+        rng = random.Random(30)
+        for levels in [((1,), ()), ((2,), ()), ((), (2,)), ((1,), (1,)),
+                       ((2,), (1,))]:
+            for _ in range(3):
+                width = rng.randint(1, 3)
+                F = random_bottom_diagram(rng, *levels, width=width)
+                target = rng.randint(1, 3)
+                psi = PointedMap(width, target, [rng.randint(0, target)
+                                                 for _ in range(width)])
+                fi = rng.randrange(len(F.poset.factors))
+                level = F.poset.factors[fi].level
+                source = rng.randint(0, 3)
+                alpha = MonotoneMap(source, level, sorted(
+                    rng.randint(0, level) for _ in range(source + 1)))
+                got = (sp.gamma_act(psi, F), sp.delta_act(F, fi, alpha))
+                with monkeypatch.context() as m:
+                    m.setattr(sp, "GeneralizedSpanDiagram", checked)
+                    want = (sp.gamma_act(psi, F), sp.delta_act(F, fi, alpha))
+                for g, w in zip(got, want):
+                    assert_same(g, w)
+
 
 class TestDecorations:
     def test_weights_must_be_total(self):

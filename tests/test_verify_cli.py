@@ -415,6 +415,9 @@ class TestDeterminism:
         ("crw_intersect_dependent_6.csv",
          ["crw", "intersect", str(GOLDEN / "crw_intersect_dependent.json"),
           "--bound", "6", "--format", "csv"]),
+        ("crw_four_quadrics_12.csv",
+         ["crw", "intersect", str(GOLDEN / "crw_four_quadrics.json"),
+          "--bound", "12", "--format", "csv"]),
     ])
     def test_matches_golden(self, run_cli, name, argv):
         out = run_cli(*argv)
