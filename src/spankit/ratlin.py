@@ -1,10 +1,11 @@
 """Small exact linear algebra over the rationals.
 
 Matrices are tuples of tuples of Fractions (rows).  Everything here is
-deterministic and exact; no floats.  Products work on integers:
-``matmul`` and ``kron`` bring each factor to integer rows over the lcm
-of its denominators and build one Fraction per output entry, so they
-return Fractions for any mix of int and Fraction entries.  Elimination
+deterministic and exact; no floats.  ``matmul`` works on integers: it
+brings each factor to integer rows over the lcm of its denominators and
+builds one Fraction per output entry.  ``kron`` multiplies entry by
+entry and skips the zeros of its first factor.  Both return Fractions
+for any mix of int and Fraction entries.  Elimination
 runs in one kernel, ``_reduce``, on sparse integer rows that are
 divided by the gcd of their entries when they are stored: sparse
 callers hand ``sparse_rank`` and ``sparse_rref`` one {column: rational}
@@ -74,11 +75,21 @@ def vstack(blocks):
 
 
 def kron(a, b):
-    """Kronecker product; basis order (i, j) with the first factor major."""
-    (ai, da), (bi, db) = _integral(a), _integral(b)
-    d, zero = da * db, Fraction(0)
-    return tuple(tuple(Fraction(x * y, d) if x and y else zero
-                       for x in ra for y in rb) for ra in ai for rb in bi)
+    """Kronecker product; basis order (i, j) with the first factor major.
+    Each nonzero entry of a is made a Fraction, so every entry of the
+    result is one."""
+    ra, ca = shape(a)
+    rb, cb = shape(b)
+    out = [[Fraction(0)] * (ca * cb) for _ in range(ra * rb)]
+    for i in range(ra):
+        for j in range(ca):
+            if a[i][j] == 0:
+                continue
+            x = Fraction(a[i][j])
+            for p in range(rb):
+                for q in range(cb):
+                    out[i * rb + p][j * cb + q] = x * b[p][q]
+    return tuple(tuple(row) for row in out)
 
 
 def _primitive(row):
@@ -116,12 +127,13 @@ def _reduce(rows, full):
     pivot row is replaced by ``_eliminate``'s pv*row - f*pivot_row,
     until it leads in a new column, where it is stored divided by the
     gcd of its entries, or vanishes.  On its way the row is divided by
-    that gcd only when its leading entry has more than 128 bits and
-    more than twice the bits it had at the start or at the last
-    division, so that a long chain of updates cannot blow it up.  With
-    full, the entries above each pivot are cleared too (Gauss-Jordan),
-    and each updated row is made primitive again, so row i divided by
-    its pivot is row i of the reduced echelon form.
+    that gcd only when its leading entry has more than twice the bits it
+    had at the start or at the last division, so a long chain of updates
+    cannot blow the row up, and a gcd pass is paid only once the lead
+    has doubled in size.  With full, the entries above each pivot are
+    cleared too (Gauss-Jordan), and each updated row is made primitive
+    again, so row i divided by its pivot is row i of the reduced echelon
+    form.
 
     Every stored row is the one that dividing after each update would
     give: leaving out a division leaves the row multiplied by some
@@ -144,7 +156,7 @@ def _reduce(rows, full):
             if v[lead].bit_length() > cap:
                 if cap:
                     v = _primitive(v)
-                cap = 2 * max(v[lead].bit_length(), 64)
+                cap = 2 * v[lead].bit_length()
             v = _eliminate(v, p, lead)
     pivots = sorted(by_lead)
     if full:

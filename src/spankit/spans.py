@@ -155,7 +155,7 @@ class ProductPoset:
         objs = self.objects
         self.covers = [(objs[a], objs[b]) for a, b in self._covers_c]
         self._code = {o: c for c, o in enumerate(objs)}
-        self._joins = _SliceJoins(self)
+        self._joins = {}
 
     def leq(self, a, b):
         code = self._code
@@ -289,53 +289,49 @@ def _slice_positions(F, ys, slot):
                                arrows)
 
 
-class _SliceJoins(dict):
-    """How each object's slice limit is taken, keyed by code and filled
-    on first read: None for a bottom slice, which goes to the solver;
-    else (m1, m2, key1, key2, pick) for the first two covers m1, m2 of
-    x (two faces, or two co-singletons, in one factor) whose slices make
-    up x's.  key1 and key2 are the positions, in the slices of m1 and
-    m2, of the objects the two slices share, and pick puts a family of
-    m1 followed by one of m2 in x's slice order.  Slices are
+def _slice_join(poset, x):
+    """How x's slice limit is taken: None for a bottom slice, which goes
+    to the solver, else (m1, m2, key1, key2, pick) for the first two
+    covers m1, m2 of x (two faces, or two co-singletons, in one factor)
+    whose slices make up x's.  key1 and key2 are the positions, in the
+    slices of m1 and m2, of the objects the two share, and pick puts a
+    family of m1 followed by one of m2 in x's slice order.  Slices are
     down-closed, so every arrow lies in one of the two."""
-
-    def __init__(self, poset):
-        self.up, self.slices = poset._up_c, poset._slices_c
-
-    def __missing__(self, x):
-        slices = self.slices
-        ys = slices[x]
-        # a bottom slice holds x itself, which no cover's slice does
-        pair = next(((m1, m2) for m1, m2
-                     in itertools.combinations(self.up[x], 2)
-                     if len({*slices[m1], *slices[m2]}) == len(ys)), None)
-        if pair is None:
-            self[x] = None
-            return None
-        at1, at2 = ({y: p for p, y in enumerate(slices[m])} for m in pair)
-        key1, key2 = ([at[y] for y in at2 if y in at1] for at in (at1, at2))
-        # x's slice holds two objects or more, so pick returns a tuple
-        pick = itemgetter(*[at1[y] if y in at1 else len(at1) + at2[y]
-                            for y in ys])
-        join = self[x] = (*pair, key1, key2, pick)
-        return join
+    slices = poset._slices_c
+    ys = slices[x]
+    # a bottom slice holds x itself, which no cover's slice does
+    pair = next(((m1, m2) for m1, m2
+                 in itertools.combinations(poset._up_c[x], 2)
+                 if len({*slices[m1], *slices[m2]}) == len(ys)), None)
+    if pair is None:
+        return None
+    at1, at2 = ({y: p for p, y in enumerate(slices[m])} for m in pair)
+    key1, key2 = ([at[y] for y in at2 if y in at1] for at in (at1, at2))
+    # x's slice holds two objects or more, so pick returns a tuple
+    pick = itemgetter(*[at1[y] if y in at1 else len(at1) + at2[y]
+                        for y in ys])
+    return (*pair, key1, key2, pick)
 
 
 class _SliceLimits(dict):
     """``_slice_positions`` of each object's slice for one slot, keyed
     by code and filled on first read: the solver's on a bottom slice,
-    else the join, as the poset's ``_joins`` gives it, of the limits of
-    two covers: the pairs of their families that agree where the two
-    slices meet."""
+    else the pairs of the families of two covers that agree where their
+    slices meet, as ``_slice_join`` finds them once per poset and
+    object (kept in the poset's ``_joins``)."""
 
     def __init__(self, F, slot):
         self.F, self.slot = F, slot
 
     def __missing__(self, x):
-        join = self.F.poset._joins[x]
+        poset = self.F.poset
+        joins = poset._joins
+        if x not in joins:
+            joins[x] = _slice_join(poset, x)
+        join = joins[x]
         if join is None:
-            fams = self[x] = _slice_positions(
-                self.F, self.F.poset._slices_c[x], self.slot)
+            fams = self[x] = _slice_positions(self.F, poset._slices_c[x],
+                                              self.slot)
             return fams
         m1, m2, key1, key2, pick = join
         index = {}

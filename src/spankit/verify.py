@@ -289,6 +289,14 @@ def check_reindex_preserves_cartesian(rng, bound):
             return "label reindexing broke cartesianness at %r" % (witness,)
         alpha = _random_monotone_map(simplex, rng, 2, 2)
         H = spans.delta_act(F, 0, alpha)
+        # both are built unchecked; the checked constructor tests that
+        # they are functors
+        for name, D in (("label", G), ("interval", H)):
+            try:
+                spans.GeneralizedSpanDiagram(D.poset, D.width, D.labels,
+                                             D.maps)
+            except ValueError as e:
+                return "%s reindexing is not a functor: %s" % (name, e)
         ok, witness = spans.is_cartesian(H)
         if not ok:
             return "interval reindexing broke cartesianness at %r" \

@@ -339,3 +339,22 @@ class TestPinnedRows:
         assert self.digest([ratlin._reduce(rows, False)
                             for rows in self.INPUTS]) == (
             "09e12bad9ddd1625a4cdbe605cfbe3fa183975b90afe91bd63bfdda26c971564")
+
+
+class TestGrowthGuard:
+    def test_rows_stay_small_on_long_update_chains(self, monkeypatch):
+        # a dense 40 x 40 matrix of fractions p/q takes long chains of
+        # updates; rows divided only when they are stored reach leading
+        # entries of about 16600 bits there, against about 1900 bits
+        # for rows divided whenever their lead has doubled
+        rng = random.Random(0)
+        a = ratlin.mat([[Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+                         for _ in range(40)] for _ in range(40)])
+        eliminate, bits = ratlin._eliminate, []
+
+        def spy(row, pivot_row, col):
+            bits.append(abs(row[col]).bit_length())
+            return eliminate(row, pivot_row, col)
+        monkeypatch.setattr(ratlin, "_eliminate", spy)
+        assert ratlin.rank(a) == 40
+        assert max(bits) < 4000
