@@ -5,12 +5,12 @@ deterministic and exact; no floats.  ``matmul`` works on integers: it
 brings each factor to integer rows over the lcm of its denominators and
 builds one Fraction per output entry.  ``kron`` multiplies entry by
 entry and skips the zeros of its first factor.  Both return Fractions
-for any mix of int and Fraction entries.  Elimination
-runs in one kernel, ``_reduce``, on sparse integer rows that are
-divided by the gcd of their entries when they are stored: sparse
-callers hand ``sparse_rank`` and ``sparse_rref`` one {column: rational}
-dict per row, and the dense ``rank`` and ``rref`` convert their tuples
-to such rows at their boundary.
+for any mix of int and Fraction entries.  Elimination runs in one
+kernel, ``_reduce``, on sparse integer rows that are divided by the gcd
+of their entries when they are stored: sparse callers hand
+``sparse_rank`` and ``sparse_rref`` one {column: rational} dict per
+row, and the dense ``rank`` and ``rref`` convert their tuples to such
+rows at their boundary.
 """
 
 from __future__ import annotations
