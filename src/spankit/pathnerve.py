@@ -246,7 +246,10 @@ def count_nondegenerate(l, u, v):
     of rows.  The rows whose strict steps all lie in a fixed S of the v
     steps are those chains of |S| + 1 subsets, and a simplex is
     nondegenerate when its steps cover all v, so Moebius inversion over
-    S gives the sum over s = |S| with sign (-1)^(v - s) and C(v, s)."""
+    S gives the sum over s = |S| with sign (-1)^(v - s) and C(v, s).
+    No nondegenerate simplex has u + v > l, so that sum is skipped there."""
+    if u + v > l:
+        return 0
     if u == 0:
         return l + 1 if v == 0 else 0
     return sum((-1) ** (v - s) * math.comb(v, s)

@@ -165,25 +165,18 @@ def pushforward_ls(f, fam):
 
 
 def pushforward_map(f, phi):
+    """The fiberwise direct sum f_*phi.  On the ``_sum_basis`` keys of
+    phi.target and phi.source over the fiber, the entry at row (x, i)
+    and column (z, j) is phi.mat(x)[i][j] when z == x, and 0 otherwise."""
     src = pushforward_ls(f, phi.source)
     tgt = pushforward_ls(f, phi.target)
 
     def block(y):
-        # assembled by hand: a zero-row block still contributes its
-        # column count, which the row tuples alone cannot carry
         fib = f.fiber(y)
-        rows = sum(phi.target.dim(x) for x in fib)
-        cols = sum(phi.source.dim(x) for x in fib)
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        ro = co = 0
-        for x in fib:
-            m = phi.mat(x)
-            for i in range(phi.target.dim(x)):
-                for j in range(phi.source.dim(x)):
-                    out[ro + i][co + j] = m[i][j]
-            ro += phi.target.dim(x)
-            co += phi.source.dim(x)
-        return tuple(tuple(r) for r in out)
+        cols = _sum_basis(phi.source, fib)
+        return tuple(tuple(phi.mat(x)[i][j] if z == x else Fraction(0)
+                           for z, j in cols)
+                     for x, i in _sum_basis(phi.target, fib))
 
     return FamilyMap.build(src, tgt, block)
 
@@ -233,21 +226,12 @@ def to_adjunct(f, phi, w):
 
 
 def adjunct_inverse(f, psi, w, v):
-    """Turn psi : W -> f_*V into f*W -> V by slicing fiber blocks."""
+    """Turn psi : W -> f_*V into f*W -> V: the composite eps_V . f*psi of
+    the counit with the pullback of psi, so the block at x keeps the rows
+    of psi at f(x) whose ``_sum_basis`` keys (z, i) have z == x."""
     if psi.source != w or psi.target != pushforward_ls(f, v):
         raise ValueError("not an adjunct map for the given data")
-    offsets = {}
-    for y in f.target:
-        off = 0
-        for x in f.fiber(y):
-            offsets[x] = off
-            off += v.dim(x)
-
-    def block(x):
-        o = offsets[x]
-        return tuple(psi.mat(f(x))[o:o + v.dim(x)])
-
-    return FamilyMap.build(pullback_ls(f, w), v, block)
+    return counit_map(f, v).compose(pullback_map(f, psi))
 
 
 def unit_map(f, w):
@@ -473,8 +457,7 @@ def vertical_unit_law_iso(mm):
     # with the rank-1 unit leaves the matrices unchanged, so the target
     # family is payload-shaped; repackage onto mm.payload.
     chain = reorder.compose(pushed)
-    iso = FamilyMap(composite.payload, mm.payload,
-                    tuple((x, chain.mat(x)) for x in composite.payload.base))
+    iso = FamilyMap.build(composite.payload, mm.payload, chain.mat)
     return composite, iso
 
 
@@ -683,39 +666,31 @@ def synthesize_filling(vertices, club, spine, spine_vertical=None):
                 vertices, big, lambda e: spine_vertical[e[0]][i],
                 pullback_map, tensor_map)) for i in range(club)]
 
+    def seg_basis(lo, hi, ends, i):
+        """Basis keys (points, index tuple) of r[(lo, hi)][i] at ends: the
+        points of u_lo x .. x u_hi from ends[0] to ends[1] in fiber order,
+        each with its spine indices in kron order."""
+        out = []
+        for mid in itertools.product(*vertices[lo + 1:hi]):
+            pts = (ends[0],) + mid + (ends[1],)
+            dims = [spine[j][i].dim(pts[j - lo:j - lo + 2])
+                    for j in range(lo, hi)]
+            out.extend((pts, t) for t in itertools.product(*map(range, dims)))
+        return out
+
     def phi_matrix(s, i, x):
-        # basis bookkeeping: source = middle coords of the full interval
-        # (lex) x per-step tensor indices; target = product over the
-        # segments of their own (middle coords x indices), segment-major.
-        a, b = s[0], s[-1]
-        interior = list(range(a + 1, b))
-        xmap = dict(zip(s, x))
-
-        def seg_basis(lo, hi):
-            mids = list(itertools.product(*[vertices[c] for c in range(lo + 1, hi)]))
-            out = []
-            for mid in mids:
-                pts = [xmap.get(lo)] + list(mid) + [xmap.get(hi)]
-                dims = [spine[j][i].dim((pts[j - lo], pts[j - lo + 1]))
-                        for j in range(lo, hi)]
-                for t in itertools.product(*[range(dd) for dd in dims]):
-                    out.append((mid, t))
-            return out
-
-        segs = list(zip(s, s[1:]))
-
-        def key(mid, t):
-            midmap = dict(zip(interior, mid))
-            # the middle coordinates at the split points must match x
-            if any(midmap[sp] != xmap[sp] for sp in s[1:-1]):
-                return None
-            return tuple((tuple(midmap[c] for c in range(lo + 1, hi)),
-                          tuple(t[j - a] for j in range(lo, hi)))
-                         for lo, hi in segs)
-
+        """The structure map at x on basis keys: the target keys are the
+        tuples of segment keys, and a long-edge key (points, t) maps to its
+        per-segment slices when its points pass through x, else to None."""
+        a = s[0]
+        segs = list(zip(s, s[1:], zip(x, x[1:])))
         return _matching(
-            list(itertools.product(*[seg_basis(lo, hi) for lo, hi in segs])),
-            [key(mid, t) for mid, t in seg_basis(a, b)])
+            list(itertools.product(*[seg_basis(lo, hi, ends, i)
+                                     for lo, hi, ends in segs])),
+            [tuple((pts[lo - a:hi - a + 1], t[lo - a:hi - a])
+                   for lo, hi, _ in segs)
+             if all(pts[c - a] == xc for c, xc in zip(s, x)) else None
+             for pts, t in seg_basis(a, s[-1], (x[0], x[-1]), i)])
 
     phi = {}
     for s in _chain_faces(l):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -406,6 +407,36 @@ def filling_residual_ok(d1, d2, psi):
     return True
 
 
+def seeded_filling(rng, l, club):
+    """The canonical filling of a random spine: one to three points per
+    vertex, spine dimensions 0 to 2, random chain maps between heights."""
+    vertices = [tuple("p%d" % k for k in range(rng.randint(1, 3)))
+                for _ in range(l + 1)]
+    spine, spine_vertical = {}, {}
+    for a in range(l):
+        base = tuple(itertools.product(vertices[a], vertices[a + 1]))
+        spine[a] = [random_family(rng, base, top=2) for _ in range(club + 1)]
+        spine_vertical[a] = [random_family_map(rng, spine[a][i],
+                                               spine[a][i + 1])
+                             for i in range(club)]
+    return pp.synthesize_filling(vertices, club, spine, spine_vertical)
+
+
+def fillings_digest():
+    """SHA-256 of the systems, chain maps and structure maps of two seeded
+    fillings for each l = 2, 3, 4 and club 0, 1."""
+    digest = hashlib.sha256()
+    for l in (2, 3, 4):
+        for club in (0, 1):
+            rng = random.Random(10 * l + club)
+            for _ in range(2):
+                d = seeded_filling(rng, l, club)
+                digest.update(repr((sorted(d.phi.items()),
+                                    sorted(d.vertical.items()),
+                                    sorted(d.r.items()))).encode())
+    return digest.hexdigest()
+
+
 class TestFillings:
     def test_canonical_filling_is_pushpull(self):
         for l in (2, 3):
@@ -413,6 +444,12 @@ class TestFillings:
             spine, _ = unit_spine(vertices)
             d = pp.synthesize_filling(vertices, 0, spine)
             assert pp.is_pushpull(d)
+
+    def test_synthesized_fillings_pinned(self):
+        # pins the basis order of pushforward_map and of the structure
+        # maps on spines with points of dimension 0
+        assert fillings_digest() == (
+            "b5ba840d760f2197b6ca4a054b8154fe38d5c88fdc6e7003e4793a4bd0380a9a")
 
     def test_filling_with_heights(self):
         vertices = [("a",), ("a", "b"), ("a",)]

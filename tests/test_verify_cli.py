@@ -363,6 +363,30 @@ class TestExitCodes:
                               "0,1,0\n1,1,0\n2,1,0\n")
 
 
+    def test_nerve_counts_beyond_the_level_are_zero(self, run_cli):
+        # one row per u + v <= 400; no simplex of Path(1) is nondegenerate
+        # beyond u + v = 1, and those rows skip the Moebius sum
+        out = run_cli("enumerate", "nerve", "1", "--bound", "400",
+                      "--format", "csv")
+        assert out.returncode == 0
+        rows = [tuple(map(int, line.split(",")))
+                for line in out.stdout.splitlines()[1:]]
+        assert len(rows) == 80601
+        assert all(n == 0 for u, v, n in rows if u + v > 1)
+        assert sorted((u, v, n) for u, v, n in rows if n) == [
+            (0, 0, 2), (1, 0, 1)]
+
+    def test_path_hom_sizes_in_closed_form(self, run_cli):
+        # hom(0, 25) has 2^24 elements, which are not listed
+        out = run_cli("enumerate", "path", "25", "--bound", "30")
+        assert out.returncode == 0
+        homs = json.loads(out.stdout)["homs"]
+        assert len(homs) == 351
+        assert all(h["hom_size"] == (1 if h["source"] == h["target"] else
+                                     2 ** (h["target"] - h["source"] - 1))
+                   for h in homs)
+        assert homs[25] == {"source": 0, "target": 25, "hom_size": 2 ** 24}
+
 class TestDeterminism:
     def test_byte_identical_reruns(self):
         nerve = ["enumerate", "nerve", "2", "--bound", "4"]
