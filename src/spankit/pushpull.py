@@ -33,9 +33,13 @@ class SetMap:
 
     def __post_init__(self):
         d = dict(self.values)
-        object.__setattr__(self, "_map", d)  # not a field, as in spans.Span
         if set(d) != set(self.source) or not set(d.values()) <= set(self.target):
             raise ValueError("map not total or lands outside target")
+        fibers = {}  # target point -> its preimage in source order
+        for x in self.source:
+            fibers.setdefault(d[x], []).append(x)
+        object.__setattr__(self, "_map", d)  # not fields, as in spans.Span
+        object.__setattr__(self, "_fibers", fibers)
 
     def __call__(self, x):
         return self._map[x]
@@ -55,7 +59,7 @@ class SetMap:
 
     def fiber(self, y):
         """The preimage of y in source order."""
-        return [x for x in self.source if self(x) == y]
+        return list(self._fibers.get(y, ()))
 
 
 @dataclass(frozen=True)
@@ -303,7 +307,7 @@ def base_change(f, g, p, q, v):
         if f(p(t)) != g(q(t)):
             raise ValueError("square does not commute")
     pairs = [(p(t), q(t)) for t in p.source]
-    want = [(x, a) for x in f.source for a in g.source if f(x) == g(a)]
+    want = [(x, a) for x in f.source for a in g.fiber(f(x))]
     if sorted(pairs, key=repr) != sorted(want, key=repr) or len(set(pairs)) != len(pairs):
         raise ValueError("square is not a pullback")
 
@@ -389,20 +393,14 @@ class TwoMorphism:
 def vertical_unit(m):
     """The neutral 2-morphism on a span: rank 1 on the diagonal of the
     self-intersection, 0 elsewhere."""
-    base = intersection(m, m)
-    return TwoMorphism(m, m, VectorFamily.build(
-        base, lambda t: 1 if t[0] == t[1] else 0))
-
-
-def _triple(l, m, n):
-    return tuple((a, b, c) for a in l.apex for b in m.apex for c in n.apex
-                 if l.left(a) == m.left(b) == n.left(c)
-                 and l.right(a) == m.right(b) == n.right(c))
+    return TwoMorphism.from_dims(m, m, lambda t: 1 if t[0] == t[1] else 0)
 
 
 def vertical_maps(l, m, n):
     """The three projections from the triple intersection."""
-    t = _triple(l, m, n)
+    t = tuple((a, b, c) for a in l.apex for b in m.apex for c in n.apex
+              if l.left(a) == m.left(b) == n.left(c)
+              and l.right(a) == m.right(b) == n.right(c))
     i_n = SetMap.build(t, intersection(l, m), lambda p: (p[0], p[1]))
     i_l = SetMap.build(t, intersection(m, n), lambda p: (p[1], p[2]))
     i_m = SetMap.build(t, intersection(l, n), lambda p: (p[0], p[2]))
@@ -434,8 +432,7 @@ def vertical_unit_law_iso(mm):
     unit = vertical_unit(m)
     composite = compose2_vertical(mm, unit)
     i_n, i_l, i_m = vertical_maps(l, m, m)
-    lm = intersection(l, m)
-    t = _triple(l, m, m)
+    t, lm = i_n.source, i_n.target
     nabla = SetMap.build(m.apex, intersection(m, m), lambda x: (x, x))
     nabla_p = SetMap.build(lm, t, lambda p: (p[0], p[1], p[1]))
     j = SetMap.build(lm, m.apex, lambda p: p[1])
@@ -461,25 +458,32 @@ def vertical_unit_law_iso(mm):
     return composite, iso
 
 
-def compose2_horizontal(mm, mp):
-    """Horizontal composite: payload is the tensor of the two payloads
-    on the canonical image of (L cap M) x_Y (L' cap M') inside the
-    intersection of the composed spans, and zero off that image."""
-    l, m = mm.span_source, mm.span_target
-    lp, mp_span = mp.span_source, mp.span_target
+def horizontal_maps(l, m, lp, mp):
+    """L.L', M.M', the inclusion iota of P = (L cap M) x_Y (L' cap M')
+    into their intersection, ((a, b), (a', b')) -> ((a, a'), (b, b')),
+    and the projections p, p2 of P onto L cap M and L' cap M'."""
     if tuple(l.right_foot) != tuple(lp.left_foot):
         raise ValueError("feet mismatch")
-    cl = compose_spans(l, lp)
-    cm = compose_spans(m, mp_span)
-    base = intersection(cl, cm)
+    cl, cm = compose_spans(l, lp), compose_spans(m, mp)
+    lm, lmp = intersection(l, m), intersection(lp, mp)
+    p_base = tuple((t, u) for t in lm for u in lmp
+                   if l.right(t[0]) == lp.left(u[0]))
+    iota = SetMap.build(p_base, intersection(cl, cm),
+                        lambda x: ((x[0][0], x[1][0]), (x[0][1], x[1][1])))
+    p = SetMap.build(p_base, lm, lambda x: x[0])
+    p2 = SetMap.build(p_base, lmp, lambda x: x[1])
+    return cl, cm, iota, p, p2
 
-    def dim(pt):
-        (a, ap), (b, bp) = pt
-        if l.right(a) != m.right(b) or lp.left(ap) != mp_span.left(bp):
-            return 0
-        return mm.payload.dim((a, b)) * mp.payload.dim((ap, bp))
 
-    return TwoMorphism(cl, cm, VectorFamily.build(base, dim))
+def compose2_horizontal(mm, mp):
+    """Horizontal composite:  push along iota of the tensor of the two
+    payloads pulled back to P, so zero off the image of iota."""
+    cl, cm, iota, p, p2 = horizontal_maps(mm.span_source, mm.span_target,
+                                          mp.span_source, mp.span_target)
+    payload = pushforward_ls(
+        iota, tensor_family(pullback_ls(p, mm.payload),
+                            pullback_ls(p2, mp.payload)))
+    return TwoMorphism(cl, cm, payload)
 
 
 def horizontal_unit(y):
@@ -487,8 +491,7 @@ def horizontal_unit(y):
     family on the self-intersection of the identity span (the
     diagonal)."""
     idspan = Span.identity(y)
-    base = intersection(idspan, idspan)
-    return TwoMorphism(idspan, idspan, VectorFamily.unit(base))
+    return TwoMorphism.from_dims(idspan, idspan, lambda t: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +515,13 @@ def compose3_vertical(spans, alpha, beta):
 def compose3_horizontal(mm1, mm2, mp1, mp2, alpha, beta):
     """alpha : payload(mm1) -> payload(mm2), beta likewise for the
     primed side; the induced map between horizontal composites."""
-    c1 = compose2_horizontal(mm1, mp1)
-    c2 = compose2_horizontal(mm2, mp2)
-    l, m = mm1.span_source, mm1.span_target
-    lp, mpn = mp1.span_source, mp1.span_target
-
-    def block(pt):
-        (a, ap), (b, bp) = pt
-        if l.right(a) != m.right(b) or lp.left(ap) != mpn.left(bp):
-            return ratlin.zeros(c2.payload.dim(pt), c1.payload.dim(pt))
-        return ratlin.kron(alpha.mat((a, b)), beta.mat((ap, bp)))
-
-    return FamilyMap.build(c1.payload, c2.payload, block)
+    if [alpha.source, alpha.target, beta.source, beta.target] != [
+            mm1.payload, mm2.payload, mp1.payload, mp2.payload]:
+        raise ValueError("maps do not run between the payloads")
+    _, _, iota, p, p2 = horizontal_maps(mm1.span_source, mm1.span_target,
+                                        mp1.span_source, mp1.span_target)
+    return pushforward_map(
+        iota, tensor_map(pullback_map(p, alpha), pullback_map(p2, beta)))
 
 
 # ---------------------------------------------------------------------------

@@ -212,9 +212,7 @@ def inverse(a):
 
 def nullspace(a):
     """Basis of the kernel, as columns collected into a matrix (c x k)."""
-    r, c = shape(a)
-    if r == 0:
-        return identity(c)
+    c = shape(a)[1]
     R, pivots = rref(a)
     free = [j for j in range(c) if j not in pivots]
     basis = []
@@ -229,10 +227,8 @@ def nullspace(a):
 
 def solve(a, b):
     """One solution x of a x = b (b a column matrix), or None."""
-    r, c = shape(a)
-    aug, pivots = rref(hstack([a, b])) if r else (None, [])
-    if r == 0:
-        return zeros(c, shape(b)[1])
+    c = shape(a)[1]
+    aug, pivots = rref(hstack([a, b]))
     if any(p >= c for p in pivots):
         return None
     bc = shape(b)[1]

@@ -158,7 +158,7 @@ def check_path_hom_sizes(rng, bound):
 def check_nondegenerate_range(rng, bound):
     from . import pathnerve
     for l in range(0, min(bound, 4) + 1):
-        table = pathnerve.nondegenerate_table(l, bound=l)
+        table = pathnerve.nondegenerate_table(l, bound=l + 2)
         for (u, v), cells in table.items():
             if u + v > l and cells:
                 return "nondegenerate (%d,%d)-cell of the level-%d nerve" % (

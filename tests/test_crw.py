@@ -904,6 +904,38 @@ class TestModules:
                 m, crw.module_pushforward(r, s, phi, n))
             assert d1 == d2
 
+    @staticmethod
+    def cone_of_x(alg):
+        """Free on m0 (even, weight 1) and m1 (odd, weight 2) with
+        d m1 = x m0 over K[x] or a quotient of it."""
+        return crw.DGModule(alg, [G("m0", 0, 1), G("m1", 1, 2)],
+                            [[{}, alg.gen("x")], [{}, {}]])
+
+    def test_chain_maps_with_differentials(self):
+        # a chain map sends m0 -> a m0, m1 -> b m1, and must satisfy
+        # d f(m1) = f(d m1), i.e. b x m0 = a x m0 in the target: a = b
+        # into M, a = 0 from M into F, b = 0 from F into M, free on F
+        r = crw.GradedDGAlgebra([G("x", 0, 1)])
+        m = self.cone_of_x(r)
+        f = crw.DGModule.free(r, m.generators)
+        dims = [crw.chain_map_dimension(*pair)
+                for pair in [(m, m), (m, f), (f, m), (f, f)]]
+        assert dims == [1, 1, 1, 2]
+
+    def test_adjunction_with_differentials(self):
+        r = crw.GradedDGAlgebra([G("x", 0, 1)])
+        s = crw.GradedDGAlgebra([G("x", 0, 1)], [{(3,): ONE}])
+        phi = crw.algebra_map(r, s, {"x": s.gen("x")})
+        m = self.cone_of_x(r)
+        got = []
+        for n in (self.cone_of_x(s), crw.DGModule.free(s, m.generators),
+                  crw.DGModule.free(s, [G("n0", 0, 2)])):
+            d1 = crw.chain_map_dimension(crw.module_pullback(r, s, phi, m), n)
+            d2 = crw.chain_map_dimension(
+                m, crw.module_pushforward(r, s, phi, n))
+            got.append((d1, d2))
+        assert got == [(1, 1), (1, 1), (0, 0)]
+
     def test_algebra_map_must_kill_relations(self):
         r = crw.GradedDGAlgebra([G("x", 0, 1)], [{(2,): ONE}])
         s = crw.GradedDGAlgebra([G("x", 0, 1)])

@@ -69,6 +69,18 @@ class TestBasics:
         with pytest.raises(ValueError):
             SetMap((0, 1), (0,), ((0, 0),))
 
+    def test_fibers_are_source_order_scans(self):
+        # sources listed in shuffled order, and targets larger than the
+        # image, so some fibers are empty
+        rng = random.Random(31)
+        for _ in range(50):
+            src = list(range(rng.randrange(0, 8)))
+            rng.shuffle(src)
+            tgt = tuple("t%d" % k for k in range(rng.randrange(1, 6)))
+            f = SetMap.build(src, tgt, lambda x: rng.choice(tgt))
+            for y in tgt:
+                assert f.fiber(y) == [x for x in f.source if f(x) == y]
+
     def test_family_negative_dim_rejected(self):
         with pytest.raises(ValueError):
             VectorFamily((0,), ((0, -1),))
@@ -361,6 +373,22 @@ class TestThreeMorphisms:
             assert out == FamilyMap.identity(
                 pp.compose2_horizontal(mm, mp).payload)
 
+    def test_horizontal_maps_must_run_between_the_payloads(self):
+        # seed 18 gives a composite with points of dimension 2 and 4
+        (mm,), (mp,) = horizontal_pairs(random.Random(18), 1)
+        ident = FamilyMap.identity(mp.payload)
+        bigger = VectorFamily.build(mm.payload.base,
+                                    lambda t: mm.payload.dim(t) + 1)
+        with pytest.raises(ValueError, match="between the payloads"):
+            pp.compose3_horizontal(mm, mm, mp, mp,
+                                   FamilyMap.identity(bigger), ident)
+
+    def test_horizontal_composites_pinned(self):
+        # pins the payloads and maps of horizontal composites, zero off
+        # the image of the paired intersections
+        assert horizontal_digest() == (
+            "773bfa0910483ce0541dff53f64fe4cf65d5cf2d926740ced02d470e482d3673")
+
     def test_vertical_three_morphism_endpoints(self):
         rng = random.Random(12)
         l = point_span("l", 2)
@@ -435,6 +463,63 @@ def fillings_digest():
                                     sorted(d.vertical.items()),
                                     sorted(d.r.items()))).encode())
     return digest.hexdigest()
+
+
+def horizontal_digest():
+    """SHA-256 of the payloads of seeded horizontal 2-morphism composites
+    and of the maps between them, over random spans whose composite
+    intersections have points off the image and of dimension 0."""
+    digest = hashlib.sha256()
+    rng = random.Random(32)
+    for _ in range(30):
+        mm, mp = horizontal_pairs(rng, 2)
+        alpha = random_family_map(rng, mm[0].payload, mm[1].payload)
+        beta = random_family_map(rng, mp[0].payload, mp[1].payload)
+        digest.update(repr((
+            pp.compose2_horizontal(mm[0], mp[0]).payload,
+            pp.compose2_horizontal(mm[1], mp[1]).payload,
+            pp.compose3_horizontal(mm[0], mm[1], mp[0], mp[1],
+                                   alpha, beta))).encode())
+    return digest.hexdigest()
+
+
+BREAKS = ["missing heights", "family on wrong base", "vertical chain mismatch",
+          "phi source mismatch", "phi target mismatch",
+          "phi does not commute with the tower"]
+
+
+def broken_filling(kind):
+    """The canonical filling of unit spines at club 1 on three vertices,
+    as constructor arguments, broken in the way ``kind`` names."""
+    vertices = [("a", "b"), ("a",), ("a", "b")]
+    spine, spine_vertical = unit_spine(vertices, club=1)
+    d = pp.synthesize_filling(vertices, 1, spine, spine_vertical)
+    r, vertical, phi = dict(d.r), dict(d.vertical), dict(d.phi)
+    s = (0, 1, 2)
+    src, tgt = phi[s][0].source, phi[s][0].target
+
+    def bigger(fam):
+        return VectorFamily.build(fam.base, lambda x: fam.dim(x) + 1)
+
+    def zero(a, b):
+        return FamilyMap.build(a, b, lambda x: ratlin.zeros(b.dim(x),
+                                                            a.dim(x)))
+
+    if kind == "missing heights":
+        r[(0, 1)] = r[(0, 1)][:1]
+    elif kind == "family on wrong base":
+        r[(0, 1)] = [r[(1, 2)][0], r[(0, 1)][1]]
+    elif kind == "vertical chain mismatch":
+        vertical[(0, 1)] = [FamilyMap.identity(bigger(r[(0, 1)][0]))]
+    elif kind == "phi source mismatch":
+        phi[s] = [zero(bigger(src), tgt), phi[s][1]]
+    elif kind == "phi target mismatch":
+        phi[s] = [zero(src, bigger(tgt)), phi[s][1]]
+    elif kind == "phi does not commute with the tower":
+        # the chain maps are identities, so the square asks that
+        # phi[S][0] == phi[S][1]
+        phi[s] = [zero(src, tgt), phi[s][1]]
+    return vertices, 1, r, vertical, phi
 
 
 class TestFillings:
@@ -521,6 +606,12 @@ class TestFillings:
         d2 = pp.synthesize_filling(vertices, 0, spine2)
         with pytest.raises(ValueError):
             pp.filling_iso_solutions(d1, d2)
+
+    @pytest.mark.parametrize("message", BREAKS)
+    def test_broken_filling_rejected(self, message):
+        pp.PushPullThetaDiagram(*broken_filling(None))
+        with pytest.raises(ValueError, match=message):
+            pp.PushPullThetaDiagram(*broken_filling(message))
 
     @pytest.mark.parametrize("l", [2, 3, 4])
     def test_conjugation_recovered_exactly(self, l):

@@ -192,6 +192,11 @@ class TestEchelon:
         assert sol is not None
         assert ratlin.matmul(a, sol) == b
 
+    def test_zero_row_systems(self):
+        # a matrix with no rows is () and has no column count left
+        assert ratlin.nullspace(()) == ratlin.identity(0) == ()
+        assert ratlin.solve((), ()) == ratlin.zeros(0, 0) == ()
+
     def test_solve_inconsistent(self):
         a = ratlin.mat([[1, 1], [1, 1]])
         b = ratlin.mat([[0], [1]])

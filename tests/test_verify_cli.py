@@ -506,6 +506,24 @@ class TestCompose:
         dims = json.loads(out.stdout)["result"]["dims"]
         assert dims == {"a|a": 1, "a|b": 0, "b|a": 0, "b|b": 1}
 
+    @pytest.mark.parametrize("kind, files, error", [
+        # the target span of compose_m is not the source span of compose_h1
+        ("vertical", ["compose_m.json", "compose_h1.json"],
+         "2-morphisms not composable: the target span of the first differs "
+         "from the source span of the second"),
+        # compose_h1 ends over {y, z} and starts over {x}
+        ("horizontal", ["compose_h1.json", "compose_h1.json"],
+         "2-morphisms not composable side by side: the feet in the middle "
+         "differ"),
+    ])
+    def test_two_morphisms_that_do_not_compose_exit_two(self, run_cli, kind,
+                                                        files, error):
+        out = run_cli("compose", "--kind", kind,
+                      *[str(GOLDEN / f) for f in files])
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert json.loads(out.stderr) == {"error": error}
+
     @staticmethod
     def over_points(apex, left="x", right="y"):
         """The span {left} <- apex -> {right}."""
