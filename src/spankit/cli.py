@@ -306,21 +306,14 @@ def cmd_compose(args):
     try:
         if args.kind == "span":
             from .spans import compose_spans
-            s1, s2 = _span_from_json(first, kind), _span_from_json(second, kind)
-            if s1.right_foot != s2.left_foot:
-                raise InputError("spans not composable: middle feet differ "
-                                 "(%r vs %r)" % (s1.right_foot, s2.left_foot))
-            out = compose_spans(s1, s2)
+            out = compose_spans(_span_from_json(first, kind),
+                                _span_from_json(second, kind))
             doc = {"kind": "span", "result": _span_to_json(out),
                    "witness": {"pullback_pairs": [list(a)
                                                   for a in out.apex]}}
         elif args.kind == "vertical":
             mm = _two_morphism_from_json(first)
             nn = _two_morphism_from_json(second)
-            if mm.span_target != nn.span_source:
-                raise InputError("2-morphisms not composable: the target "
-                                 "span of the first differs from the source "
-                                 "span of the second")
             from . import pushpull
             out = pushpull.compose2_vertical(mm, nn)
             doc = {
@@ -335,9 +328,6 @@ def cmd_compose(args):
         else:  # horizontal
             mm = _two_morphism_from_json(first)
             mp = _two_morphism_from_json(second)
-            if mm.span_source.right_foot != mp.span_source.left_foot:
-                raise InputError("2-morphisms not composable side by side: "
-                                 "the feet in the middle differ")
             from . import pushpull
             out = pushpull.compose2_horizontal(mm, mp)
             doc = {
@@ -389,20 +379,42 @@ def _algebra_from_json(doc):
     return crw.quotient_algebra(gens, relations, differential)
 
 
+def _generators_to_json(gens):
+    return [{"name": g.name, "parity": g.parity, "weight": g.weight}
+            for g in gens]
+
+
 def _algebra_to_json(a):
-    power, other = a.rules()
-    out = {
-        "generators": [{"name": g.name, "parity": g.parity,
-                        "weight": g.weight} for g in a.gens],
-        "power_rules": {name: {"power": k, "rewrite": _poly_to_json(p)}
-                        for name, (k, p) in sorted(power.items())},
-        "differential": {name: _poly_to_json(p)
-                         for name, p in sorted(a.differential.items()) if p},
-    }
+    """An algebra with exponent keys: the first rule led by a pure power
+    of each generator under power_rules, the other rules under rules."""
+    from . import crw
+    power, other = {}, []
+    for lead, rhs in a.rules:
+        i = crw._power_of(lead)
+        if i is None or a.names[i] in power:
+            other.append({"lead": ",".join(map(str, lead)),
+                          "rewrite": _poly_to_json(rhs)})
+        else:
+            power[a.names[i]] = {"power": lead[i],
+                                 "rewrite": _poly_to_json(rhs)}
+    out = {"generators": _generators_to_json(a.gens), "power_rules": power,
+           "differential": {name: _poly_to_json(p)
+                            for name, p in a.differential.items() if p}}
     if other:
-        out["rules"] = [{"lead": ",".join(map(str, lead)),
-                         "rewrite": _poly_to_json(p)} for lead, p in other]
+        out["rules"] = other
     return out
+
+
+def _algebra_to_text(a):
+    """An algebra as text: each rule as lead and rewrites_to, and every
+    generator's differential, 0 included."""
+    from . import crw
+    return {"generators": _generators_to_json(a.gens),
+            "relations": [{"lead": crw.poly_str(a.gens, {lead: 1}),
+                           "rewrites_to": crw.poly_str(a.gens, rhs)}
+                          for lead, rhs in a.rules],
+            "differential": {name: crw.poly_str(a.gens, p)
+                             for name, p in a.differential.items()}}
 
 
 def cmd_crw(args):
@@ -411,6 +423,7 @@ def cmd_crw(args):
         if args.n is None or args.n < 2:
             raise InputError("intro requires --n with n >= 2")
         _, algebra, report = crw.build_intro_algebras(args.n)
+        report["B"] = _algebra_to_text(algebra)
         doc = {"action": "intro", "n": args.n, "report": report,
                "critical_locus_presentation": _algebra_to_json(algebra)}
     else:

@@ -411,7 +411,9 @@ def compose2_vertical(mm, nn):
     """Vertical composite:  push along the outer projection of the
     tensor of the two payloads pulled back to the triple intersection."""
     if mm.span_target != nn.span_source:
-        raise ValueError("middle span mismatch")
+        raise ValueError("2-morphisms not composable: the target span of "
+                         "the first differs from the source span of the "
+                         "second")
     l, m, n = mm.span_source, mm.span_target, nn.span_target
     i_n, i_l, i_m = vertical_maps(l, m, n)
     payload = pushforward_ls(
@@ -463,7 +465,8 @@ def horizontal_maps(l, m, lp, mp):
     into their intersection, ((a, b), (a', b')) -> ((a, a'), (b, b')),
     and the projections p, p2 of P onto L cap M and L' cap M'."""
     if tuple(l.right_foot) != tuple(lp.left_foot):
-        raise ValueError("feet mismatch")
+        raise ValueError("2-morphisms not composable side by side: the "
+                         "feet in the middle differ")
     cl, cm = compose_spans(l, lp), compose_spans(m, mp)
     lm, lmp = intersection(l, m), intersection(lp, mp)
     p_base = tuple((t, u) for t in lm for u in lmp

@@ -92,7 +92,8 @@ class Span:
 def compose_spans(s1, s2):
     """Composite span with apex the pullback over the shared foot."""
     if tuple(s1.right_foot) != tuple(s2.left_foot):
-        raise ValueError("foot mismatch")
+        raise ValueError("spans not composable: middle feet differ "
+                         "(%r vs %r)" % (s1.right_foot, s2.left_foot))
     apex = tuple((a, b) for a in s1.apex for b in s2.apex
                  if s1.right(a) == s2.left(b))
     left = tuple(((a, b), s1.left(a)) for (a, b) in apex)

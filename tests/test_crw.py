@@ -604,7 +604,7 @@ class TestQuotients:
         for rels in ([x_y, {(2, 0): ONE}], [{(2, 0): ONE}, x_y]):
             alg = crw.quotient_algebra(gens, rels)
             assert [g.name for g in alg.gens] == ["y"]
-            assert alg.power_rules == {"y": (2, {})}
+            assert alg.rules == [((2,), {})]
 
     def test_two_powers_of_one_generator(self):
         # K[x]/(x^2, x^3) = K[x]/(x^2): no rule overwrites another
@@ -666,7 +666,7 @@ class TestQuotients:
         for rels in ([{(1, 1): ONE}, {(1, 0): ONE}],
                      [{(1, 0): ONE}, {(1, 1): ONE}]):
             alg = crw.quotient_algebra(gens, rels)
-            assert alg.names == ["y"] and alg.power_rules == {}
+            assert alg.names == ["y"] and alg.rules == []
 
     def test_quotients_match_the_ideal_oracle_in_every_order(self):
         # random relations, mostly x^k - f with f free of x, then again
@@ -868,12 +868,38 @@ class TestModules:
     def test_module_d_squared_enforced(self):
         alg = crw.GradedDGAlgebra([G("x", 0, 1)])
         gens = [G("a", 0, 1), G("b", 1, 2)]
-        # d(b) = x a, d(a) = 0 is fine; making d(a) hit b breaks d^2
+        # d(b) = x a, d(a) = 0 is fine; d(a) = x b does not preserve the
+        # weight, so the weight check rejects it before d^2 is looked at
         good = [[{}, {(1,): ONE}], [{}, {}]]
         crw.DGModule(alg, gens, good)
         bad = [[{}, {(1,): ONE}], [{(1,): ONE}, {}]]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="breaks weights"):
             crw.DGModule(alg, gens, bad)
+
+    def test_module_d_squared_enforced_off_row_zero(self):
+        # a, b, c of weights 1, 2, 3 and parities 0, 1, 0 with d b = x a
+        # and d c = x b: the grading fits, and d^2 c = x^2 a
+        alg = crw.GradedDGAlgebra([G("x", 0, 1)])
+        gens = [G("a", 0, 1), G("b", 1, 2), G("c", 0, 3)]
+        x = alg.gen("x")
+        with pytest.raises(ValueError,
+                           match=r"^d\^2 != 0 in module at \(0, 2\)$"):
+            crw.DGModule(alg, gens, [[{}, x, {}], [{}, {}, x], [{}, {}, {}]])
+
+    def test_chain_maps_with_a_differential_off_row_zero(self):
+        # d c = x b, d a = d b = 0: a chain map from F, free on a, b, c,
+        # into M sends c to a cycle, a multiple of x^2 a but no multiple
+        # of c, so the entry x in row 1 costs F -> M one dimension
+        dims = []
+        for alg in (crw.GradedDGAlgebra([G("x", 0, 1)]),
+                    crw.GradedDGAlgebra([G("x", 0, 1)], [{(3,): ONE}])):
+            gens = [G("a", 0, 1), G("b", 1, 2), G("c", 0, 3)]
+            m = crw.DGModule(alg, gens, [[{}, {}, {}], [{}, {}, alg.gen("x")],
+                                         [{}, {}, {}]])
+            f = crw.DGModule.free(alg, gens)
+            dims.append([crw.chain_map_dimension(*pair)
+                         for pair in [(m, m), (m, f), (f, m), (f, f)]])
+        assert dims == [[3, 3, 3, 4]] * 2
 
     def test_chain_maps_between_free_rank_one(self):
         alg = crw.GradedDGAlgebra([G("x", 0, 1)])

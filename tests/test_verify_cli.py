@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from spankit import pushpull, verify
+from spankit import cli, pushpull, verify
 
 ROOT = pathlib.Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -442,6 +442,10 @@ class TestDeterminism:
         ("crw_four_quadrics_12.csv",
          ["crw", "intersect", str(GOLDEN / "crw_four_quadrics.json"),
           "--bound", "12", "--format", "csv"]),
+        # x^2 = 1/2*y*z and x*y = z^2 stay: a power rule and another rule
+        ("crw_intersect_rules_4.json",
+         ["crw", "intersect", str(GOLDEN / "crw_intersect_rules.json"),
+          "--bound", "4"]),
     ])
     def test_matches_golden(self, run_cli, name, argv):
         out = run_cli(*argv)
@@ -498,6 +502,10 @@ class TestCompose:
         f2.write_text(json.dumps(other))
         out = run_cli("compose", "--kind", "span", str(f1), str(f2))
         assert out.returncode == 2
+        assert out.stdout == ""
+        assert json.loads(out.stderr) == {
+            "error": "spans not composable: middle feet differ "
+                     "(('y', 'z') vs ('q',))"}
 
     def test_vertical_composition_dims(self, run_cli):
         f1 = GOLDEN / "compose_m.json"
@@ -602,6 +610,19 @@ class TestCrwCommand:
             "x": {"power": 2, "rewrite": {}}}
         assert both["rules"] == [{"lead": "1,1", "rewrite": {}}]
         assert "rules" not in square
+
+    def test_text_form_of_the_kept_relations(self):
+        # the cycle x^2 = y*z, y^2 = x*z, z^2 = x*y eliminates nothing:
+        # each relation is written as its own echelon, lead first
+        doc = json.loads((GOLDEN / "crw_cycle.json").read_text())
+        alg = cli._algebra_from_json(doc)
+        gens = [{"name": n, "parity": 0, "weight": 1} for n in "xyz"]
+        assert cli._algebra_to_text(alg) == {
+            "generators": gens,
+            "relations": [{"lead": "x^2", "rewrites_to": "y*z"},
+                          {"lead": "x*y", "rewrites_to": "z^2"},
+                          {"lead": "x*z", "rewrites_to": "y^2"}],
+            "differential": {"x": "0", "y": "0", "z": "0"}}
 
     def test_substitution_chain_is_fast(self, tmp_path):
         # x_i = x_(i+1) + x_(i+2) down a chain of 38: substituting x0 must
