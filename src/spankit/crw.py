@@ -184,6 +184,12 @@ def mono_parity(gens, m):
     return sum(e * g.parity for e, g in zip(m, gens)) % 2
 
 
+def _grades(gens, p):
+    """The set of (weight, parity) of p's monomials: p is homogeneous
+    when it has at most one element."""
+    return {(mono_weight(gens, m), mono_parity(gens, m)) for m in p}
+
+
 def poly_str(gens, p):
     if not p:
         return "0"
@@ -283,17 +289,6 @@ class GradedDGAlgebra:
 
     def gen(self, name):
         return poly_gen(self.gens, name)
-
-    def is_homogeneous(self, p):
-        ws = {mono_weight(self.gens, m) for m in p}
-        ps = {mono_parity(self.gens, m) for m in p}
-        return len(ws) <= 1 and len(ps) <= 1
-
-    def weight_of(self, p):
-        return mono_weight(self.gens, next(iter(p))) if p else None
-
-    def parity_of(self, p):
-        return mono_parity(self.gens, next(iter(p))) if p else None
 
     # -- the differential ---------------------------------------------
 
@@ -553,24 +548,19 @@ class DGModule:
 
     def _check(self):
         a = self.algebra
-        n = len(self.generators)
-        for i in range(n):
-            for j in range(n):
-                p = self.d_entries[i][j]
-                if not p:
-                    continue
-                gi, gj = self.generators[i], self.generators[j]
-                w = a.weight_of(p)
-                pa = a.parity_of(p)
-                if not a.is_homogeneous(p):
+        for gi, row in zip(self.generators, self.d_entries):
+            for gj, p in zip(self.generators, row):
+                grades = _grades(a.gens, p)
+                if len(grades) > 1:
                     raise ValueError("differential entry not homogeneous")
-                if w + gi.weight != gj.weight:
-                    # weights: d preserves weight, so entry weight must
-                    # equal weight(gen j) - weight(gen i)
-                    raise ValueError("differential entry breaks weights")
-                if (pa + gi.parity) % 2 != (1 + gj.parity) % 2:
-                    raise ValueError("differential entry breaks parity")
-        for j in range(n):  # d^2 = 0 on each generator
+                for w, pa in grades:
+                    if w + gi.weight != gj.weight:
+                        # weights: d preserves weight, so entry weight must
+                        # equal weight(gen j) - weight(gen i)
+                        raise ValueError("differential entry breaks weights")
+                    if (pa + gi.parity) % 2 != (1 + gj.parity) % 2:
+                        raise ValueError("differential entry breaks parity")
+        for j in range(len(self.generators)):  # d^2 = 0 on each generator
             dd = self.d(self.d({j: poly_const(a.gens, 1)}))
             if dd:
                 raise ValueError("d^2 != 0 in module at (%d, %d)"
@@ -604,9 +594,7 @@ def algebra_map(source, target, images):
     the differentials."""
     images = {n: target.normalize(dict(p)) for n, p in images.items()}
     for g in source.gens:
-        p = images[g.name]
-        if p and (target.parity_of(p) != g.parity
-                  or target.weight_of(p) != g.weight):
+        if not _grades(target.gens, images[g.name]) <= {(g.weight, g.parity)}:
             raise ValueError("map does not preserve the grading")
     for rel in source.relations:
         if _apply_map(source, target, images, rel):
@@ -638,74 +626,53 @@ def module_pullback(source, target, images, module):
 class RestrictedModule:
     """A module over the target algebra viewed, lazily, as a module
     over the source algebra through an algebra map (restriction of
-    scalars).  Hom spaces into it are enumerated weight by weight
-    without materializing a presentation."""
+    scalars), without materializing a presentation:
+    ``chain_map_dimension`` into it keeps the target's monomial basis
+    and applies the map to the source module's differential entries."""
     source: object
-    target: object
     images: object
     module: object
 
 
 def module_pushforward(source, target, images, module):
     """Restriction of scalars along the algebra map."""
-    return RestrictedModule(source, target, dict(images), module)
+    return RestrictedModule(source, dict(images), module)
 
 
 def chain_map_dimension(module_m, module_n):
-    """Dimension of the space of even weight-0 chain maps M -> N over
-    a common algebra (images of generators solved exactly).  N may be
-    a restricted module, in which case scalars act through its map."""
+    """Dimension of the space of even weight-0 chain maps F: M -> N over
+    a common algebra.  N may be a restricted module, in which case
+    scalars act through its map phi.  The unknowns are the coefficients
+    of mono*n_k in F(m_i), and the equations are d_N(F_j) =
+    sum_i phi(D^M_ij) F_i, keyed (j, generator of N, monomial).  Each
+    unknown gives one sparse row {equation: coefficient} for
+    ``ratlin.sparse_rank``: its d_N(mono*n_k) at the equations of j = i,
+    less phi(D^M_ij)*mono at those of every j.  This is the transpose of
+    the system, which has the same rank, as in ``d_matrix``."""
     if isinstance(module_n, RestrictedModule):
-        source, images = module_n.source, module_n.images
-        module_n = module_n.module
+        source, images, module_n = (module_n.source, module_n.images,
+                                    module_n.module)
     else:  # scalars act through the identity map
         source = module_n.algebra
         images = {name: source.gen(name) for name in source.names}
     a = module_n.algebra
-    m_gens = module_m.generators
-    n_gens = module_n.generators
-
-    def component_basis(weight, parity):
-        out = []
-        for gi, g in enumerate(n_gens):
-            w = weight - g.weight
-            if w < 0:
+    rows = []
+    for i, g in enumerate(module_m.generators):
+        coefs = {j: _apply_map(source, a, images, p)
+                 for j, p in enumerate(module_m.d_entries[i]) if p}
+        for k, h in enumerate(module_n.generators):
+            if g.weight < h.weight:
                 continue
-            out.extend((gi, mono) for mono in
-                       a.monomials_by_parity(w)[(parity - g.parity) % 2])
-        return out
-
-    unknowns = []
-    for j, g in enumerate(m_gens):
-        for slot in component_basis(g.weight, g.parity):
-            unknowns.append((j, slot))
-    index = {u: i for i, u in enumerate(unknowns)}
-
-    rows = {}  # equation (j, k, monomial) -> {unknown: coefficient}
-
-    def add_coeff(eq_key, var, coeff):
-        row = rows.setdefault(eq_key, {})
-        row[var] = row.get(var, 0) + coeff
-
-    # constraint per module_m generator j:  d_N(F_j) = sum_i phi(D^M_ij) F_i
-    for j, g in enumerate(m_gens):
-        for (gi, mono) in component_basis(g.weight, g.parity):
-            var = index[(j, (gi, mono))]
-            # d_N of the basis element mono * n_gen[gi]
-            for k, p in module_n.d({gi: {mono: Fraction(1)}}).items():
-                for mm, c in p.items():
-                    add_coeff((j, k, mm), var, c)
-        for i, gm in enumerate(m_gens):
-            coefp = _apply_map(source, a, images,
-                               module_m.d_entries[i][j])
-            if not coefp:
-                continue
-            for (gi, mono) in component_basis(gm.weight, gm.parity):
-                var = index[(i, (gi, mono))]
-                prod = a.mul(coefp, {mono: Fraction(1)})
-                for mm, c in prod.items():
-                    add_coeff((j, gi, mm), var, -c)
-    return len(unknowns) - ratlin.sparse_rank(rows.values())
+            for mono in a.monomials_by_parity(g.weight - h.weight)[
+                    (g.parity - h.parity) % 2]:
+                one = {mono: Fraction(1)}
+                row = {(i, kk, mm): c for kk, p in module_n.d({k: one}).items()
+                       for mm, c in p.items()}
+                for j, c in coefs.items():
+                    for mm, v in a.mul(c, one).items():
+                        row[j, k, mm] = row.get((j, k, mm), 0) - v
+                rows.append(row)
+    return len(rows) - ratlin.sparse_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +780,8 @@ def build_intro_algebras(n):
     d_dtheta = a.d(a.dtheta_gen())
     report = {
         "n": n,
-        "B_d_squared_zero": True,   # enforced by the constructor
+        "B_d_squared_zero": all(not b.d(b.d(b.gen(name)))
+                                for name in b.names),
         "A_d_squared_zero": a.d_squared_zero(),
         "A_commutative": a.is_commutative_on_generators(),
         "A_d_theta": {k: poly_str(a.GENS, p) for k, p in d_theta.items()},

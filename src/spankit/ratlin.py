@@ -192,7 +192,7 @@ def rref(a):
 
 
 def rank(a):
-    return len(_reduce((dict(enumerate(row)) for row in a), False)[1])
+    return sparse_rank(dict(enumerate(row)) for row in a)
 
 
 def is_invertible(a):

@@ -504,16 +504,35 @@ def check_module_adjunction(rng, bound):
     r = crw.GradedDGAlgebra([G("x", 0, 1)])
     s = crw.GradedDGAlgebra([G("x", 0, 1)], [{(3,): Fraction(1)}])
     phi = crw.algebra_map(r, s, {"x": s.gen("x")})
+
+    def dims(m, n):
+        return (crw.chain_map_dimension(crw.module_pullback(r, s, phi, m), n),
+                crw.chain_map_dimension(
+                    m, crw.module_pushforward(r, s, phi, n)))
+
     for _ in range(5):
         k = rng.randrange(1, 3)
         m = crw.DGModule.free(r, [G("m%d" % i, 0, 1) for i in range(k)])
         n = crw.DGModule.free(s, [G("n%d" % i, 0, 1)
                                   for i in range(rng.randrange(1, 3))])
-        d1 = crw.chain_map_dimension(crw.module_pullback(r, s, phi, m), n)
-        d2 = crw.chain_map_dimension(
-            m, crw.module_pushforward(r, s, phi, n))
+        d1, d2 = dims(m, n)
         if d1 != d2:
             return "adjunction dimensions differ: %d vs %d" % (d1, d2)
+
+    def cone(alg):  # a even of weight 1, b odd of weight 2, d b = x a
+        return crw.DGModule(alg, [G("a", 0, 1), G("b", 1, 2)],
+                            [[{}, alg.gen("x")], [{}, {}]])
+
+    # no chain map goes from one odd generator into the cone, or from
+    # the cone into one even generator; the count finds 0 for the first
+    # pair only through the d_N terms of the chain-map equations, and
+    # for the second only through the terms of d_M
+    for m, n in [(crw.DGModule.free(r, [G("m", 1, 2)]), cone(s)),
+                 (cone(r), crw.DGModule.free(s, [G("n", 0, 1)]))]:
+        got = dims(m, n)
+        if got != (0, 0):
+            return "chain maps between a free module and the cone of x: " \
+                "dimensions %d and %d, not 0" % got
     return None
 
 

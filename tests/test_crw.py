@@ -962,6 +962,22 @@ class TestModules:
             got.append((d1, d2))
         assert got == [(1, 1), (1, 1), (0, 0)]
 
+    def test_module_entry_not_homogeneous(self):
+        alg = crw.GradedDGAlgebra([G("x", 0, 1)])
+        gens = [G("a", 0, 1), G("b", 1, 2)]
+        with pytest.raises(ValueError,
+                           match="differential entry not homogeneous"):
+            crw.DGModule(alg, gens, [[{}, {(1,): ONE, (2,): ONE}], [{}, {}]])
+
+    def test_algebra_map_grading_reads_every_monomial(self):
+        # x -> x + x^2 and x -> x^2 + x are one image in two dict orders
+        r = crw.GradedDGAlgebra([G("x", 0, 1)])
+        s = crw.GradedDGAlgebra([G("x", 0, 1)], [{(3,): ONE}])
+        for image in ({(1,): ONE, (2,): ONE}, {(2,): ONE, (1,): ONE}):
+            with pytest.raises(ValueError,
+                               match="map does not preserve the grading"):
+                crw.algebra_map(r, s, {"x": image})
+
     def test_algebra_map_must_kill_relations(self):
         r = crw.GradedDGAlgebra([G("x", 0, 1)], [{(2,): ONE}])
         s = crw.GradedDGAlgebra([G("x", 0, 1)])
@@ -984,6 +1000,17 @@ class TestWorkedExample:
         assert report["quoted_d_dtheta"] == "3*x^2"
         assert report["d_dtheta_mismatch_factor"] == "9"
         assert report["A_weight_gradable"] is False
+
+    def test_report_computes_d_squared_on_b(self, monkeypatch):
+        real = crw.koszul_intersection
+
+        def with_bad_d(*args):
+            b = real(*args)
+            b.d = lambda p: b.gen("x") if p else {}  # d(d(g)) = x
+            return b
+
+        monkeypatch.setattr(crw, "koszul_intersection", with_bad_d)
+        assert crw.build_intro_algebras(2)[2]["B_d_squared_zero"] is False
 
     def test_koszul_model_cohomology(self):
         for n in (2, 3, 4):
