@@ -264,7 +264,10 @@ def compatible_families(sizes, arrows):
     backtracks in its own order: the roots, most arrows first (stable),
     each followed breadth first by every position its arrows reach.  An
     arrow into a later position forces the value there, so only roots
-    are chosen.
+    are chosen.  A root with arrows into positions known before its turn
+    is looked up, not scanned: it tries only the preimage of the known
+    value under the one of them into the largest domain (the first such),
+    whose table it inverts, reading it in full, on its first visit.
     """
     n = len(sizes)
     order = identity = list(range(n))
@@ -282,24 +285,40 @@ def compatible_families(sizes, arrows):
                 k += 1
         sizes = [sizes[i] for i in order]
         arrows = [[(at[j], table) for j, table in arrows[i]] for i in order]
-    # the order fixes, per position, whether it is chosen or forced (by
-    # the first arrow into it), and which arrows then only check
+    # the order fixes, per position, the values it tries (its domain if
+    # it is chosen; None if the first arrow into it forces it), the
+    # arrow a chosen one is looked up by (with its inverse, None until
+    # the first visit), and which arrows then force or only check
     plan, known = [], [False] * n
     for pos in range(n):
-        free, known[pos] = not known[pos], True
+        tries = None if known[pos] else range(sizes[pos])
+        lookup, largest = None, 0
+        if tries is not None:
+            for arrow in arrows[pos]:
+                if known[arrow[0]] and sizes[arrow[0]] > largest:
+                    lookup, largest = arrow, sizes[arrow[0]]
+        known[pos] = True
         forces, checks = [], []
-        for j, table in arrows[pos]:
-            (checks if known[j] else forces).append((j, table))
-            known[j] = True
-        plan.append((free, forces, checks))
+        for arrow in arrows[pos]:
+            if arrow is not lookup:
+                (checks if known[arrow[0]] else forces).append(arrow)
+                known[arrow[0]] = True
+        plan.append((tries, forces, checks, lookup and [*lookup, None]))
     fam, families = [None] * n, []
 
     def extend(pos):
         if pos == n:
             families.append(tuple(fam))
             return
-        free, forces, checks = plan[pos]
-        for x in range(sizes[pos]) if free else (fam[pos],):
+        tries, forces, checks, lookup = plan[pos]
+        if lookup:
+            j, table, inverse = lookup
+            if inverse is None:
+                lookup[2] = inverse = {}
+                for x in tries:
+                    inverse.setdefault(table[x], []).append(x)
+            tries = inverse.get(fam[j], ())
+        for x in (fam[pos],) if tries is None else tries:
             fam[pos] = x
             for j, table in forces:
                 fam[j] = table[x]

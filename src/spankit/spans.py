@@ -23,12 +23,13 @@ at the first label that fails.
 A composite is filled on its first read, so a diagram built unchecked
 composes only the pairs that are read (replacement and the cartesian
 check read the pairs that end at a bottom object).  With ``check`` on,
-the constructor builds and checks every composite.  Cartesian
-replacement builds its result unchecked: each label is a limit and each
-map restricts families, so the result is a functor by construction.
-Its comparison maps are built on first read.  The gamma and delta
-actions build theirs unchecked too: their maps are products or
-reindexings of the input's composites, so they compose as those do.
+the constructor builds and checks every composite.  A diagram built
+from another is built unchecked, straight from position tables, and
+its value dicts (``maps``, comparison maps) are made only when read.
+Cartesian replacement restricts position families along each cover, so
+each label is a limit and the result is a functor by construction.  The
+gamma action takes products of positions (in mixed radix) and the delta
+action reindexes the input's composites: they compose as those do.
 """
 
 from __future__ import annotations
@@ -156,6 +157,7 @@ class ProductPoset:
         objs = self.objects
         self.covers = [(objs[a], objs[b]) for a, b in self._covers_c]
         self._code = {o: c for c, o in enumerate(objs)}
+        self._cover_codes = dict(zip(self.covers, self._covers_c))
         self._joins = {}
 
     def leq(self, a, b):
@@ -172,6 +174,29 @@ class ProductPoset:
 # ---------------------------------------------------------------------------
 # generalized span diagrams
 # ---------------------------------------------------------------------------
+
+class _Lazy(Mapping):
+    """A read-only mapping over the keys of ``keys`` whose value at a key
+    is ``build(key)``, built on its first read and kept; ``build`` raises
+    ``KeyError`` on any other key."""
+
+    def __init__(self, keys, build):
+        self._keys, self._build, self._kept = keys, build, {}
+
+    def __getitem__(self, key):
+        if key not in self._kept:
+            self._kept[key] = self._build(key)
+        return self._kept[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __contains__(self, key):
+        return key in self._keys
+
 
 class _Composites(dict):
     """The composite of every pair a >= b of object codes, per slot a
@@ -201,45 +226,44 @@ class _Composites(dict):
         c = self[key] = next(self.routes(a, b))
         return c
 
+    def value_maps(self, a, b):
+        """The composite a -> b per slot as a dict of label values."""
+        return [dict(zip(src, map(tgt.__getitem__, c)))
+                for src, tgt, c in zip(self._values[a], self._values[b],
+                                       self[a, b])]
+
 
 class GeneralizedSpanDiagram:
     """A width-t labelling of a product poset by finite sets and maps.
 
     ``labels[obj]`` is a list of t label sets (lists); ``maps[(a, b)]``,
-    for each covering arrow a -> b, is a list of t dicts.  The composite
-    for a pair a >= b is built once, on its first read, along the first
-    cover step a -> m above b.  With ``check`` on, the constructor builds
-    every composite, smaller down-sets first, and every other first step
-    must give the same composite (functoriality).
+    for each covering arrow a -> b, is a list of t dicts, built on its
+    first read and kept.  With ``check`` on, the constructor builds every
+    composite, smaller down-sets first, and every other first step must
+    give the same composite (functoriality).
 
-    Every composite, the cover maps among them, is kept in
-    ``_composites`` per slot as a tuple of positions (see the module
-    docstring) keyed by the code pair of its arrow.  ``_values`` holds,
-    per code and slot, the label list as built.  ``get_map`` turns a
-    composite back into value dicts.
+    ``_values`` holds, per code and slot, the label list as a tuple, and
+    ``_composites`` every composite as positions (see the module
+    docstring), the cover maps among them.  ``maps`` and ``get_map``
+    turn composites back into value dicts.
     """
 
     def __init__(self, poset, width, labels, maps, check=True):
-        self.poset = poset
-        self.width = width
-        self.labels = {o: [list(s) for s in labels[o]] for o in poset.objects}
-        self.maps = {e: [dict(d) for d in maps[e]] for e in poset.covers}
-        values = [[tuple(s) for s in ls] for ls in self.labels.values()]
-        covers = list(zip(poset._covers_c, self.maps.values()))
+        values = [[tuple(s) for s in labels[o]] for o in poset.objects]
+        covers = list(zip(poset._covers_c, [maps[e] for e in poset.covers]))
         if check:
-            self._check(values, covers)
+            self._check(width, values, covers)
         ranks = [[{v: p for p, v in enumerate(s)} for s in ls]
                  for ls in values]
-        self._values = values
         # the cover maps out of each object, aligned with _up_c
         step = [[] for _ in values]
         for (a, m), ds in covers:
             step[a].append([tuple(r[d[v]] for v in s)
                             for d, s, r in zip(ds, values[a], ranks[m])])
-        self._composites = table = _Composites(poset, values, step)
+        self._from_positions(poset, width, values, step, self)
         if not check:
             return
-        down = poset._down_c
+        table, down = self._composites, poset._down_c
         # smaller down-sets first: every cover target before its sources
         for a in sorted(range(len(values)), key=lambda c: len(down[c])):
             for b in down[a]:
@@ -249,15 +273,33 @@ class GeneralizedSpanDiagram:
                     raise ValueError("diagram not functorial at %r -> %r"
                                      % (poset.objects[a], poset.objects[b]))
 
-    def _check(self, values, covers):
+    @classmethod
+    def _from_positions(cls, poset, width, values, step, self=None):
+        """The diagram, built unchecked, with label values ``values[code]``
+        (per slot a tuple) and cover maps ``step[code]`` (per cover step of
+        ``_up_c``, per slot a tuple of target positions).  ``__init__``
+        ends here, passing itself, once its checks pass."""
+        if self is None:
+            self = cls.__new__(cls)
+        self.poset, self.width = poset, width
+        self.labels = {o: [list(s) for s in ls]
+                       for o, ls in zip(poset.objects, values)}
+        self._values = values
+        self._composites = table = _Composites(poset, values, step)
+        codes = poset._cover_codes
+        self.maps = _Lazy(codes, lambda e: table.value_maps(*codes[e]))
+        return self
+
+    @staticmethod
+    def _check(width, values, covers):
         sets = [[set(s) for s in ls] for ls in values]
         for ls, ss in zip(values, sets):
-            if len(ls) != self.width:
+            if len(ls) != width:
                 raise ValueError("wrong number of label slots")
             if any(len(s) != len(t) for s, t in zip(ls, ss)):
                 raise ValueError("label set repeats a value")
         for (a, b), ds in covers:
-            for s in range(self.width):
+            for s in range(width):
                 d = ds[s]
                 if d.keys() != sets[a][s]:
                     raise ValueError("map not total on its label set")
@@ -268,13 +310,9 @@ class GeneralizedSpanDiagram:
         """The composite map along any cover path from a to b."""
         code = self.poset._code
         try:
-            a, b = code[a], code[b]
-            comps = self._composites[a, b]
+            return self._composites.value_maps(code[a], code[b])
         except KeyError:
             raise ValueError("no arrow between the given objects") from None
-        return [dict(zip(src, map(tgt.__getitem__, c)))
-                for src, tgt, c in zip(self._values[a], self._values[b],
-                                       comps)]
 
 
 def _slice_positions(F, ys, slot):
@@ -354,29 +392,6 @@ def comparison_map(F, x, slot):
             for e, qs in zip(F._values[x][slot], zip(*legs))}
 
 
-class _Comparison(Mapping):
-    """``comparison[x][slot]`` is ``comparison_map(F, x, slot)``; the
-    list for x is built on its first read and kept."""
-
-    def __init__(self, F):
-        self._F, self._maps = F, {}
-
-    def __getitem__(self, x):
-        if x not in self._maps:
-            F = self._F
-            self._maps[x] = [comparison_map(F, x, s) for s in range(F.width)]
-        return self._maps[x]
-
-    def __iter__(self):
-        return iter(self._F.poset.objects)
-
-    def __len__(self):
-        return len(self._F.poset.objects)
-
-    def __contains__(self, x):
-        return x in self._F.poset._code
-
-
 def is_cartesian(F):
     """True iff every comparison into the slice limit is a bijection.
     Returns (flag, witness); witness is (object, slot) on failure."""
@@ -402,20 +417,26 @@ def cartesian_replacement(F):
     poset = F.poset
     slices = poset._slices_c
     limits = [_SliceLimits(F, s) for s in range(F.width)]
-    labels = []
+    values, index = [], []
     for x, ys in enumerate(slices):
-        per_slot = zip(limits, zip(*[F._values[y] for y in ys]))
-        labels.append([[tuple(map(tuple.__getitem__, values, fam))
-                         for fam in fams[x]] for fams, values in per_slot])
-    new_maps = {}
-    for (a, b), e in zip(poset._covers_c, poset.covers):
-        sub = [slices[a].index(y) for y in slices[b]]
-        new_maps[e] = [{fam: tuple(map(fam.__getitem__, sub)) for fam in fams}
-                       for fams in labels[a]]
-    G = GeneralizedSpanDiagram(poset, F.width,
-                               dict(zip(poset.objects, labels)), new_maps,
-                               check=False)
-    return G, _Comparison(F)
+        fams = [lim[x] for lim in limits]
+        per_slot = zip(fams, zip(*[F._values[y] for y in ys]))
+        values.append([tuple([tuple(map(tuple.__getitem__, vals, fam))
+                              for fam in fs]) for fs, vals in per_slot])
+        index.append([{fam: i for i, fam in enumerate(fs)} for fs in fams])
+    # a cover a -> m restricts a family of a to the objects of m's slice
+    step = []
+    for a, ms in enumerate(poset._up_c):
+        at = {y: p for p, y in enumerate(slices[a])}
+        step.append([])
+        for m in ms:
+            sub = [at[y] for y in slices[m]]
+            step[a].append([tuple([ix[tuple(map(fam.__getitem__, sub))]
+                                   for fam in lim[a]])
+                            for lim, ix in zip(limits, index[m])])
+    G = GeneralizedSpanDiagram._from_positions(poset, F.width, values, step)
+    return G, _Lazy(poset._code, lambda x: [comparison_map(F, x, s)
+                                            for s in range(F.width)])
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +451,22 @@ def gamma_act(psi, F):
     if psi.source_size != F.width:
         raise ValueError("width mismatch")
     pre = psi.preimages()
-    labels = {}
-    for x in F.poset.objects:
-        labels[x] = [
-            [tuple(t) for t in
-             itertools.product(*[F.labels[x][k - 1] for k in ks])]
-            for ks in pre]
-    maps = {}
-    for (a, b) in F.poset.covers:
-        maps[(a, b)] = [
-            {t: tuple(F.maps[(a, b)][k - 1][v] for k, v in zip(ks, t))
-             for t in labels[a][j]}
-            for j, ks in enumerate(pre)]
-    return GeneralizedSpanDiagram(F.poset, psi.target_size, labels, maps,
-                                  check=False)
+    values = [[tuple(itertools.product(*[ls[k - 1] for k in ks]))
+               for ks in pre] for ls in F._values]
+
+    def radix(ds, m, ks):
+        # a product label lists its tuples first factor major, so the
+        # position of a tuple is its positions in mixed radix
+        t = (0,)
+        for k in ks:
+            n = len(F._values[m][k - 1])
+            t = tuple([i * n + j for i in t for j in ds[k - 1]])
+        return t
+
+    step = [[[radix(ds, m, ks) for ks in pre] for m, ds in zip(ms, rows)]
+            for ms, rows in zip(F.poset._up_c, F._composites.step)]
+    return GeneralizedSpanDiagram._from_positions(F.poset, psi.target_size,
+                                                  values, step)
 
 
 def delta_act(F, factor_index, alpha):
@@ -461,26 +484,17 @@ def delta_act(F, factor_index, alpha):
     is_sigma = isinstance(factor, SpanPoset)
     if alpha.target_size != factor.level:
         raise ValueError("level mismatch")
-    sig = list(old.sigma_levels)
-    th = list(old.theta_levels)
-    if is_sigma:
-        sig[factor_index] = alpha.source_size
-    else:
-        th[factor_index - len(sig)] = alpha.source_size
-    new = ProductPoset(sig, th)
-
-    def transport(obj):
-        out = list(obj)
-        out[factor_index] = (push_sigma(alpha, obj[factor_index]) if is_sigma
-                             else push_theta(alpha, obj[factor_index]))
-        return tuple(out)
-
-    labels = {x: [list(s) for s in F.labels[transport(x)]]
-              for x in new.objects}
-    maps = {}
-    for (a, b) in new.covers:
-        maps[(a, b)] = F.get_map(transport(a), transport(b))
-    G = GeneralizedSpanDiagram(new, F.width, labels, maps, check=False)
+    levels, k = [*old.sigma_levels, *old.theta_levels], len(old.sigma_levels)
+    levels[factor_index] = alpha.source_size
+    new = ProductPoset(levels[:k], levels[k:])
+    i, push = factor_index, push_sigma if is_sigma else push_theta
+    # the code in F of each object of new, its factor i pushed forward
+    codes = [old._code[(*x[:i], push(alpha, x[i]), *x[i + 1:])]
+             for x in new.objects]
+    step = [[F._composites[codes[a], codes[m]] for m in ms]
+            for a, ms in enumerate(new._up_c)]
+    G = GeneralizedSpanDiagram._from_positions(
+        new, F.width, [F._values[c] for c in codes], step)
     if not is_sigma:
         G, _ = cartesian_replacement(G)
     return G
@@ -533,21 +547,15 @@ def diagram_from_bottom(poset, width, bottom_labels, bottom_maps):
     both endpoints in the bottom) follow the same slot conventions as
     the diagram itself.
     """
-    labels = {}
-    maps = {}
-    for x in poset.objects:
-        if poset.is_bottom(x):
-            labels[x] = [list(s) for s in bottom_labels[x]]
-            # F is not checked, nor is its replacement
-            if any(len(set(s)) != len(s) for s in labels[x]):
-                raise ValueError("label set repeats a value")
-        else:
-            labels[x] = [[] for _ in range(width)]
-    for (a, b) in poset.covers:
-        if poset.is_bottom(a):
-            maps[(a, b)] = [dict(d) for d in bottom_maps[(a, b)]]
-        else:
-            maps[(a, b)] = [{} for _ in range(width)]
+    # the bottom objects are those in their own slice
+    bottom = [c in ys for c, ys in enumerate(poset._slices_c)]
+    labels = {x: bottom_labels[x] if b else [()] * width
+              for x, b in zip(poset.objects, bottom)}
+    # F is not checked, nor is its replacement
+    if any(len(set(s)) != len(s) for ls in labels.values() for s in ls):
+        raise ValueError("label set repeats a value")
+    maps = {e: bottom_maps[e] if bottom[a] else [{}] * width
+            for e, (a, _) in zip(poset.covers, poset._covers_c)}
     F = GeneralizedSpanDiagram(poset, width, labels, maps, check=False)
     G, _ = cartesian_replacement(F)
     return G

@@ -6,6 +6,7 @@ changes its digest."""
 import dataclasses
 import hashlib
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,12 @@ from spankit.pushpull import FamilyMap, VectorFamily
 
 def dump(x):
     """Deterministic text form of x: dataclasses by their fields, other
-    objects by their public attributes, containers in their own order."""
+    objects by their public attributes, containers (any ``Mapping`` as a
+    dict) in their own order."""
     if dataclasses.is_dataclass(x):
         return "%s(%s)" % (type(x).__name__, ",".join(
             dump(getattr(x, f.name)) for f in dataclasses.fields(x)))
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):
         return "{%s}" % ",".join(
             "%s:%s" % (dump(k), dump(v)) for k, v in x.items())
     if isinstance(x, (list, tuple)):

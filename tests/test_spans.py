@@ -7,7 +7,7 @@ import pytest
 from spankit import spans as sp
 from spankit.fincat import compatible_families
 from spankit.instances import random_bottom_diagram
-from spankit.simplex import MonotoneMap, PointedMap
+from spankit.simplex import MonotoneMap, PointedMap, push_sigma, push_theta
 
 
 def factor_leq(poset, a, b):
@@ -61,6 +61,38 @@ def slice_values(F, slot):
         values = [F.labels[y][slot] for y in slice_objects(F.poset, x)]
         out[x] = [tuple(map(list.__getitem__, values, fam)) for fam in fams]
     return out
+
+
+def oracle_gamma_act(psi, F):
+    """``gamma_act`` on values: slot j is the product of the labels of
+    the preimage of j, and a cover acts on each factor by F's maps."""
+    pre = psi.preimages()
+    labels = {x: [list(itertools.product(*[F.labels[x][k - 1] for k in ks]))
+                  for ks in pre] for x in F.poset.objects}
+    maps = {(a, b): [{t: tuple(F.maps[a, b][k - 1][v] for k, v in zip(ks, t))
+                      for t in labels[a][j]} for j, ks in enumerate(pre)]
+            for (a, b) in F.poset.covers}
+    return sp.GeneralizedSpanDiagram(F.poset, psi.target_size, labels, maps)
+
+
+def oracle_delta_act(F, fi, alpha):
+    """``delta_act`` on values: each object takes the label of the object
+    its factor fi pushes forward to, each cover the ``get_map`` between
+    the pushed-forward objects; a subset factor is then replaced."""
+    p = F.poset
+    levels = list(p.sigma_levels + p.theta_levels)
+    levels[fi] = alpha.source_size
+    k = len(p.sigma_levels)
+    new = sp.ProductPoset(levels[:k], levels[k:])
+    push = push_sigma if fi < k else push_theta
+
+    def transport(x):
+        return x[:fi] + (push(alpha, x[fi]),) + x[fi + 1:]
+    labels = {x: F.labels[transport(x)] for x in new.objects}
+    maps = {(a, b): F.get_map(transport(a), transport(b))
+            for (a, b) in new.covers}
+    G = sp.GeneralizedSpanDiagram(new, F.width, labels, maps)
+    return G if fi < k else sp.cartesian_replacement(G)[0]
 
 
 def random_span(rng, name, apex_size, feet_size):
@@ -534,24 +566,11 @@ class TestReindexing:
         assert len(G.labels[collapsed][0]) == (
             len(G.labels[p0][0]) * len(G.labels[p1][0]))
 
-    def test_actions_built_unchecked_match_the_checked_build(self,
-                                                            monkeypatch):
-        # both actions build their result unchecked; with every diagram
-        # forced through the checked constructor (which raises on a
-        # non-functorial diagram) they must give the same labels and
+    def test_actions_built_unchecked_match_the_checked_build(self):
+        # both actions build their result unchecked; rebuilt from its
+        # labels and maps by the checked constructor (which raises on a
+        # non-functorial diagram), each must give the same labels and
         # the same composite for every arrow
-        checked_diagram = sp.GeneralizedSpanDiagram
-
-        def checked(poset, width, labels, maps, check=True):
-            return checked_diagram(poset, width, labels, maps)
-
-        def assert_same(got, want):
-            objs = want.poset.objects
-            assert got.labels == want.labels
-            for a, b in itertools.product(objs, repeat=2):
-                if want.poset.leq(a, b):
-                    assert got.get_map(a, b) == want.get_map(a, b)
-
         rng = random.Random(30)
         for levels in [((1,), ()), ((2,), ()), ((), (2,)), ((1,), (1,)),
                        ((2,), (1,))]:
@@ -566,12 +585,55 @@ class TestReindexing:
                 source = rng.randint(0, 3)
                 alpha = MonotoneMap(source, level, sorted(
                     rng.randint(0, level) for _ in range(source + 1)))
-                got = (sp.gamma_act(psi, F), sp.delta_act(F, fi, alpha))
-                with monkeypatch.context() as m:
-                    m.setattr(sp, "GeneralizedSpanDiagram", checked)
-                    want = (sp.gamma_act(psi, F), sp.delta_act(F, fi, alpha))
-                for g, w in zip(got, want):
-                    assert_same(g, w)
+                for got in (sp.gamma_act(psi, F), sp.delta_act(F, fi, alpha)):
+                    p = got.poset
+                    want = sp.GeneralizedSpanDiagram(p, got.width, got.labels,
+                                                     got.maps)
+                    assert got.labels == want.labels
+                    for a, b in itertools.product(p.objects, repeat=2):
+                        if p.leq(a, b):
+                            assert got.get_map(a, b) == want.get_map(a, b)
+
+
+    def test_actions_match_the_value_level_oracles(self):
+        """``gamma_act`` and ``delta_act`` build from position tables;
+        the oracles above build from labels and value dicts through the
+        checked constructor.  Inputs have shuffled label lists, and some
+        are not cartesian."""
+        rng = random.Random(35)
+        products = broken = 0
+        for k in range(4):
+            for l in range(4 - k):
+                for variant in ("bottom", "top", "extra"):
+                    width = rng.randint(1, 3)
+                    F = TestSliceLimit.shuffled(rng, ((k,), (l,)), variant,
+                                                width)
+                    broken += not sp.is_cartesian(F)[0]
+                    target = rng.randint(1, 3)
+                    psi = PointedMap(width, target, [rng.randint(0, target)
+                                                     for _ in range(width)])
+                    products += any(len(ks) > 1 for ks in psi.preimages())
+                    fi = rng.randrange(2)
+                    level = F.poset.factors[fi].level
+                    source = rng.randint(0, 3)
+                    alpha = MonotoneMap(source, level, sorted(
+                        rng.randint(0, level) for _ in range(source + 1)))
+                    for got, want in (
+                            (sp.gamma_act(psi, F), oracle_gamma_act(psi, F)),
+                            (sp.delta_act(F, fi, alpha),
+                             oracle_delta_act(F, fi, alpha))):
+                        p = want.poset
+                        assert got.poset.objects == p.objects
+                        assert got.labels == want.labels, (k, l, variant)
+                        for e in p.covers:
+                            assert got.maps[e] == want.maps[e], (k, l, e)
+                        for a, b in itertools.product(p.objects, repeat=2):
+                            if p.leq(a, b):
+                                assert got.get_map(a, b) == want.get_map(a, b)
+                        assert sp.is_cartesian(got) == sp.is_cartesian(want)
+        # some slots are products of two or more, some inputs are not
+        # cartesian
+        assert products > 10 and broken > 5, (products, broken)
 
 
 class TestDecorations:
